@@ -41,6 +41,7 @@ from .pivot import (
     ThresholdSet,
     a_wins_expected,
     expected_margin,
+    log_frontiers,
     r1_closed,
     r2_closed,
     thresholds,
@@ -54,21 +55,7 @@ from .regime import (
     recommend_cost,
     sweep_bounds,
 )
-from .special_fn import (
-    DEFAULT_EVAL_CONFIG,
-    EvalConfig,
-    bessel_i0,
-    bessel_i1,
-    g,
-    g_leading,
-    h,
-    h_ray_leading,
-    hyp0f1_1,
-    hyp0f1_2,
-    i_sign,
-    scaled_i0,
-    scaled_i1,
-)
+from .special_fn import g, g_leading, h, h_ray_leading, i_sign, log_g, log_h
 
 __version__ = "0.1.0"
 
@@ -80,17 +67,11 @@ __all__ = [
     "ConvergenceError",
     "TruncationLimitError",
     # special functions
-    "EvalConfig",
-    "DEFAULT_EVAL_CONFIG",
-    "hyp0f1_1",
-    "hyp0f1_2",
-    "bessel_i0",
-    "bessel_i1",
-    "scaled_i0",
-    "scaled_i1",
     "g",
     "h",
     "i_sign",
+    "log_g",
+    "log_h",
     "g_leading",
     "h_ray_leading",
     # pivot layer
@@ -102,6 +83,7 @@ __all__ = [
     "expected_margin",
     "a_wins_expected",
     "thresholds",
+    "log_frontiers",
     # oracles
     "OracleConfig",
     "BruteForceGain",

@@ -83,7 +83,8 @@ class Command:
 
 def _jsonable(obj: Any) -> Any:
     if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+        # fields hidden from repr (ThresholdSet's logs) stay out of the output too
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj) if f.repr}
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, np.floating):

@@ -358,13 +358,15 @@ def solve_partial_saturation(
     z_lo, z_hi = params.total_b, params.total_a
     h_lo = h(k, z_lo)  # = g(2 n (1-p_a)) / 2
     h_hi = h(k, z_hi)
-    if c > h_lo + boundary_tol(cfg.eps_cmp, c, h_lo) or c < h_hi - boundary_tol(
-        cfg.eps_cmp, c, h_hi
-    ):
+    tol_lo = boundary_tol(cfg.eps_cmp, c, h_lo)
+    tol_hi = boundary_tol(cfg.eps_cmp, c, h_hi)
+    if c > h_lo + tol_lo or c < h_hi - tol_hi:
         return None
-    if c >= h_lo:
+    # a cost within eps_cmp of a frontier (e.g. one computed in log space
+    # by ``thresholds``) takes the interval end, not a bisected neighbour
+    if c >= h_lo - tol_lo:
         z0 = z_lo
-    elif c <= h_hi:
+    elif c <= h_hi + tol_hi:
         z0 = z_hi
     else:
         z0 = _bisect(

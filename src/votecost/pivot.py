@@ -17,15 +17,22 @@ equilibrium landscape for a given electorate:
     ct_lower = g(2 n (1 - p_a)) / 2      mixed-equilibrium floor
     pa_lower = h(x_a, x_b)               absenteeism / no-queue floor
     ps_lower = h(n (1 - p_a), n p_a)     saturation floor (all-swipe ceiling)
+
+The frontiers are computed once, in log form, by ``log_frontiers``,
+which also takes an array of populations for sweeps.  The linear values
+are their exponentials: pa_lower and ps_lower decay exponentially in n
+and underflow to 0.0 from n ~ 1e6, while their logs stay finite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DomainError
-from .special_fn import EvalConfig, g, h
+from .special_fn import g, h, log_g, log_h  # noqa: F401  (g stays importable from here)
 
 __all__ = [
     "ElectorateParams",
@@ -37,7 +44,11 @@ __all__ = [
     "expected_margin",
     "a_wins_expected",
     "thresholds",
+    "log_frontiers",
+    "log_coin_toss_bounds",
 ]
+
+LOG_HALF = math.log(0.5)
 
 
 @dataclass(frozen=True)
@@ -112,20 +123,16 @@ def turnout_means(params: ElectorateParams, s: StrategyPair) -> tuple[float, flo
     return u, v
 
 
-def r1_closed(
-    params: ElectorateParams, s: StrategyPair, cfg: EvalConfig | None = None
-) -> float:
+def r1_closed(params: ElectorateParams, s: StrategyPair) -> float:
     """Expected tie-rule gain from one extra A vote at strategies ``s``."""
     u, v = turnout_means(params, s)
-    return h(v, u, cfg)
+    return h(v, u)
 
 
-def r2_closed(
-    params: ElectorateParams, s: StrategyPair, cfg: EvalConfig | None = None
-) -> float:
+def r2_closed(params: ElectorateParams, s: StrategyPair) -> float:
     """Expected tie-rule gain from one extra B vote at strategies ``s``."""
     u, v = turnout_means(params, s)
-    return h(u, v, cfg)
+    return h(u, v)
 
 
 def expected_margin(params: ElectorateParams, s: StrategyPair) -> float:
@@ -143,12 +150,17 @@ def a_wins_expected(params: ElectorateParams, s: StrategyPair) -> bool:
 class ThresholdSet:
     """The four cost frontiers for a fixed electorate.
 
-    All values lie in (0, 1/2].  ``ct_admissible`` records whether the
+    All values lie in [0, 1/2].  ``ct_admissible`` records whether the
     mean A-partisan count is at most the mean count of all B supporters
     (x_a <= n (1 - p_a)); the mixed equilibrium can only exist then.
     For large electorates with ``ct_admissible`` the frontiers order as
     ct_upper >= ct_lower >= pa_lower >= ps_lower; the ordering is a
     large-population property, checked per parameter point, not assumed.
+
+    The ``log_*`` fields are the natural logs of the four frontiers,
+    finite where pa_lower and ps_lower underflow to 0.0; classification
+    compares costs against them.  They are left out of repr and of the
+    CLI output, which show the linear values only.
     """
 
     ct_upper: float
@@ -156,14 +168,39 @@ class ThresholdSet:
     pa_lower: float
     ps_lower: float
     ct_admissible: bool
+    log_ct_upper: float = field(repr=False)
+    log_ct_lower: float = field(repr=False)
+    log_pa_lower: float = field(repr=False)
+    log_ps_lower: float = field(repr=False)
 
 
-def thresholds(params: ElectorateParams, cfg: EvalConfig | None = None) -> ThresholdSet:
+def log_coin_toss_bounds(x_a, total_b) -> np.ndarray:
+    """Logs of (ct_upper, ct_lower) = (g(2 x_a) / 2, g(2 n (1 - p_a)) / 2)."""
+    return log_g(2.0 * np.array([x_a, total_b])) + LOG_HALF
+
+
+def log_frontiers(n, p: float, p_a: float) -> np.ndarray:
+    """Logs of (ct_upper, ct_lower, pa_lower, ps_lower), stacked on axis 0.
+
+    ``n`` may be a scalar or an array of populations; the products are
+    formed in the same order as the ``ElectorateParams`` properties, so
+    the arguments match those the solvers see bit for bit.
+    """
+    n = np.asarray(n, dtype=float)
+    x_a, x_b = n * p * p_a, n * p * (1.0 - p_a)
+    total_a, total_b = n * p_a, n * (1.0 - p_a)
+    return np.concatenate(
+        [
+            log_coin_toss_bounds(x_a, total_b),
+            log_h(np.array([x_a, total_b]), np.array([x_b, total_a])),
+        ]
+    )
+
+
+def thresholds(params: ElectorateParams) -> ThresholdSet:
     """Evaluate the four cost frontiers at ``params``."""
+    logs = log_frontiers(params.n, params.p, params.p_a)
+    # field order: the four linear frontiers, ct_admissible, the four logs
     return ThresholdSet(
-        ct_upper=0.5 * g(2.0 * params.x_a, cfg),
-        ct_lower=0.5 * g(2.0 * params.total_b, cfg),
-        pa_lower=h(params.x_a, params.x_b, cfg),
-        ps_lower=h(params.total_b, params.total_a, cfg),
-        ct_admissible=params.x_a <= params.total_b,
+        *np.exp(logs).tolist(), params.x_a <= params.total_b, *logs.tolist()
     )

@@ -14,7 +14,9 @@ Only case 2 admits the coin toss, in which the majority side is no
 longer guaranteed to win; a cost designer must keep c out of that
 window (``coin_toss_interval`` / ``recommend_cost``).
 
-Costs within ``eps_cmp`` of a frontier are assigned to the
+The frontiers and the cost are compared in log space, so the cases stay
+distinct where pa_lower and ps_lower underflow to 0.0 (n >~ 1e6).
+Costs within ``eps_cmp`` (relative) of a frontier are assigned to the
 lower-numbered case and flagged.  When the frontiers are not strictly
 ordered at the given parameters (small populations, or x_a above the
 admissibility bound), the classifier reports case 0 with the realized
@@ -23,6 +25,7 @@ equilibrium list and no case prediction.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -33,11 +36,16 @@ from .equilibria import (
     Equilibrium,
     EquilibriumKind,
     SolverConfig,
-    boundary_tol,
     enumerate_equilibria,
 )
 from .errors import DomainError
-from .pivot import ElectorateParams, ThresholdSet, thresholds
+from .pivot import (
+    ElectorateParams,
+    ThresholdSet,
+    log_coin_toss_bounds,
+    log_frontiers,
+    thresholds,
+)
 from .special_fn import SQRT2
 
 __all__ = [
@@ -74,19 +82,11 @@ class RegimeReport:
     notes: tuple[str, ...]
 
 
-def _ordered_strictly(ts: ThresholdSet) -> bool:
-    return ts.ct_upper > ts.ct_lower > ts.pa_lower > ts.ps_lower
-
-
-def _case_for_cost(c: float, ts: ThresholdSet, eps: float) -> int:
-    if c >= ts.ct_upper - boundary_tol(eps, c, ts.ct_upper):
-        return 1
-    if c >= ts.ct_lower - boundary_tol(eps, c, ts.ct_lower):
-        return 2
-    if c >= ts.pa_lower - boundary_tol(eps, c, ts.pa_lower):
-        return 3
-    if c >= ts.ps_lower - boundary_tol(eps, c, ts.ps_lower):
-        return 4
+def _case_for_cost(log_c: float, logs: list[float], log_slack: float) -> int:
+    # c >= f - eps * max(c, f)  <=>  log c >= log f - log_slack
+    for case, log_f in enumerate(logs, start=1):
+        if log_c >= log_f - log_slack:
+            return case
     return 5
 
 
@@ -139,19 +139,22 @@ def classify(
     ts = thresholds(params)
     eqs = tuple(enumerate_equilibria(params, c, cfg))
     notes: list[str] = []
-    usable = ts.ct_admissible and params.x_a > SQRT2 and _ordered_strictly(ts)
-    if not usable:
+    logs = [ts.log_ct_upper, ts.log_ct_lower, ts.log_pa_lower, ts.log_ps_lower]
+    ordered = logs[0] > logs[1] > logs[2] > logs[3]
+    if not (ts.ct_admissible and params.x_a > SQRT2 and ordered):
         case = 0
         notes.append(CASE_DESCRIPTIONS[0])
     else:
-        for name in THRESHOLD_NAMES:
-            frontier = getattr(ts, name)
-            if abs(c - frontier) <= boundary_tol(cfg.eps_cmp, c, frontier):
+        log_c = math.log(c)
+        # |c - f| <= eps_cmp * max(c, f)  <=>  |log c - log f| <= log_slack
+        log_slack = -math.log1p(-cfg.eps_cmp)
+        for name, log_f in zip(THRESHOLD_NAMES, logs):
+            if abs(log_c - log_f) <= log_slack:
                 notes.append(
                     f"cost within eps_cmp of the {name} frontier; assigned to the "
                     f"lower-numbered case by convention"
                 )
-        case = _case_for_cost(c, ts, cfg.eps_cmp)
+        case = _case_for_cost(log_c, logs, log_slack)
         mismatch = _check_prediction(case, eqs)
         if mismatch is not None:
             notes.append(mismatch)
@@ -173,8 +176,8 @@ def coin_toss_interval(params: ElectorateParams) -> tuple[float, float] | None:
     """
     if params.x_a > params.total_b:
         return None
-    ts = thresholds(params)
-    return (ts.ct_lower, ts.ct_upper)
+    upper, lower = np.exp(log_coin_toss_bounds(params.x_a, params.total_b)).tolist()
+    return (lower, upper)
 
 
 def recommend_cost(
@@ -209,15 +212,17 @@ class SweepSpec:
     def __post_init__(self):
         if len(self.n_grid) == 0:
             raise DomainError("n_grid must be nonempty")
-        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
+        if not all(b > a for a, b in zip(self.n_grid, self.n_grid[1:])):  # rejects NaN too
             raise DomainError("n_grid must be strictly increasing")
         if len(self.quantities) == 0:
             raise DomainError("quantities must be nonempty")
         unknown = set(self.quantities) - set(THRESHOLD_NAMES)
         if unknown:
             raise DomainError(f"unknown sweep quantities: {sorted(unknown)}")
-        # parameter validity is delegated to ElectorateParams
+        # parameter validity is delegated to ElectorateParams; the grid
+        # increases strictly, so its two ends bound every point
         ElectorateParams(n=self.n_grid[0], p=self.p, p_a=self.p_a)
+        ElectorateParams(n=self.n_grid[-1], p=self.p, p_a=self.p_a)
 
 
 @dataclass(frozen=True)
@@ -229,7 +234,9 @@ class SweepTable:
     to decrease only eventually, so the onset is reported, not assumed
     to be zero).  The exponentially decaying frontiers underflow to
     exactly 0.0 beyond some population size; such trailing zeros count
-    as having reached the floor and do not move the onset.
+    as having reached the floor and do not move the onset.  The
+    columns are the exponentials of ``log_frontiers``; use that function
+    where the values below the underflow floor matter.
     """
 
     n: np.ndarray
@@ -242,23 +249,15 @@ def _decrease_onset(col: np.ndarray) -> int:
     # keep one zero after the last positive entry: the drop to the
     # underflow floor is itself a decrease, the flat zeros after are not
     end = len(col) if len(positive) == 0 else min(len(col), int(positive[-1]) + 2)
-    onset = 0
-    for i in range(end - 1):
-        if col[i + 1] >= col[i]:
-            onset = i + 1
-    return onset
+    # the onset follows the last step that does not decrease
+    rises = np.nonzero(np.diff(col[:end]) >= 0.0)[0]
+    return int(rises[-1]) + 1 if len(rises) else 0
 
 
 def sweep_bounds(spec: SweepSpec) -> SweepTable:
     """Evaluate the requested frontiers on the population grid."""
     n_arr = np.asarray(spec.n_grid, dtype=float)
-    rows = [
-        thresholds(ElectorateParams(n=float(n), p=spec.p, p_a=spec.p_a))
-        for n in n_arr
-    ]
-    columns = {
-        q: np.array([getattr(ts, q) for ts in rows], dtype=float)
-        for q in spec.quantities
-    }
+    logs = dict(zip(THRESHOLD_NAMES, log_frontiers(n_arr, spec.p, spec.p_a)))
+    columns = {q: np.exp(logs[q]) for q in spec.quantities}
     onset = {q: _decrease_onset(col) for q, col in columns.items()}
     return SweepTable(n=n_arr, columns=columns, onset=onset)

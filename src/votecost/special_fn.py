@@ -1,37 +1,39 @@
-r"""Scalar special functions underlying the pivot-probability analysis.
+r"""Pivot-probability kernels on exponentially scaled Bessel functions.
 
-Everything in this module reduces to the two confluent limit series
+A side whose vote total is Poisson(x) meets an opponent polling
+Poisson(z).  Their difference D is Skellam distributed (Skellam 1946;
+Myerson 2000, "Large Poisson games"):
 
-    F1(w) = sum_{k>=0} w^k / (k!)^2
-    F2(w) = sum_{k>=0} w^k / (k! (k+1)!)        (= dF1/dw)
+    P(D = 0) = e^{-x-z} I0(t),   P(D = 1) = e^{-x-z} sqrt(x/z) I1(t),
+    t = 2 sqrt(x z).
 
-the modified Bessel functions they generate,
+The two threshold kernels are
 
-    I0(t) = F1(t^2/4),        I1(t) = (t/2) F2(t^2/4),
+    g(z)    = (I0(z) + I1(z)) e^{-z}
+    h(x, z) = [P(D = 0) + P(D = 1)] / 2 = (F1(x z) + x F2(x z)) e^{-x-z} / 2
 
-and two derived threshold kernels:
+with the confluent limit series F1(w) = sum w^k / (k!)^2 = I0(2 sqrt(w))
+and F2(w) = sum w^k / (k! (k+1)!) = I1(2 sqrt(w)) / sqrt(w).  ``g`` is
+strictly decreasing with g(0) = 1 and bounds the voting-cost interval on
+which an interior mixed equilibrium exists; ``h`` bounds the cost
+intervals of the boundary equilibria; h(x, x) = g(2x) / 2.
 
-    g(z)     = (I0(z) + I1(z)) e^{-z}
-    h(xa, z) = (F1(xa z) + xa F2(xa z)) e^{-xa-z} / 2
+Arguments reach ~1e7, where e^{-x-z} underflows and I_k(t) overflows.
+Every kernel is therefore evaluated in the factorized form
 
-``g`` is strictly decreasing with g(0) = 1 and bounds the voting-cost
-interval on which an interior mixed equilibrium exists; ``h`` bounds the
-cost intervals of the boundary equilibria.  Both kernels must be
-evaluated for arguments up to ~1e7 without overflow, which rules out the
-raw series.  The factorization used throughout is
+    e^{-x-z} I_k(t) = e^{-(sqrt(x)-sqrt(z))^2} [e^{-t} I_k(t)],
 
-    e^{-u-v} I_k(2 sqrt(u v)) = e^{-(sqrt(u)-sqrt(v))^2} [e^{-t} I_k(t)],
-    t = 2 sqrt(u v),
+whose exponent is never positive; the scaled factors e^{-t} I_k(t) are
+scipy's Cephes ``i0e``/``i1e``.  The exponent is computed as
+((x - z) / (sqrt(x) + sqrt(z)))^2, which does not cancel when x ~ z.
 
-whose left-hand exponent can be huge while the right-hand one is always
-<= 0.  The scaled factors e^{-t} I_k(t) come from the series for
-t <= ``scaled_switch`` and otherwise from the divergent large-argument
-expansion
+The formula has two entry points:
 
-    e^{-t} I0(t) ~ (2 pi t)^{-1/2} (1 + 1/(8t) + 9/(128 t^2) + ...)
-    e^{-t} I1(t) ~ (2 pi t)^{-1/2} (1 - 3/(8t) - 15/(128 t^2) - ...)
-
-truncated adaptively at its smallest term.
+* ``g``, ``h`` and ``i_sign`` take and return Python floats, for the
+  root finders.  Their values underflow to 0.0 once the exponent passes
+  ~745, at populations of ~1e6 for the exponentially small frontiers.
+* ``log_g`` and ``log_h`` take numpy arrays and return natural logs,
+  finite for every positive argument, for the cost frontiers.
 
 All functions are pure; concurrent use is unrestricted.
 """
@@ -39,22 +41,18 @@ All functions are pure; concurrent use is unrestricted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
+from scipy.special import i0e, i1e
 
 from .errors import DomainError
 
 __all__ = [
-    "EvalConfig",
-    "DEFAULT_EVAL_CONFIG",
-    "hyp0f1_1",
-    "hyp0f1_2",
-    "bessel_i0",
-    "bessel_i1",
-    "scaled_i0",
-    "scaled_i1",
     "g",
     "h",
     "i_sign",
+    "log_g",
+    "log_h",
     "g_leading",
     "h_ray_leading",
 ]
@@ -62,183 +60,49 @@ __all__ = [
 SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Tolerances and switch points for series/asymptotic evaluation.
-
-    series_rel_tol:
-        Relative truncation tolerance for the power series.  Summation
-        stops once three consecutive terms fall below this fraction of
-        the running sum (guards against plateaus of accidentally small
-        terms).
-    scaled_switch:
-        Argument above which the scaled Bessel factors switch from
-        series-times-exp to the asymptotic expansion.  The default 30
-        keeps the first omitted asymptotic term below 1e-12 relative.
-    asym_max_terms:
-        Hard cap on asymptotic-series terms (the expansion diverges).
-    """
-
-    series_rel_tol: float = 1e-15
-    scaled_switch: float = 30.0
-    asym_max_terms: int = 20
-
-    def __post_init__(self):
-        if not (0.0 < self.series_rel_tol < 1e-6):
-            raise DomainError(
-                f"series_rel_tol must be in (0, 1e-6), got {self.series_rel_tol!r}"
-            )
-        if not self.scaled_switch > 0.0:
-            raise DomainError(f"scaled_switch must be > 0, got {self.scaled_switch!r}")
-        if self.asym_max_terms < 1:
-            raise DomainError(f"asym_max_terms must be >= 1, got {self.asym_max_terms!r}")
+def _h_parts(x_a, z, sqrt):
+    # h = scaled * exp(-exponent); ``sqrt`` is math.sqrt for floats and
+    # np.sqrt for arrays, so both entry points share one formula
+    rx, rz = sqrt(x_a), sqrt(z)
+    t = 2.0 * rx * rz
+    scaled = 0.5 * (i0e(t) + (rx / rz) * i1e(t))
+    return scaled, ((x_a - z) / (rx + rz)) ** 2
 
 
-DEFAULT_EVAL_CONFIG = EvalConfig()
-
-
-def _require_nonneg_finite(name: str, x: float) -> None:
-    # "not (x >= 0)" also rejects NaN
-    if not (x >= 0.0) or math.isinf(x):
-        raise DomainError(f"{name} requires a finite argument >= 0, got {x!r}")
-
-
-def hyp0f1_1(z: float, cfg: EvalConfig | None = None) -> float:
-    """F1(z) = sum_{k>=0} z^k / (k!)^2 for finite z >= 0.
-
-    Plain double-precision summation; overflows to inf for z >~ 1.26e5.
-    Use the scaled Bessel variants when the argument can be large.
-    """
-    cfg = cfg or DEFAULT_EVAL_CONFIG
-    _require_nonneg_finite("hyp0f1_1", z)
-    total = 1.0
-    term = 1.0
-    k = 0
-    quiet = 0
-    while quiet < 3:
-        k += 1
-        term *= z / (k * k)
-        total += term
-        if not math.isfinite(total):
-            return math.inf
-        quiet = quiet + 1 if term <= cfg.series_rel_tol * total else 0
-    return total
-
-
-def hyp0f1_2(z: float, cfg: EvalConfig | None = None) -> float:
-    """F2(z) = sum_{k>=0} z^k / (k! (k+1)!) for finite z >= 0."""
-    cfg = cfg or DEFAULT_EVAL_CONFIG
-    _require_nonneg_finite("hyp0f1_2", z)
-    total = 1.0
-    term = 1.0
-    k = 0
-    quiet = 0
-    while quiet < 3:
-        k += 1
-        term *= z / (k * (k + 1))
-        total += term
-        if not math.isfinite(total):
-            return math.inf
-        quiet = quiet + 1 if term <= cfg.series_rel_tol * total else 0
-    return total
-
-
-def bessel_i0(t: float, cfg: EvalConfig | None = None) -> float:
-    """Modified Bessel I0(t) = F1(t^2/4), t >= 0.  Unscaled; may overflow."""
-    if not (t >= 0.0):
-        raise DomainError(f"bessel_i0 requires t >= 0, got {t!r}")
-    w = 0.25 * t * t
-    if math.isinf(w):
-        return math.inf
-    return hyp0f1_1(w, cfg)
-
-
-def bessel_i1(t: float, cfg: EvalConfig | None = None) -> float:
-    """Modified Bessel I1(t) = (t/2) F2(t^2/4), t >= 0.  Unscaled; may overflow."""
-    if not (t >= 0.0):
-        raise DomainError(f"bessel_i1 requires t >= 0, got {t!r}")
-    w = 0.25 * t * t
-    if math.isinf(w):
-        return math.inf
-    return 0.5 * t * hyp0f1_2(w, cfg)
-
-
-def _asym_scaled(t: float, four_nu_sq: float, cfg: EvalConfig) -> float:
-    # e^{-t} I_nu(t) for large t:  (2 pi t)^{-1/2} sum_k u_k  with
-    # u_0 = 1,  u_k = u_{k-1} ((2k-1)^2 - 4 nu^2) / (8 t k).
-    # The series diverges; stop just before the smallest |term|.
-    total = 1.0
-    term = 1.0
-    prev = 1.0
-    for k in range(1, cfg.asym_max_terms):
-        term *= ((2 * k - 1) ** 2 - four_nu_sq) / (8.0 * t * k)
-        if abs(term) >= prev:
-            break
-        total += term
-        prev = abs(term)
-        if abs(term) <= cfg.series_rel_tol * abs(total):
-            break
-    return total / math.sqrt(2.0 * math.pi * t)
-
-
-def scaled_i0(t: float, cfg: EvalConfig | None = None) -> float:
-    """e^{-t} I0(t), overflow-free for all representable t >= 0."""
-    cfg = cfg or DEFAULT_EVAL_CONFIG
-    if not (t >= 0.0):
-        raise DomainError(f"scaled_i0 requires t >= 0, got {t!r}")
-    if t <= cfg.scaled_switch:
-        return hyp0f1_1(0.25 * t * t, cfg) * math.exp(-t)
-    return _asym_scaled(t, 0.0, cfg)
-
-
-def scaled_i1(t: float, cfg: EvalConfig | None = None) -> float:
-    """e^{-t} I1(t), overflow-free for all representable t >= 0."""
-    cfg = cfg or DEFAULT_EVAL_CONFIG
-    if not (t >= 0.0):
-        raise DomainError(f"scaled_i1 requires t >= 0, got {t!r}")
-    if t <= cfg.scaled_switch:
-        return 0.5 * t * hyp0f1_2(0.25 * t * t, cfg) * math.exp(-t)
-    return _asym_scaled(t, 4.0, cfg)
-
-
-def g(z: float, cfg: EvalConfig | None = None) -> float:
+def g(z: float) -> float:
     """(I0(z) + I1(z)) e^{-z}: continuous, g(0) = 1, strictly decreasing to 0."""
     if not (z >= 0.0):
         raise DomainError(f"g requires z >= 0, got {z!r}")
-    return scaled_i0(z, cfg) + scaled_i1(z, cfg)
+    return float(i0e(z)) + float(i1e(z))
 
 
-def h(x_a: float, z: float, cfg: EvalConfig | None = None) -> float:
+def h(x_a: float, z: float) -> float:
     """(F1(x_a z) + x_a F2(x_a z)) e^{-x_a-z} / 2, evaluated without overflow.
 
     Equals the expected tie-rule gain from one extra vote for a side whose
     vote total is Poisson(x_a) against an opponent polling Poisson(z).
-    Identities used: F1(w) = I0(2 sqrt(w)), F2(w) = I1(2 sqrt(w))/sqrt(w),
-    then the shifted-exponent factorization from the module docstring.
+    Underflows to 0.0 where ``log_h`` is below ~-745.
     """
     if not (x_a >= 0.0) or not (z >= 0.0):
         raise DomainError(f"h requires x_a >= 0 and z >= 0, got {x_a!r}, {z!r}")
-    t = 2.0 * math.sqrt(x_a * z)
-    if t == 0.0:
+    if z == 0.0:
         # F1(0) = F2(0) = 1
-        return 0.5 * (1.0 + x_a) * math.exp(-(x_a + z))
-    damp = math.exp(-((math.sqrt(x_a) - math.sqrt(z)) ** 2))
-    s0 = scaled_i0(t, cfg)
-    s1 = scaled_i1(t, cfg)
-    return 0.5 * (s0 + math.sqrt(x_a / z) * s1) * damp
+        return 0.5 * (1.0 + x_a) * math.exp(-x_a)
+    scaled, exponent = _h_parts(x_a, z, math.sqrt)
+    return float(scaled) * math.exp(-exponent)
 
 
-def _i_sign_core(x_a: float, z: float, cfg: EvalConfig | None = None) -> float:
+def _i_sign_core(x_a: float, z: float) -> float:
     # (x_a - z) F1(x_a z) - x_a F2(x_a z), scaled by e^{-t} instead of
     # e^{-x_a-z}: same sign everywhere, but free of the catastrophic
     # underflow of the fully damped form when z is far from x_a.
     if z == 0.0:
         return 0.0
     t = 2.0 * math.sqrt(x_a * z)
-    return (x_a - z) * scaled_i0(t, cfg) - math.sqrt(x_a / z) * scaled_i1(t, cfg)
+    return (x_a - z) * float(i0e(t)) - math.sqrt(x_a / z) * float(i1e(t))
 
 
-def i_sign(x_a: float, z: float, cfg: EvalConfig | None = None) -> float:
+def i_sign(x_a: float, z: float) -> float:
     """Damped slope probe for h(x_a, .): sign equals sign of dh/dz for z > 0.
 
     Returns [(x_a - z) F1(x_a z) - x_a F2(x_a z)] e^{-x_a-z}.  Only the
@@ -249,8 +113,30 @@ def i_sign(x_a: float, z: float, cfg: EvalConfig | None = None) -> float:
         raise DomainError(f"i_sign requires x_a > 0, got {x_a!r}")
     if not (z >= 0.0):
         raise DomainError(f"i_sign requires z >= 0, got {z!r}")
-    core = _i_sign_core(x_a, z, cfg)
+    core = _i_sign_core(x_a, z)
     return core * math.exp(-((math.sqrt(x_a) - math.sqrt(z)) ** 2))
+
+
+def log_g(z) -> np.ndarray:
+    """log g(z), elementwise over an array of arguments z >= 0."""
+    z = np.asarray(z, dtype=float)
+    if not z.min(initial=math.inf) >= 0.0:  # NaN fails too
+        raise DomainError("log_g requires every z >= 0")
+    return np.log(i0e(z) + i1e(z))
+
+
+def log_h(x_a, z) -> np.ndarray:
+    """log h(x_a, z), elementwise; finite where ``h`` itself underflows.
+
+    Requires x_a >= 0 and z > 0 (the cost frontiers always have positive
+    arguments, so z = 0 is not special-cased as it is in ``h``).
+    """
+    x_a = np.asarray(x_a, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if not (x_a.min(initial=math.inf) >= 0.0 and z.min(initial=math.inf) > 0.0):
+        raise DomainError("log_h requires every x_a >= 0 and z > 0")
+    scaled, exponent = _h_parts(x_a, z, np.sqrt)
+    return np.log(scaled) - exponent
 
 
 def g_leading(z: float) -> float:

@@ -7,6 +7,8 @@ criteria execute.
 import math
 
 import numpy as np
+from series_oracle import bessel_i0, bessel_i1, hyp0f1_1, hyp0f1_2
+
 from votecost.cli import standard_verify_rows
 from votecost.equilibria import (
     EquilibriumKind,
@@ -29,7 +31,7 @@ from votecost.pivot import (
     turnout_means,
 )
 from votecost.regime import SweepSpec, classify, coin_toss_interval, sweep_bounds
-from votecost.special_fn import bessel_i0, bessel_i1, g, h, hyp0f1_1, hyp0f1_2
+from votecost.special_fn import g, h
 
 
 def report(index: int, label: str, ok: bool, detail: str = "") -> None:
@@ -52,6 +54,8 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_special_function_identities():
+    # the series identities are checked on the raw-series test oracle, the
+    # diagonal identity h(x, x) = g(2x) / 2 on the package kernels
     worst_d1 = max(
         abs(central_diff(hyp0f1_1, z) - hyp0f1_2(z)) / hyp0f1_2(z)
         for z in np.geomspace(0.1, 50.0, 25)

@@ -40,6 +40,10 @@ class TestThresholdsVerb:
         assert doc["version"]
         want = thresholds(ElectorateParams(n=500, p=0.2, p_a=0.6))
         assert doc["results"] == _jsonable(want)
+        # the log frontiers stay out of the default output
+        assert list(doc["results"]) == [
+            "ct_upper", "ct_lower", "pa_lower", "ps_lower", "ct_admissible"
+        ]
 
     def test_csv_schema(self):
         status, text = run_cli(

@@ -10,6 +10,7 @@ from votecost.errors import DomainError
 from votecost.pivot import ElectorateParams, thresholds
 from votecost.regime import (
     SweepSpec,
+    _decrease_onset,
     classify,
     coin_toss_interval,
     recommend_cost,
@@ -91,6 +92,37 @@ class TestClassify:
             classify(REF, 0.0)
 
 
+class TestUnderflowRegression:
+    """Beyond n ~ 1e6 pa_lower and ps_lower underflow to 0.0 in linear
+    space; classification must still separate the cases by their logs."""
+
+    @pytest.mark.parametrize("n", [1e6, 1e7])
+    def test_coin_toss_window_is_case_two(self, n):
+        params = ElectorateParams(n=n, p=0.2, p_a=0.6)
+        ts = thresholds(params)
+        assert ts.pa_lower == 0.0 and ts.ps_lower == 0.0
+        report = classify(params, math.sqrt(ts.ct_lower * ts.ct_upper))
+        assert report.case_index == 2
+        assert report.avoid
+        assert not any("predicts" in note for note in report.notes)
+
+    @pytest.mark.parametrize("n", [1e6, 1e7])
+    def test_below_coin_toss_floor_is_case_three(self, n):
+        params = ElectorateParams(n=n, p=0.2, p_a=0.6)
+        ts = thresholds(params)
+        c = ts.ct_lower * 1e-6
+        assert ts.log_pa_lower < math.log(c) < ts.log_ct_lower
+        report = classify(params, c)
+        assert report.case_index == 3
+        assert not report.avoid
+        assert not any("predicts" in note for note in report.notes)
+
+    def test_log_frontiers_strictly_ordered(self):
+        ts = thresholds(ElectorateParams(n=1e7, p=0.2, p_a=0.6))
+        assert ts.log_ct_upper > ts.log_ct_lower > ts.log_pa_lower > ts.log_ps_lower
+        assert ts.log_ps_lower > -1e7
+
+
 class TestCoinTossInterval:
     def test_absent_when_partisans_outnumber(self):
         assert coin_toss_interval(ElectorateParams(n=100, p=0.9, p_a=0.9)) is None
@@ -153,6 +185,39 @@ class TestSweep:
             SweepSpec(p=0.2, p_a=0.6, n_grid=(10.0, 20.0), quantities=("bogus",))
         with pytest.raises(DomainError):
             SweepSpec(p=1.2, p_a=0.6, n_grid=(10.0, 20.0))
+        for bad in ((10.0, math.nan, 30.0), (10.0, math.inf), (-1.0, 10.0)):
+            with pytest.raises(DomainError):
+                SweepSpec(p=0.2, p_a=0.6, n_grid=bad)
+
+    def test_columns_match_thresholds(self):
+        grid = (50.0, 800.0, 3e4, 1e6, 1e7)
+        table = sweep_bounds(SweepSpec(p=0.2, p_a=0.6, n_grid=grid))
+        for i, n in enumerate(grid):
+            ts = thresholds(ElectorateParams(n=n, p=0.2, p_a=0.6))
+            for name, col in table.columns.items():
+                assert col[i] == getattr(ts, name)
+
+    def test_decrease_onset_matches_reference_loop(self):
+        def reference(col):
+            positive = np.nonzero(col > 0.0)[0]
+            end = len(col) if len(positive) == 0 else min(len(col), int(positive[-1]) + 2)
+            onset = 0
+            for i in range(end - 1):
+                if col[i + 1] >= col[i]:
+                    onset = i + 1
+            return onset
+
+        rng = np.random.default_rng(7)
+        cols = [
+            np.array([0.5]),
+            np.zeros(4),
+            np.array([3.0, 2.0, 1.0, 0.0, 0.0]),
+            np.array([1.0, 2.0, 1.0, 0.0]),
+            np.array([1.0, 1.0, 0.5, 0.25]),
+            np.array([0.0, 0.0, 1.0, 0.5, 0.0, 0.0]),
+        ] + [np.where(rng.random(12) < 0.3, 0.0, rng.random(12)) for _ in range(200)]
+        for col in cols:
+            assert _decrease_onset(col) == reference(col)
 
     def test_columns_finite_positive_eventually_decreasing(self):
         grid = tuple(float(x) for x in np.geomspace(100, 1e5, 60))

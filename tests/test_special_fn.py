@@ -1,25 +1,20 @@
-"""Series, Bessel, and threshold-kernel checks against independent oracles."""
+"""Kernel checks against independent oracles: raw series and mpmath."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-
-from votecost.errors import DomainError
-from votecost.special_fn import (
-    EvalConfig,
+from series_oracle import (
     bessel_i0,
     bessel_i1,
-    g,
-    g_leading,
-    h,
-    h_ray_leading,
     hyp0f1_1,
     hyp0f1_2,
-    i_sign,
-    scaled_i0,
-    scaled_i1,
+    scaled_bessel_logseries,
 )
+
+from votecost.errors import DomainError
+from votecost.special_fn import g, g_leading, h, h_ray_leading, i_sign, log_g, log_h
 
 # Frozen from a 40-digit series summation (mpmath).
 F1_AT_1 = 2.2795853023360672674
@@ -32,36 +27,19 @@ SCALED_I1_AT_2 = 0.21526928924893765916
 G_AT_2 = 0.52377761180260869869
 
 
-def scaled_bessel_logseries(t: float, order: int) -> float:
-    """e^{-t} I_order(t) by direct series in shifted-exponent arithmetic.
-
-    Every term is handled as a log-magnitude, so the sum never leaves
-    representable range for any t; this is the reference for the scaled
-    evaluators.
-    """
-    assert t > 0
-    log_half_t = math.log(0.5 * t)
-    logs = []
-    k = 0
-    while True:
-        logs.append(
-            (2 * k + order) * log_half_t
-            - math.lgamma(k + 1)
-            - math.lgamma(k + order + 1)
-        )
-        if k > 3 and logs[-1] < max(logs) - 80.0:
-            break
-        k += 1
-    peak = max(logs)
-    return math.exp(peak - t) * math.fsum(math.exp(x - peak) for x in logs)
-
-
 def central_diff(fn, z, rel_step=3e-6):
     step = z * rel_step
     return (fn(z + step) - fn(z - step)) / (2.0 * step)
 
 
+def scaled_i1(t):
+    # e^{-t} I1(t) from the package kernel: i_sign(x, x) = -e^{-2x} I1(2x)
+    return -i_sign(0.5 * t, 0.5 * t)
+
+
 class TestSeries:
+    """The raw-series oracle itself."""
+
     def test_empty_product_terms(self):
         assert hyp0f1_1(0.0) == 1.0
         assert hyp0f1_2(0.0) == 1.0
@@ -74,11 +52,11 @@ class TestSeries:
 
     def test_domain_errors(self):
         for fn in (hyp0f1_1, hyp0f1_2):
-            with pytest.raises(DomainError):
+            with pytest.raises(ValueError):
                 fn(-1.0)
-            with pytest.raises(DomainError):
+            with pytest.raises(ValueError):
                 fn(float("nan"))
-            with pytest.raises(DomainError):
+            with pytest.raises(ValueError):
                 fn(float("inf"))
 
     def test_overflow_returns_inf(self):
@@ -92,11 +70,13 @@ class TestSeries:
 
 
 class TestBessel:
+    """The package's scaled Bessel factors against the series oracles."""
+
     def test_trivial_points(self):
         assert bessel_i0(0.0) == 1.0
         assert bessel_i1(0.0) == 0.0
-        assert scaled_i0(0.0) == 1.0
-        assert scaled_i1(0.0) == 0.0
+        assert g(0.0) == 1.0
+        assert log_g(0.0) == 0.0
 
     def test_series_relation(self):
         assert bessel_i0(2.0) == pytest.approx(hyp0f1_1(1.0), rel=1e-15)
@@ -104,7 +84,10 @@ class TestBessel:
         assert bessel_i1(4.0) == pytest.approx(I1_AT_4, rel=1e-15)
 
     def test_domain_errors(self):
-        for fn in (bessel_i0, bessel_i1, scaled_i0, scaled_i1, g):
+        for fn in (bessel_i0, bessel_i1):
+            with pytest.raises(ValueError):
+                fn(-0.5)
+        for fn in (g, log_g):
             with pytest.raises(DomainError):
                 fn(-0.5)
 
@@ -115,31 +98,34 @@ class TestBessel:
 
     def test_scaled_frozen_values(self):
         assert scaled_i1(2.0) == pytest.approx(SCALED_I1_AT_2, rel=1e-13)
-        assert scaled_i0(1000.0) == pytest.approx(SCALED_I0_AT_1000, rel=1e-9)
+        assert g(1000.0) - scaled_i1(1000.0) == pytest.approx(SCALED_I0_AT_1000, rel=1e-13)
 
     def test_scaled_unscaled_consistency(self):
         for t in np.geomspace(0.05, 25.0, 30):
-            assert scaled_i0(t) * math.exp(t) == pytest.approx(bessel_i0(t), rel=1e-12)
+            unscaled = bessel_i0(t) + bessel_i1(t)
+            assert g(t) * math.exp(t) == pytest.approx(unscaled, rel=1e-12)
             assert scaled_i1(t) * math.exp(t) == pytest.approx(bessel_i1(t), rel=1e-12)
+        # h from its defining series: (F1(x z) + x F2(x z)) e^{-x-z} / 2
+        for x, z in ((0.5, 2.0), (3.0, 1.0), (10.0, 7.0), (40.0, 60.0)):
+            w = x * z
+            want = 0.5 * (hyp0f1_1(w) + x * hyp0f1_2(w)) * math.exp(-x - z)
+            assert h(x, z) == pytest.approx(want, rel=1e-12)
 
     def test_scaled_vs_logseries_oracle(self):
         for t in np.geomspace(0.5, 2000.0, 40):
-            assert scaled_i0(t) == pytest.approx(scaled_bessel_logseries(t, 0), rel=1e-12)
-            assert scaled_i1(t) == pytest.approx(scaled_bessel_logseries(t, 1), rel=1e-12)
+            ref0 = scaled_bessel_logseries(t, 0)
+            ref1 = scaled_bessel_logseries(t, 1)
+            assert g(t) == pytest.approx(ref0 + ref1, rel=1e-12)
+            assert scaled_i1(t) == pytest.approx(ref1, rel=1e-12)
 
     def test_switch_point_confirmation(self):
-        # both branches must agree with the log-rescaled series around the
-        # default switch at 30 +- 5, confirming the asymptotic truncation
-        # error is below 1e-12 on the asymptotic side of the switch
-        force_asym = EvalConfig(scaled_switch=20.0)
-        force_series = EvalConfig(scaled_switch=40.0)
-        for t in range(25, 36):
+        # Cephes switches between two Chebyshev expansions at t = 8; both
+        # sides must match the log series
+        for t in np.linspace(6.0, 10.0, 17):
             ref0 = scaled_bessel_logseries(float(t), 0)
             ref1 = scaled_bessel_logseries(float(t), 1)
-            assert scaled_i0(float(t), force_asym) == pytest.approx(ref0, rel=1e-12)
-            assert scaled_i1(float(t), force_asym) == pytest.approx(ref1, rel=1e-12)
-            assert scaled_i0(float(t), force_series) == pytest.approx(ref0, rel=1e-12)
-            assert scaled_i1(float(t), force_series) == pytest.approx(ref1, rel=1e-12)
+            assert g(float(t)) == pytest.approx(ref0 + ref1, rel=1e-12)
+            assert scaled_i1(float(t)) == pytest.approx(ref1, rel=1e-12)
 
 
 class TestG:
@@ -258,13 +244,68 @@ class TestISign:
             i_sign(1.0, -1.0)
 
 
-class TestEvalConfig:
-    def test_rejects_bad_tolerances(self):
+def mp_log_g(z):
+    z = mpmath.mpf(float(z))
+    return mpmath.log(mpmath.besseli(0, z) + mpmath.besseli(1, z)) - z
+
+
+def mp_log_h(x, z):
+    # log of the Skellam form with the exponent shift applied exactly
+    x, z = mpmath.mpf(float(x)), mpmath.mpf(float(z))
+    t = 2 * mpmath.sqrt(x * z)
+    return mpmath.log((mpmath.besseli(0, t) + mpmath.sqrt(x / z) * mpmath.besseli(1, t)) / 2) - x - z
+
+
+def assert_log_close(got, want):
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+
+# (x, z) at the frontiers pa_lower and ps_lower of n = 1e6 and 1e7 with
+# p = 0.2, p_a = 0.6, where the linear kernel underflows to 0.0
+UNDERFLOW_POINTS = ((1.2e5, 8e4), (4e5, 6e5), (1.2e6, 8e5), (4e6, 6e6))
+
+
+class TestLogKernels:
+    """log_g and log_h against 40-digit mpmath Bessel functions."""
+
+    @pytest.fixture(autouse=True)
+    def _precision(self):
+        with mpmath.workdps(40):
+            yield
+
+    def test_log_g_matches_mpmath(self):
+        zs = np.geomspace(1e-3, 1e7, 61)
+        got = log_g(zs)
+        assert got.shape == zs.shape
+        for z, val in zip(zs, got):
+            assert_log_close(float(val), float(mp_log_g(z)))
+
+    def test_log_h_matches_mpmath(self):
+        rng = np.random.default_rng(20261017)
+        pairs = np.exp(rng.uniform(math.log(1e-3), math.log(1e7), size=(120, 2)))
+        pairs = np.concatenate([pairs, [[1e-3, 1e7], [1e7, 1e-3], [1e7, 1e7], [2.0, 2.0]]])
+        got = log_h(pairs[:, 0], pairs[:, 1])
+        for (x, z), val in zip(pairs, got):
+            assert_log_close(float(val), float(mp_log_h(x, z)))
+
+    def test_log_h_where_linear_underflows(self):
+        for x, z in UNDERFLOW_POINTS:
+            assert h(x, z) == 0.0
+            val = float(log_h(x, z))
+            assert -1e7 < val < math.log(np.finfo(float).tiny)
+            assert_log_close(val, float(mp_log_h(x, z)))
+
+    def test_log_matches_linear_where_representable(self):
+        zs = np.geomspace(1e-3, 1e5, 30)
+        assert np.allclose(log_g(zs), [math.log(g(z)) for z in zs], rtol=1e-14, atol=1e-15)
+        for x, z in ((1e-3, 5.0), (3.0, 1.0), (200.0, 150.0), (5e4, 4.9e4)):
+            assert float(log_h(x, z)) == pytest.approx(math.log(h(x, z)), rel=1e-13, abs=1e-14)
+
+    def test_domain_errors(self):
+        for x, z in ((1.0, 0.0), (-1.0, 1.0), (1.0, -1.0), (float("nan"), 1.0)):
+            with pytest.raises(DomainError):
+                log_h(x, z)
         with pytest.raises(DomainError):
-            EvalConfig(series_rel_tol=0.0)
+            log_h(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
         with pytest.raises(DomainError):
-            EvalConfig(series_rel_tol=1e-3)
-        with pytest.raises(DomainError):
-            EvalConfig(scaled_switch=-1.0)
-        with pytest.raises(DomainError):
-            EvalConfig(asym_max_terms=0)
+            log_g(float("nan"))
