@@ -10,13 +10,18 @@ voter counts (r, s) ~ Poisson(y_a), Poisson(y_b) of
     P(a) P(b) P(r) P(s) * [f(a+r+1, b+s) - f(a+r, b+s)]
 
 with f the tie rule (1 / 0.5 / 0 for ahead / tied / behind).  Each index
-is truncated at the smallest K whose upper tail mass is below
+is truncated at the smallest K whose upper tail mass is at most
 ``tail_eps``, so the dropped mass over all four indices is at most
 4 * tail_eps and the f-difference is bounded by 1/2; the reported error
 bound 4 * tail_eps is conservative.  The sum itself is evaluated by
 regrouping over the vote totals a+r and b+s (a discrete convolution of
 the truncated probability vectors); this is an exact reorganization of
-the same finitely many terms, not a distributional identity.
+the same finitely many terms, not a distributional identity.  K comes
+from the inverse Poisson cdf ``pdtrik`` and the pmfs from ``gammaln``
+(``scipy.special``), by the same formulas as ``scipy.stats.poisson``'s
+``ppf`` and ``pmf``.  The last pair of totals is kept, read-only, so
+side A and side B, or the vote and abstain utilities, at the same means
+convolve once.
 
 Monte Carlo.  Randomness comes from numpy's ``Generator`` over the
 ``PCG64`` bit generator seeded directly with the configured seed, so a
@@ -31,11 +36,13 @@ consistent estimator of the brute-force pivot gain.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import DomainError, TruncationLimitError
 from .pivot import ElectorateParams, StrategyPair
@@ -77,9 +84,13 @@ class OracleConfig:
     def __post_init__(self):
         if not (0.0 < self.tail_eps < 1e-6):
             raise DomainError(f"tail_eps must be in (0, 1e-6), got {self.tail_eps!r}")
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials!r}")
-        if not (0 <= int(self.seed) < 2**64):
+        if not (0 <= self.seed < 2**64):
             raise DomainError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
         if not self.cell_cap > 0:
             raise DomainError(f"cell_cap must be > 0, got {self.cell_cap!r}")
@@ -100,10 +111,16 @@ def tie_rule(m: int, n: int) -> float:
 
 
 def _upper_index(mean: float, tail_eps: float) -> int:
-    """Smallest K with P(Poisson(mean) > K) < tail_eps."""
+    """Smallest K with P(Poisson(mean) > K) <= tail_eps."""
     if mean <= 0.0:
         return 0
-    return int(stats.poisson.ppf(1.0 - tail_eps, mean))
+    q = 1.0 - tail_eps
+    k = math.ceil(special.pdtrik(q, mean))
+    # pdtrik inverts the cdf over continuous k, so its ceiling can land one
+    # above the smallest K; the same check as scipy.stats.poisson.ppf
+    if k > 0 and special.pdtr(k - 1, mean) >= q:
+        return k - 1
+    return k
 
 
 def _pmf_vector(mean: float, k_max: int) -> np.ndarray:
@@ -111,7 +128,8 @@ def _pmf_vector(mean: float, k_max: int) -> np.ndarray:
         out = np.zeros(k_max + 1)
         out[0] = 1.0
         return out
-    return stats.poisson.pmf(np.arange(k_max + 1), mean)
+    k = np.arange(k_max + 1)
+    return np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
 
 
 def _total_pmfs(
@@ -126,12 +144,14 @@ def _total_pmfs(
 
     ``index_scale`` inflates every truncation index (used by the
     truncation-soundness check); the cell cap applies to the raw
-    four-index box.
+    four-index box.  The returned arrays are read-only.
     """
     for name, mean in (("x_a", x_a), ("x_b", x_b), ("y_a", y_a), ("y_b", y_b)):
         if not (mean >= 0.0 and math.isfinite(mean)):
             raise DomainError(f"{name} must be a finite mean >= 0, got {mean!r}")
-    ks = [_upper_index(m, cfg.tail_eps) for m in (x_a, x_b, y_a, y_b)]
+    # plain floats, so 0-d arrays also make a hashable memo key
+    means = tuple(float(m) for m in (x_a, x_b, y_a, y_b))
+    ks = [_upper_index(m, cfg.tail_eps) for m in means]
     if index_scale != 1.0:
         ks = [int(math.ceil(k * index_scale)) for k in ks]
     cells = math.prod(k + 1 for k in ks)
@@ -139,11 +159,24 @@ def _total_pmfs(
         raise TruncationLimitError(
             f"truncation box of {cells:.3g} cells exceeds cell_cap={cfg.cell_cap:.3g}"
         )
-    pmf_a, pmf_b, pmf_r, pmf_s = (
-        _pmf_vector(m, k) for m, k in zip((x_a, x_b, y_a, y_b), ks)
-    )
+    return _convolved_totals(means, tuple(ks))
+
+
+@functools.lru_cache(maxsize=1)
+def _convolved_totals(
+    means: tuple[float, float, float, float], ks: tuple[int, int, int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Convolved pmf vectors for the means truncated at the indices ``ks``.
+
+    Memoized for the last key only: the verify grid and the utility pairs
+    ask for the same totals twice in a row.  The domain and cell-cap
+    checks stay in :func:`_total_pmfs`, so they run on every call.
+    """
+    pmf_a, pmf_b, pmf_r, pmf_s = (_pmf_vector(m, k) for m, k in zip(means, ks))
     dist_a = np.convolve(pmf_a, pmf_r)
     dist_b = np.convolve(pmf_b, pmf_s)
+    dist_a.flags.writeable = False
+    dist_b.flags.writeable = False
     return dist_a, dist_b
 
 

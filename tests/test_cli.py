@@ -179,6 +179,9 @@ class TestVerifyVerb:
                            "closed_form", "brute_force", "abs_error", "error_bound"]
         assert len(rows) == 1 + 1800
 
+    def test_deterministic_bytes(self):
+        assert run_cli(["verify"]) == run_cli(["verify"])
+
     def test_tolerance_breach_exit(self):
         status, text = run_cli(["verify", "--tol", "1e-30", "--format", "json"])
         assert status == EXIT_TOLERANCE
@@ -233,3 +236,14 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == EXIT_VALIDATION
+
+    def test_import_does_not_load_scipy_stats(self):
+        # scipy.stats costs most of a cold import; the package needs only
+        # scipy.special
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, votecost, votecost.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -8,7 +8,11 @@ from votecost.equilibria import solve_coin_toss
 from votecost.errors import DomainError, TruncationLimitError
 from votecost.oracle import (
     OracleConfig,
+    _convolved_totals,
+    _pmf_vector,
     _poisson_pivot,
+    _total_pmfs,
+    _upper_index,
     class_sizes,
     pivot_gain_bruteforce,
     poisson_environment_pivot,
@@ -74,6 +78,94 @@ class TestBruteForce:
             pivot_gain_bruteforce(-1.0, 0, 0, 0, "A")
         with pytest.raises(DomainError):
             pivot_gain_bruteforce(1.0, 0, 0, 0, "C")
+
+
+# means from the smallest subnormal up to 1e5
+POISSON_MEANS = [5e-324, 1e-300, 1e-30, 1e-16, *np.logspace(-6, 5, 400)]
+
+
+class TestPoissonHelpers:
+    """The scipy.special helpers reproduce scipy.stats.poisson bit for bit."""
+
+    @pytest.mark.parametrize("tail_eps", [1e-13, 1e-10, 1e-7])
+    def test_upper_index_matches_ppf(self, tail_eps):
+        for mean in POISSON_MEANS:
+            want = int(stats.poisson.ppf(1.0 - tail_eps, mean))
+            assert _upper_index(mean, tail_eps) == want, mean
+
+    @pytest.mark.parametrize("tail_eps", [1e-13, 1e-10, 1e-7])
+    def test_pmf_vector_matches_pmf(self, tail_eps):
+        for mean in POISSON_MEANS:
+            k_max = _upper_index(mean, tail_eps)
+            want = stats.poisson.pmf(np.arange(k_max + 1), mean)
+            np.testing.assert_array_equal(_pmf_vector(mean, k_max), want)
+
+    @pytest.mark.parametrize(
+        "mean, tail_eps, want",
+        [
+            (18122.424665646275, 1e-13, 19120),
+            (70316.99770378614, 1e-13, 72274),
+            (66081.66788046046, 1e-10, 67723),
+        ],
+    )
+    def test_upper_index_steps_back(self, mean, tail_eps, want):
+        # here ceil(pdtrik) lands one above the ppf, whose cdf check steps back
+        assert _upper_index(mean, tail_eps) == want
+        assert int(stats.poisson.ppf(1.0 - tail_eps, mean)) == want
+
+
+class TestTotalsMemo:
+    MEANS = (1.8, 1.2, 0.7, 1.3)
+
+    def test_cached_totals_are_read_only(self):
+        dist_a, dist_b = _total_pmfs(*self.MEANS, OracleConfig())
+        for dist in (dist_a, dist_b):
+            with pytest.raises(ValueError):
+                dist[0] = 1.0
+        again = _total_pmfs(*self.MEANS, OracleConfig())
+        assert again[0] is dist_a and again[1] is dist_b
+
+    def run(self):
+        return (
+            pivot_gain_bruteforce(*self.MEANS, "A"),
+            pivot_gain_bruteforce(*self.MEANS, "B"),
+            utility_bruteforce("A", 1, *self.MEANS, 0.05),
+            utility_bruteforce("A", 0, *self.MEANS, 0.05),
+        )
+
+    @pytest.mark.parametrize(
+        "between",
+        [
+            lambda: pivot_gain_bruteforce(2.0, 1.0, 1.0, 2.0, "A"),
+            lambda: pivot_gain_bruteforce(1.8, 1.2, 0.7, 1.3, "A", OracleConfig(tail_eps=1e-7)),
+            lambda: pivot_gain_bruteforce(1.8, 1.2, 0.7, 1.3, "A", index_scale=2.0),
+            lambda: utility_bruteforce("B", 1, 0.3, 4.0, 0.0, 2.5, 0.1),
+        ],
+        ids=["means", "config", "index_scale", "utility"],
+    )
+    def test_interleaved_call_does_not_change_results(self, between):
+        # each result must equal the one computed from an empty memo
+        _convolved_totals.cache_clear()
+        fresh_between = between()
+        _convolved_totals.cache_clear()
+        fresh = self.run()
+        assert between() == fresh_between
+        assert self.run() == fresh
+        assert between() == fresh_between
+
+    def test_exceptions_are_not_cached(self):
+        small = OracleConfig(cell_cap=1e3)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                pivot_gain_bruteforce(-1.0, 0, 0, 0, "A")
+            with pytest.raises(DomainError):
+                pivot_gain_bruteforce(float("nan"), 0, 0, 0, "A")
+            with pytest.raises(TruncationLimitError):
+                pivot_gain_bruteforce(50, 50, 50, 50, "A", small)
+        # a breach right after the same means were summed under a larger cap
+        pivot_gain_bruteforce(50, 50, 50, 50, "A")
+        with pytest.raises(TruncationLimitError):
+            pivot_gain_bruteforce(50, 50, 50, 50, "A", small)
 
 
 class TestUtility:
@@ -203,3 +295,26 @@ class TestOracleConfig:
             OracleConfig(trials=0)
         with pytest.raises(DomainError):
             OracleConfig(seed=-1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"seed": 1.7},
+            {"seed": -0.5},
+            {"seed": 3.0},
+            {"seed": True},
+            {"seed": "7"},
+            {"trials": 2.5},
+            {"trials": 1000.0},
+            {"trials": True},
+        ],
+    )
+    def test_rejects_non_integer_trials_and_seed(self, kwargs):
+        with pytest.raises(DomainError):
+            OracleConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        cfg = OracleConfig(trials=np.int64(500), seed=np.uint64(2**64 - 1))
+        assert simulate_election(
+            ElectorateParams(n=30, p=0.3, p_a=0.6), StrategyPair(0.5, 0.5), cfg
+        ).trials_used == 500
