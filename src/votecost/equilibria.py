@@ -21,8 +21,14 @@ and the existence of no-queue / all-swipe is a pair of inequalities.
 The absenteeism kernel z -> h(x_a, z) is strictly decreasing when
 x_a <= sqrt(2) and otherwise rises to a unique interior peak and falls;
 ``find_h_peak`` locates the peak from the single sign change of the
-slope probe ``i_sign``, and the root finder bisects each monotone branch
-separately, which is correct in every sub-case.
+slope probe ``i_sign``, and each monotone branch is solved separately
+with Brent's bracketed method (``_brent``), which is correct in every
+sub-case.
+
+The kernel values at the interval ends are the cost frontiers of
+``pivot.thresholds``.  The solvers read them from one ``ThresholdSet``
+(``classify`` passes its own), so solvers and classifier compare the
+cost against the same numbers and no frontier is evaluated twice.
 
 Boundary conventions (costs sitting exactly on a frontier are a
 measure-zero event; ties are broken deterministically):
@@ -42,6 +48,7 @@ absolute slack would swallow whole regimes).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -50,9 +57,11 @@ from .errors import ConvergenceError, DomainError
 from .pivot import (
     ElectorateParams,
     StrategyPair,
+    ThresholdSet,
     expected_margin,
     r1_closed,
     r2_closed,
+    thresholds,
 )
 from .special_fn import SQRT2, g, h, _i_sign_core
 
@@ -90,10 +99,11 @@ class Winner(str, Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Bisection and comparison tolerances.
+    """Root-finding and comparison tolerances.
 
-    z_rel_tol:  relative bracket width at which bisection stops.
-    max_iter:   iteration budget per bisection (exceeding it raises).
+    z_rel_tol:  root-relative tolerance: a root finder stops once the
+                root is bracketed within z_rel_tol * max(1, |z|).
+    max_iter:   function evaluations allowed per root (exceeding it raises).
     eps_cmp:    absolute slack for boundary comparisons of costs.
     """
 
@@ -141,7 +151,7 @@ def boundary_tol(eps: float, *values: float) -> float:
     return eps * max(abs(v) for v in values)
 
 
-def _bisect(
+def _brent(
     fn: Callable[[float], float],
     lo: float,
     hi: float,
@@ -150,7 +160,15 @@ def _bisect(
     cfg: SolverConfig,
     label: str,
 ) -> float:
-    """Bisection on a bracket with f(lo) and f(hi) of opposite (or zero) sign."""
+    """Root of ``fn`` on a bracket with f(lo) and f(hi) of opposite (or zero) sign.
+
+    Brent-Dekker (Brent 1973, ch. 4; the loop of scipy's ``brentq``):
+    secant or inverse quadratic steps while they shrink the bracket fast
+    enough, bisection otherwise.  Every evaluation lies inside the
+    bracket.  Stops when the half-bracket is below
+    z_rel_tol/2 * max(1, |x|) at the best point x, or when no float is
+    left between x and the midpoint.
+    """
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -159,33 +177,68 @@ def _bisect(
     # values underflow to 0.0 and would defeat the bracket check
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ConvergenceError(f"{label}: endpoints do not bracket a root")
-    width_goal = cfg.z_rel_tol * max(1.0, abs(lo), abs(hi))
+    x_pre, f_pre, x_cur, f_cur = lo, f_lo, hi, f_hi
+    x_blk = f_blk = s_pre = s_cur = 0.0
     for _ in range(cfg.max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= width_goal or mid == lo or mid == hi:
-            return mid
-        f_mid = fn(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
+        if (f_pre > 0.0) != (f_cur > 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 0.5 * cfg.z_rel_tol * max(1.0, abs(x_cur))
+        s_bis = 0.5 * (x_blk - x_cur)
+        mid = x_cur + s_bis
+        if abs(s_bis) < delta or mid == x_cur or mid == x_blk:
+            return x_cur
+        s_try = math.nan  # NaN fails the acceptance test below: bisect
+        # |f_cur| < |f_pre| keeps x_pre and x_cur apart, and the bracket
+        # check above keeps x_blk and x_cur apart
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                num, den = -f_cur * (x_cur - x_pre), f_cur - f_pre
+            else:  # inverse quadratic
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                num = -f_cur * (f_blk * d_blk - f_pre * d_pre)
+                den = d_blk * d_pre * (f_blk - f_pre)
+            # the product underflows to 0.0 for tiny residuals, as at the
+            # costs of ~1e-200 that regime 4 has at n ~ 1e7
+            if den != 0.0:
+                s_try = num / den
+        # take a step toward x_blk that cuts the bracket to 3/4 or less:
+        # every evaluation then stays inside the bracket (Brent's rule)
+        if s_try * s_bis > 0.0 and 2.0 * abs(s_try) < min(
+            abs(s_pre), 3.0 * abs(s_bis) - delta
+        ):
+            s_pre, s_cur = s_cur, s_try
         else:
-            hi, f_hi = mid, f_mid
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        f_cur = fn(x_cur)
+        if f_cur == 0.0:
+            return x_cur
     raise ConvergenceError(
         f"{label}: no convergence after {cfg.max_iter} iterations "
-        f"(bracket width {hi - lo:.3e})"
+        f"(bracket width {abs(x_blk - x_cur):.3e})"
     )
 
 
 def solve_coin_toss(
-    params: ElectorateParams, c: float, cfg: SolverConfig | None = None
+    params: ElectorateParams,
+    c: float,
+    cfg: SolverConfig | None = None,
+    ts: ThresholdSet | None = None,
 ) -> Equilibrium | None:
     """The unique interior mixed equilibrium, if the cost admits one.
 
     Exists iff g(2 x_a) > 2c > g(2 n (1 - p_a)) (strict, with eps_cmp
     margin), which requires x_a < n (1 - p_a).  The defining condition
-    g(z) = 2c is bisected on [2 x_a, 2 n (1 - p_a)]; both alpha values
-    are recovered from the root and the equal-turnout identity.
+    g(z) = 2c is solved on [2 x_a, 2 n (1 - p_a)]; both alpha values
+    are recovered from the root and the equal-turnout identity.  The
+    two bounds are ``ts.ct_upper`` and ``ts.ct_lower`` (``ts`` defaults
+    to ``thresholds(params)``).
     """
     cfg = cfg or DEFAULT_SOLVER_CONFIG
     if not (0.0 < c < 0.5):
@@ -197,15 +250,16 @@ def solve_coin_toss(
     hi = 2.0 * params.total_b
     if lo >= hi:
         return None
+    ts = ts or thresholds(params)
     target = 2.0 * c
-    g_lo = g(lo)
-    g_hi = g(hi)
+    g_lo = 2.0 * ts.ct_upper  # g(lo)
+    g_hi = 2.0 * ts.ct_lower  # g(hi)
     if not (
         g_lo - target > boundary_tol(cfg.eps_cmp, g_lo, target)
         and target - g_hi > boundary_tol(cfg.eps_cmp, g_hi, target)
     ):
         return None
-    z = _bisect(
+    z = _brent(
         lambda t: g(t) - target, lo, hi, g_lo - target, g_hi - target, cfg, "coin toss"
     )
     turnout = 0.5 * z
@@ -231,7 +285,7 @@ def find_h_peak(x_a: float, cfg: SolverConfig | None = None) -> float:
 
     Returns 0 when x_a <= sqrt(2) (the kernel is then decreasing
     throughout).  Otherwise the slope probe is positive near 0 and
-    negative at z = x_a, and the unique sign change is bisected.  If no
+    negative at z = x_a, and its unique sign change is solved for.  If no
     positive probe value is found above z = 1e-13 x_a (possible only
     for x_a within roundoff of sqrt(2)), the peak is indistinguishable
     from 0 at double precision and 0 is returned.
@@ -250,7 +304,7 @@ def find_h_peak(x_a: float, cfg: SolverConfig | None = None) -> float:
         f_lo = _i_sign_core(x_a, lo)
     if f_lo <= 0.0:
         return 0.0
-    return _bisect(
+    return _brent(
         lambda t: _i_sign_core(x_a, t), lo, x_a, f_lo, f_hi, cfg, "h peak"
     )
 
@@ -284,7 +338,10 @@ def _absenteeism_equilibrium(
 
 
 def solve_partial_absenteeism(
-    params: ElectorateParams, c: float, cfg: SolverConfig | None = None
+    params: ElectorateParams,
+    c: float,
+    cfg: SolverConfig | None = None,
+    ts: ThresholdSet | None = None,
 ) -> list[Equilibrium]:
     """All equilibria with alpha_a = 0 and the B side indifferent.
 
@@ -292,25 +349,25 @@ def solve_partial_absenteeism(
     the kernel peak into at most two monotone branches, so 0, 1 or 2
     roots are found.  Roots whose recovered alpha_b leaves [0, 1] are
     discarded; the root z = x_b (alpha_b = 0) belongs to the no-queue
-    test, not here.
+    test, not here.  The kernel values at the interval ends are
+    ``ts.pa_lower`` and ``ts.ct_upper``.
     """
     cfg = cfg or DEFAULT_SOLVER_CONFIG
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
+    ts = ts or thresholds(params)
     z_lo, z_hi = params.x_b, params.x_a
     peak = find_h_peak(params.x_a, cfg)
+    # h(x_a, x_b) = pa_lower and h(x_a, x_a) = g(2 x_a) / 2 = ct_upper
+    ends = [(z_lo, ts.pa_lower - c), (z_hi, ts.ct_upper - c)]
     if z_lo < peak < z_hi:
-        segments = [(z_lo, peak), (peak, z_hi)]
-    else:
-        segments = [(z_lo, z_hi)]
+        ends.insert(1, (peak, h(params.x_a, peak) - c))
     roots: list[float] = []
-    for a, b in segments:
-        f_a = h(params.x_a, a) - c
-        f_b = h(params.x_a, b) - c
+    for (a, f_a), (b, f_b) in zip(ends, ends[1:]):
         if f_a != 0.0 and f_b != 0.0 and (f_a > 0.0) == (f_b > 0.0):
             continue
         roots.append(
-            _bisect(
+            _brent(
                 lambda t: h(params.x_a, t) - c, a, b, f_a, f_b, cfg, "absenteeism"
             )
         )
@@ -325,51 +382,60 @@ def solve_partial_absenteeism(
 
 
 def no_queue_exists(
-    params: ElectorateParams, c: float, cfg: SolverConfig | None = None
+    params: ElectorateParams,
+    c: float,
+    cfg: SolverConfig | None = None,
+    ts: ThresholdSet | None = None,
 ) -> bool:
     """Whether (0, 0) is an equilibrium: c >= h(x_a, x_b) up to eps_cmp.
 
     The A-side inequality is implied (its gain at (0,0) is the smaller
-    of the two), so only the B-side bound h(x_a, x_b) matters.
+    of the two), so only the B-side bound h(x_a, x_b) = ``ts.pa_lower``
+    matters.
     """
     cfg = cfg or DEFAULT_SOLVER_CONFIG
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
-    floor = h(params.x_a, params.x_b)
+    floor = (ts or thresholds(params)).pa_lower
     return c >= floor - boundary_tol(cfg.eps_cmp, c, floor)
 
 
 def solve_partial_saturation(
-    params: ElectorateParams, c: float, cfg: SolverConfig | None = None
+    params: ElectorateParams,
+    c: float,
+    cfg: SolverConfig | None = None,
+    ts: ThresholdSet | None = None,
 ) -> Equilibrium | None:
     """The equilibrium with alpha_b = 1 and the A side indifferent, if any.
 
     Solves h(n(1-p_a), z) = c for the own total z on [n(1-p_a), n p_a],
     where the kernel is strictly decreasing (its peak lies left of the
     interval), so the root is unique.  Exists iff
-    h(n(1-p_a), n p_a) <= c <= g(2 n(1-p_a))/2 up to eps_cmp, and the
-    recovered alpha_a must be a probability (roots below the A-partisan
-    mean are not strategies and yield no equilibrium).
+    h(n(1-p_a), n p_a) <= c <= g(2 n(1-p_a))/2 up to eps_cmp (that is,
+    ``ts.ps_lower <= c <= ts.ct_lower``), and the recovered alpha_a must
+    be a probability (roots below the A-partisan mean are not strategies
+    and yield no equilibrium).
     """
     cfg = cfg or DEFAULT_SOLVER_CONFIG
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
     k = params.total_b
     z_lo, z_hi = params.total_b, params.total_a
-    h_lo = h(k, z_lo)  # = g(2 n (1-p_a)) / 2
-    h_hi = h(k, z_hi)
+    ts = ts or thresholds(params)
+    h_lo = ts.ct_lower  # h(k, z_lo) = g(2 n (1-p_a)) / 2
+    h_hi = ts.ps_lower  # h(k, z_hi)
     tol_lo = boundary_tol(cfg.eps_cmp, c, h_lo)
     tol_hi = boundary_tol(cfg.eps_cmp, c, h_hi)
     if c > h_lo + tol_lo or c < h_hi - tol_hi:
         return None
-    # a cost within eps_cmp of a frontier (e.g. one computed in log space
-    # by ``thresholds``) takes the interval end, not a bisected neighbour
+    # a cost within eps_cmp of a frontier takes the interval end, not a
+    # solved neighbour
     if c >= h_lo - tol_lo:
         z0 = z_lo
     elif c <= h_hi + tol_hi:
         z0 = z_hi
     else:
-        z0 = _bisect(
+        z0 = _brent(
             lambda t: h(k, t) - c, z_lo, z_hi, h_lo - c, h_hi - c, cfg, "saturation"
         )
     alpha_a = (z0 - params.x_a) / params.m_a
@@ -390,17 +456,20 @@ def solve_partial_saturation(
 
 
 def all_swipe_exists(
-    params: ElectorateParams, c: float, cfg: SolverConfig | None = None
+    params: ElectorateParams,
+    c: float,
+    cfg: SolverConfig | None = None,
+    ts: ThresholdSet | None = None,
 ) -> bool:
     """Whether (1, 1) is an equilibrium: c <= h(n(1-p_a), n p_a) up to eps_cmp.
 
     The B-side inequality is implied (its gain at (1,1) is the larger of
-    the two), so only the A-side bound matters.
+    the two), so only the A-side bound ``ts.ps_lower`` matters.
     """
     cfg = cfg or DEFAULT_SOLVER_CONFIG
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
-    ceiling = h(params.total_b, params.total_a)
+    ceiling = (ts or thresholds(params)).ps_lower
     return c <= ceiling + boundary_tol(cfg.eps_cmp, c, ceiling)
 
 
@@ -422,7 +491,10 @@ def _strategies_close(a: StrategyPair, b: StrategyPair, eps: float) -> bool:
 
 
 def enumerate_equilibria(
-    params: ElectorateParams, c: float, cfg: SolverConfig | None = None
+    params: ElectorateParams,
+    c: float,
+    cfg: SolverConfig | None = None,
+    ts: ThresholdSet | None = None,
 ) -> list[Equilibrium]:
     """Every type-symmetric equilibrium at cost ``c``, deduplicated and sorted.
 
@@ -430,23 +502,25 @@ def enumerate_equilibria(
     endpoints, e.g. a saturation root at alpha_a = 1 meeting the
     all-swipe corner) are reported once, with the coincidence noted.
     Costs of 1/2 and above admit no coin toss (gains never reach 1/2),
-    so the mixed solver is skipped there.
+    so the mixed solver is skipped there.  Every solver compares ``c``
+    against the same frontiers ``ts`` (default ``thresholds(params)``).
     """
     cfg = cfg or DEFAULT_SOLVER_CONFIG
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
+    ts = ts or thresholds(params)
     found: list[Equilibrium] = []
     if c < 0.5:
-        ct = solve_coin_toss(params, c, cfg)
+        ct = solve_coin_toss(params, c, cfg, ts)
         if ct is not None:
             found.append(ct)
-    found.extend(solve_partial_absenteeism(params, c, cfg))
-    if no_queue_exists(params, c, cfg):
+    found.extend(solve_partial_absenteeism(params, c, cfg, ts))
+    if no_queue_exists(params, c, cfg, ts):
         found.append(_corner_equilibrium(params, EquilibriumKind.NO_QUEUE, 0.0))
-    sat = solve_partial_saturation(params, c, cfg)
+    sat = solve_partial_saturation(params, c, cfg, ts)
     if sat is not None:
         found.append(sat)
-    if all_swipe_exists(params, c, cfg):
+    if all_swipe_exists(params, c, cfg, ts):
         found.append(_corner_equilibrium(params, EquilibriumKind.ALL_SWIPE, 1.0))
 
     found.sort(key=lambda e: (_KIND_ORDER[e.kind], e.z_root if e.z_root is not None else -1.0))

@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import votecost.equilibria as eqm
+from bisect_oracle import bisect
 from votecost.equilibria import (
+    DEFAULT_SOLVER_CONFIG,
     EquilibriumKind,
     SolverConfig,
     Winner,
+    _brent,
     all_swipe_exists,
     enumerate_equilibria,
     find_h_peak,
@@ -17,7 +21,7 @@ from votecost.equilibria import (
     solve_partial_absenteeism,
     solve_partial_saturation,
 )
-from votecost.errors import DomainError
+from votecost.errors import ConvergenceError, DomainError
 from votecost.pivot import (
     ElectorateParams,
     expected_margin,
@@ -25,6 +29,7 @@ from votecost.pivot import (
     r2_closed,
     thresholds,
 )
+from votecost.regime import classify
 from votecost.special_fn import h, h_ray_leading, i_sign
 
 REF = ElectorateParams(n=500, p=0.2, p_a=0.6)
@@ -217,6 +222,16 @@ class TestPartialSaturation:
         assert REF.total_b <= eq.z_root <= REF.total_a
         assert eq.winner is Winner.A
 
+    @pytest.mark.parametrize("c", [0.05, 0.1, 0.14500645757246994, 0.2])
+    def test_root_relative_tolerance_near_unit_root(self, c):
+        # the bracket ends at ~6.7e5 but the root is z ~ 1: a width goal
+        # scaled by the bracket end left residuals of ~4e-8 here
+        params = ElectorateParams(n=672843.5961072427, p=1e-6, p_a=0.999999999)
+        eq = solve_partial_saturation(params, c)
+        assert eq is not None
+        assert eq.residual < 1e-12
+        assert eq.z_root < 3.0
+
     def test_ceiling_endpoint_meets_coin_toss_boundary(self):
         c = REF_TS.ct_lower
         eq = solve_partial_saturation(REF, c)
@@ -310,3 +325,245 @@ class TestSolverConfig:
             SolverConfig(max_iter=10)
         with pytest.raises(DomainError):
             SolverConfig(eps_cmp=-1.0)
+
+
+CFG = DEFAULT_SOLVER_CONFIG
+
+
+def _jump(at):
+    return lambda t: -1.0 if t < at else 1.0
+
+
+class TestBrent:
+    def test_zero_endpoint_returned_as_is(self):
+        def never(t):
+            raise AssertionError("evaluated inside the bracket")
+
+        assert _brent(never, 1.0, 2.0, 0.0, 5.0, CFG, "t") == 1.0
+        assert _brent(never, 1.0, 2.0, -5.0, 0.0, CFG, "t") == 2.0
+
+    def test_same_sign_endpoints_raise(self):
+        with pytest.raises(ConvergenceError, match="do not bracket"):
+            _brent(lambda t: t, 1.0, 2.0, 1.0, 2.0, CFG, "t")
+        with pytest.raises(ConvergenceError, match="do not bracket"):
+            _brent(lambda t: -t, 1.0, 2.0, -1e-300, -2e-300, CFG, "t")
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-200])
+    @pytest.mark.parametrize(
+        "ramp, root",
+        [(lambda t: max(0.0, t - 0.9), 0.95), (lambda t: max(0.0, 0.1 - t), 0.05)],
+    )
+    def test_flat_residual(self, scale, ramp, root):
+        # -c exactly on most of the bracket, as h - c is where h underflows;
+        # at scale 1e-200 the interpolation denominators can underflow to 0.0
+        def fn(t):
+            return scale * (10.0 * ramp(t) - 0.5)
+
+        z = _brent(fn, 0.0, 1.0, fn(0.0), fn(1.0), CFG, "flat")
+        assert abs(z - root) <= CFG.z_rel_tol
+
+    def test_flat_saturation_residual_at_large_population(self):
+        # n = 1e7 in regime 4: h(total_b, .) falls from ~1e-200 to 0.0 over
+        # the bracket, so the residual is -c over most of it
+        params = ElectorateParams(n=1e7, p=0.2, p_a=0.51)
+        c = 1e-200
+        assert classify(params, c).case_index == 4
+        eq = solve_partial_saturation(params, c)
+        assert eq is not None
+        assert eq.residual <= 1e-8 * c
+        k, z_hi = params.total_b, params.total_a
+
+        def fn(t):
+            return h(k, t) - c
+
+        want = bisect(fn, k, z_hi, fn(k), fn(z_hi), CFG, "saturation")
+        assert abs(eq.z_root - want) <= 2.0 * CFG.z_rel_tol * z_hi
+
+    def test_jump_discontinuity(self):
+        z = _brent(_jump(0.3), 0.0, 1.0, -1.0, 1.0, CFG, "jump")
+        assert abs(z - 0.3) <= CFG.z_rel_tol
+
+    def test_tolerance_below_machine_epsilon(self):
+        cfg = SolverConfig(z_rel_tol=1e-30)
+        z = _brent(lambda t: t**3 - 2.0, 0.0, 2.0, -2.0, 6.0, cfg, "cube root")
+        assert abs(z - 2.0 ** (1.0 / 3.0)) <= 4.0 * math.ulp(z)
+        z = _brent(_jump(0.3), 0.0, 1.0, -1.0, 1.0, cfg, "jump")
+        assert abs(z - 0.3) <= 2.0 * math.ulp(0.3)
+
+    def test_small_iteration_budget_raises(self):
+        # locating a jump to 1e-12 in [0, 1e30] takes ~140 halvings
+        fn = _jump(0.3)
+        assert abs(_brent(fn, 0.0, 1e30, -1.0, 1.0, CFG, "jump") - 0.3) <= 1e-12
+        with pytest.raises(ConvergenceError, match="after 50 iterations"):
+            _brent(fn, 0.0, 1e30, -1.0, 1.0, SolverConfig(max_iter=50), "jump")
+
+
+def _regime_costs(params, rng):
+    """One cost inside each regime whose interval holds doubles above 1e-300.
+
+    Regime 1 runs up to 0.49 and regime 5 six decades below ps_lower.  An
+    electorate without ordered frontiers gets one log-uniform cost.
+    """
+    ts = thresholds(params)
+    logs = [ts.log_ct_upper, ts.log_ct_lower, ts.log_pa_lower, ts.log_ps_lower]
+    ordered = logs[0] > logs[1] > logs[2] > logs[3]
+    if not (ts.ct_admissible and params.x_a > math.sqrt(2.0) and ordered):
+        return [math.exp(rng.uniform(math.log(1e-12), math.log(0.49)))]
+    edges = [math.log(0.49), *logs, logs[3] - math.log(1e6)]
+    costs = []
+    for top, bottom in zip(edges, edges[1:]):
+        bottom = max(bottom, math.log(1e-300))
+        if bottom < top:
+            costs.append(math.exp(bottom + rng.uniform(0.1, 0.9) * (top - bottom)))
+    return costs
+
+
+def _oracle_grid():
+    rng = np.random.default_rng(4)
+    grid = []
+    for _ in range(240):
+        n = 10.0 ** rng.uniform(-2.0, 7.0)
+        p = rng.uniform(0.01, 0.5)
+        # half the shares spread over (0.51, 0.99), half up to 1 - 1e-9
+        if rng.random() < 0.5:
+            p_a = rng.uniform(0.51, 0.99)
+        else:
+            p_a = 1.0 - 10.0 ** rng.uniform(-9.0, -2.0)
+        params = ElectorateParams(n=n, p=p, p_a=p_a)
+        grid.extend((params, c) for c in _regime_costs(params, rng))
+    return grid
+
+
+def _classify_with(finder, grid):
+    """Classify the grid with ``finder`` as the solvers' root finder.
+
+    Returns the reports, each root-finder call as (label, lo, hi, root),
+    and the number of g/h/_i_sign_core calls the solvers made.
+    """
+    calls = []
+    roots = []
+
+    def counted(kernel):
+        def wrapper(*args):
+            calls.append(None)
+            return kernel(*args)
+
+        return wrapper
+
+    def recorded(fn, lo, hi, f_lo, f_hi, cfg, label):
+        z = finder(fn, lo, hi, f_lo, f_hi, cfg, label)
+        roots.append((label, lo, hi, z))
+        return z
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("g", "h", "_i_sign_core"):
+            mp.setattr(eqm, name, counted(getattr(eqm, name)))
+        mp.setattr(eqm, "_brent", recorded)
+        reports = [classify(params, c) for params, c in grid]
+    return reports, roots, len(calls)
+
+
+@pytest.fixture(scope="module")
+def against_bisection():
+    grid = _oracle_grid()
+    return _classify_with(bisect, grid), _classify_with(_brent, grid)
+
+
+class TestAgainstBisection:
+    """Brent against the reference bisection on a seeded grid of every regime."""
+
+    def test_grid_reaches_every_family_and_case(self, against_bisection):
+        (reports, _, _), _ = against_bisection
+        kinds = {eq.kind for r in reports for eq in r.equilibria}
+        assert kinds == set(EquilibriumKind)
+        assert {r.case_index for r in reports} == {0, 1, 2, 3, 4, 5}
+
+    def test_same_cases_kinds_and_notes(self, against_bisection):
+        (ref, _, _), (new, _, _) = against_bisection
+        for a, b in zip(ref, new, strict=True):
+            assert b.case_index == a.case_index
+            assert b.notes == a.notes
+            assert [eq.kind for eq in b.equilibria] == [eq.kind for eq in a.equilibria]
+            assert [eq.notes for eq in b.equilibria] == [eq.notes for eq in a.equilibria]
+            assert [eq.winner for eq in b.equilibria] == [
+                eq.winner for eq in a.equilibria
+            ]
+
+    def test_roots_agree(self, against_bisection):
+        (_, ref, _), (_, new, _) = against_bisection
+        assert [r[0] for r in new] == [r[0] for r in ref]
+        for (_, lo, hi, want), (_, _, _, got) in zip(ref, new):
+            assert abs(got - want) <= 2.0 * CFG.z_rel_tol * max(1.0, abs(lo), abs(hi))
+
+    def test_residuals_no_worse(self, against_bisection):
+        (ref, _, _), (new, _, _) = against_bisection
+        for a, b in zip(ref, new):
+            for eq_a, eq_b in zip(a.equilibria, b.equilibria):
+                assert eq_b.residual <= max(eq_a.residual, 1e-12)
+
+    def test_kernel_calls_per_root(self, against_bisection):
+        (_, ref_roots, ref_calls), (_, roots, calls) = against_bisection
+        assert ref_calls / len(ref_roots) >= 35.0  # bisection: ~40 per root
+        assert calls / len(roots) <= 20.0
+
+
+def _costs_on_and_between_frontiers(params):
+    ts = thresholds(params)
+    frontiers = [ts.ct_upper, ts.ct_lower, ts.pa_lower, ts.ps_lower]
+    costs = _regime_costs(params, np.random.default_rng(5))
+    return costs + [f for f in frontiers if f > 0.0]
+
+
+FRONTIER_PARAMS = [
+    REF,
+    ElectorateParams(n=30.0, p=0.3, p_a=0.7),
+    ElectorateParams(n=1e6, p=0.2, p_a=0.6),
+    ElectorateParams(n=1e7, p=0.2, p_a=0.51),
+    ElectorateParams(n=672843.5961072427, p=1e-6, p_a=0.999999999),
+]
+
+
+class TestSharedFrontiers:
+    @pytest.mark.parametrize("params", FRONTIER_PARAMS)
+    def test_passing_thresholds_changes_nothing(self, params):
+        ts = thresholds(params)
+        for c in _costs_on_and_between_frontiers(params):
+            assert enumerate_equilibria(params, c) == enumerate_equilibria(
+                params, c, ts=ts
+            )
+
+    @pytest.mark.parametrize("params", FRONTIER_PARAMS)
+    def test_classify_never_recomputes_a_frontier(self, params, monkeypatch):
+        g_args, h_args = [], []
+
+        def recording(kernel, log):
+            def wrapper(*args):
+                log.append(args)
+                return kernel(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(eqm, "g", recording(eqm.g, g_args))
+        monkeypatch.setattr(eqm, "h", recording(eqm.h, h_args))
+        for c in _costs_on_and_between_frontiers(params):
+            classify(params, c)
+        x_a, x_b = params.x_a, params.x_b
+        total_a, total_b = params.total_a, params.total_b
+        assert h_args  # the wrappers are in use
+        assert not {(2.0 * x_a,), (2.0 * total_b,)} & set(g_args)
+        frontier_args = {(x_a, x_b), (x_a, x_a), (total_b, total_b), (total_b, total_a)}
+        assert not frontier_args & set(h_args)
+
+    def test_classify_computes_frontiers_once(self, monkeypatch):
+        import votecost.regime
+
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return thresholds(params)
+
+        monkeypatch.setattr(votecost.regime, "thresholds", counted)
+        monkeypatch.setattr(eqm, "thresholds", counted)
+        classify(REF, 0.5 * (REF_TS.ct_upper + REF_TS.ct_lower))
+        assert calls == [REF]
