@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -104,7 +105,7 @@ class SolverConfig:
     z_rel_tol:  root-relative tolerance: a root finder stops once the
                 root is bracketed within z_rel_tol * max(1, |z|).
     max_iter:   function evaluations allowed per root (exceeding it raises).
-    eps_cmp:    absolute slack for boundary comparisons of costs.
+    eps_cmp:    relative slack for boundary comparisons of costs, in (0, 1).
     """
 
     z_rel_tol: float = 1e-12
@@ -112,12 +113,14 @@ class SolverConfig:
     eps_cmp: float = 1e-12
 
     def __post_init__(self):
-        if not self.z_rel_tol > 0.0:
-            raise DomainError(f"z_rel_tol must be > 0, got {self.z_rel_tol!r}")
+        if not (self.z_rel_tol > 0.0 and math.isfinite(self.z_rel_tol)):
+            raise DomainError(f"z_rel_tol must be finite and > 0, got {self.z_rel_tol!r}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise DomainError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 50:
             raise DomainError(f"max_iter must be >= 50, got {self.max_iter!r}")
-        if not self.eps_cmp > 0.0:
-            raise DomainError(f"eps_cmp must be > 0, got {self.eps_cmp!r}")
+        if not (0.0 < self.eps_cmp < 1.0):
+            raise DomainError(f"eps_cmp must be in (0, 1), got {self.eps_cmp!r}")
 
 
 DEFAULT_SOLVER_CONFIG = SolverConfig()

@@ -19,9 +19,10 @@ the truncated probability vectors); this is an exact reorganization of
 the same finitely many terms, not a distributional identity.  K comes
 from the inverse Poisson cdf ``pdtrik`` and the pmfs from ``gammaln``
 (``scipy.special``), by the same formulas as ``scipy.stats.poisson``'s
-``ppf`` and ``pmf``.  The last pair of totals is kept, read-only, so
-side A and side B, or the vote and abstain utilities, at the same means
-convolve once.
+``ppf`` and ``pmf``.  Each side's total (one partisan and one voter
+mean) is convolved once and kept, read-only, in a small memo, as are the
+truncation indices, so the sides, grid points and vote/abstain utilities
+that share a total do not rebuild it.
 
 Monte Carlo.  Randomness comes from numpy's ``Generator`` over the
 ``PCG64`` bit generator seeded directly with the configured seed, so a
@@ -110,6 +111,12 @@ def tie_rule(m: int, n: int) -> float:
     return 0.0
 
 
+# Distinct means per electorate of the verify grid: x_a, x_b and five
+# voter means per side, with room to spare.
+_INDEX_MEMO_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_INDEX_MEMO_SIZE)
 def _upper_index(mean: float, tail_eps: float) -> int:
     """Smallest K with P(Poisson(mean) > K) <= tail_eps."""
     if mean <= 0.0:
@@ -150,8 +157,8 @@ def _total_pmfs(
         if not (mean >= 0.0 and math.isfinite(mean)):
             raise DomainError(f"{name} must be a finite mean >= 0, got {mean!r}")
     # plain floats, so 0-d arrays also make a hashable memo key
-    means = tuple(float(m) for m in (x_a, x_b, y_a, y_b))
-    ks = [_upper_index(m, cfg.tail_eps) for m in means]
+    x_a, x_b, y_a, y_b = (float(m) for m in (x_a, x_b, y_a, y_b))
+    ks = [_upper_index(m, cfg.tail_eps) for m in (x_a, x_b, y_a, y_b)]
     if index_scale != 1.0:
         ks = [int(math.ceil(k * index_scale)) for k in ks]
     cells = math.prod(k + 1 for k in ks)
@@ -159,25 +166,32 @@ def _total_pmfs(
         raise TruncationLimitError(
             f"truncation box of {cells:.3g} cells exceeds cell_cap={cfg.cell_cap:.3g}"
         )
-    return _convolved_totals(means, tuple(ks))
+    k_a, k_b, k_r, k_s = ks
+    return _vote_total(x_a, y_a, k_a, k_r), _vote_total(x_b, y_b, k_b, k_s)
 
 
-@functools.lru_cache(maxsize=1)
-def _convolved_totals(
-    means: tuple[float, float, float, float], ks: tuple[int, int, int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Convolved pmf vectors for the means truncated at the indices ``ks``.
+# Per electorate, verify reuses one side-A total five times in a row (for
+# each alpha_b, both sides) while it cycles through five side-B totals; an
+# LRU memo must hold those six to hit.  The size is fixed and small, so
+# one verify run (360 distinct totals) does not carry its totals into the
+# next.
+_TOTAL_MEMO_SIZE = 8
 
-    Memoized for the last key only: the verify grid and the utility pairs
-    ask for the same totals twice in a row.  The domain and cell-cap
-    checks stay in :func:`_total_pmfs`, so they run on every call.
+
+@functools.lru_cache(maxsize=_TOTAL_MEMO_SIZE)
+def _vote_total(
+    partisan_mean: float, voter_mean: float, k_partisan: int, k_voter: int
+) -> np.ndarray:
+    """Read-only pmf vector of one side's vote total, truncated at the indices.
+
+    The domain and cell-cap checks stay in :func:`_total_pmfs`, so they
+    run on every call, before a total is fetched or built.
     """
-    pmf_a, pmf_b, pmf_r, pmf_s = (_pmf_vector(m, k) for m, k in zip(means, ks))
-    dist_a = np.convolve(pmf_a, pmf_r)
-    dist_b = np.convolve(pmf_b, pmf_s)
-    dist_a.flags.writeable = False
-    dist_b.flags.writeable = False
-    return dist_a, dist_b
+    total = np.convolve(
+        _pmf_vector(partisan_mean, k_partisan), _pmf_vector(voter_mean, k_voter)
+    )
+    total.flags.writeable = False
+    return total
 
 
 @dataclass(frozen=True)

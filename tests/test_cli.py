@@ -20,8 +20,10 @@ from votecost.cli import (
     build_parser,
     command_from_args,
     execute,
+    standard_verify_rows,
 )
 from votecost.errors import ConvergenceError, DomainError
+from votecost.oracle import OracleConfig, _upper_index, _vote_total, pivot_gain_bruteforce
 from votecost.pivot import ElectorateParams, thresholds
 from votecost.regime import classify
 
@@ -181,6 +183,20 @@ class TestVerifyVerb:
 
     def test_deterministic_bytes(self):
         assert run_cli(["verify"]) == run_cli(["verify"])
+
+    def test_brute_force_matches_cold_memo(self):
+        # the memoized grid gives, bit for bit, what each sum gives on its own
+        cfg = OracleConfig()
+        rows = standard_verify_rows(cfg)
+        assert len(rows) == 1800
+        for row in rows:
+            params = ElectorateParams(n=row["n"], p=row["p"], p_a=row["pa"])
+            y_a = params.m_a * row["alpha_a"]
+            y_b = params.m_b * row["alpha_b"]
+            _vote_total.cache_clear()
+            _upper_index.cache_clear()
+            cold = pivot_gain_bruteforce(params.x_a, params.x_b, y_a, y_b, row["side"], cfg)
+            assert row["brute_force"] == cold.value, row
 
     def test_tolerance_breach_exit(self):
         status, text = run_cli(["verify", "--tol", "1e-30", "--format", "json"])

@@ -326,6 +326,31 @@ class TestSolverConfig:
         with pytest.raises(DomainError):
             SolverConfig(eps_cmp=-1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"eps_cmp": 1.0},
+            {"eps_cmp": 2.0},
+            {"eps_cmp": float("nan")},
+            {"z_rel_tol": float("inf")},
+            {"z_rel_tol": float("nan")},
+            {"max_iter": 60.5},
+            {"max_iter": 200.0},
+            {"max_iter": True},
+            {"max_iter": np.int64(49)},
+        ],
+        ids=repr,
+    )
+    def test_rejects_invalid_settings(self, kwargs):
+        # each of these used to pass and then fail inside classify or _brent
+        with pytest.raises(DomainError):
+            SolverConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        params = ElectorateParams(n=500, p=0.2, p_a=0.6)
+        report = classify(params, 0.02, SolverConfig(max_iter=np.int64(60)))
+        assert report == classify(params, 0.02, SolverConfig(max_iter=60))
+
 
 CFG = DEFAULT_SOLVER_CONFIG
 

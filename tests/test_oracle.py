@@ -7,12 +7,14 @@ from scipy import stats
 from votecost.equilibria import solve_coin_toss
 from votecost.errors import DomainError, TruncationLimitError
 from votecost.oracle import (
+    _INDEX_MEMO_SIZE,
+    _TOTAL_MEMO_SIZE,
     OracleConfig,
-    _convolved_totals,
     _pmf_vector,
     _poisson_pivot,
     _total_pmfs,
     _upper_index,
+    _vote_total,
     class_sizes,
     pivot_gain_bruteforce,
     poisson_environment_pivot,
@@ -21,6 +23,11 @@ from votecost.oracle import (
     utility_bruteforce,
 )
 from votecost.pivot import ElectorateParams, StrategyPair, r1_closed, r2_closed
+
+
+def clear_memos():
+    _vote_total.cache_clear()
+    _upper_index.cache_clear()
 
 
 class TestTieRule:
@@ -113,6 +120,19 @@ class TestPoissonHelpers:
         assert _upper_index(mean, tail_eps) == want
         assert int(stats.poisson.ppf(1.0 - tail_eps, mean)) == want
 
+    def test_repeated_upper_index_matches_ppf(self):
+        # hits and evictions of the index memo still give the ppf
+        clear_memos()
+        means = POISSON_MEANS[: 2 * _INDEX_MEMO_SIZE]
+        for _ in range(2):
+            for tail_eps in (1e-13, 1e-7):
+                for mean in means:
+                    want = int(stats.poisson.ppf(1.0 - tail_eps, mean))
+                    for _repeat in range(2):
+                        assert _upper_index(mean, tail_eps) == want, (mean, tail_eps)
+        info = _upper_index.cache_info()
+        assert info.hits == info.misses == 4 * len(means)
+
 
 class TestTotalsMemo:
     MEANS = (1.8, 1.2, 0.7, 1.3)
@@ -145,16 +165,57 @@ class TestTotalsMemo:
     )
     def test_interleaved_call_does_not_change_results(self, between):
         # each result must equal the one computed from an empty memo
-        _convolved_totals.cache_clear()
+        clear_memos()
         fresh_between = between()
-        _convolved_totals.cache_clear()
+        clear_memos()
         fresh = self.run()
         assert between() == fresh_between
         assert self.run() == fresh
         assert between() == fresh_between
 
+    def test_cycling_past_memo_size_matches_cold(self):
+        # more distinct totals and means than either memo holds, so every
+        # pass runs through evictions
+        points = [
+            (x, 1.0 + 0.1 * x, 0.3 * j + 0.07 * x, 0.2 * j + 0.05 * x)
+            for x in (0.5, 1.5, 2.5, 3.5)
+            for j in range(_TOTAL_MEMO_SIZE + 2)
+        ]
+        assert len(set(np.ravel(points))) > _INDEX_MEMO_SIZE
+        assert len({(x_b, y_b) for _, x_b, _, y_b in points}) > _TOTAL_MEMO_SIZE
+        cold = []
+        for point in points:
+            clear_memos()
+            cold.append(pivot_gain_bruteforce(*point, "A"))
+        clear_memos()
+        for _ in range(2):
+            assert [pivot_gain_bruteforce(*point, "A") for point in points] == cold
+        assert _vote_total.cache_info().currsize == _TOTAL_MEMO_SIZE
+        assert _upper_index.cache_info().currsize == _INDEX_MEMO_SIZE
+
+    @pytest.mark.parametrize(
+        "cfg, index_scale",
+        [(OracleConfig(tail_eps=1e-7), 1.0), (OracleConfig(), 2.0), (OracleConfig(), 1.5)],
+        ids=["tail_eps", "index_scale_2", "index_scale_1.5"],
+    )
+    def test_truncation_change_between_calls_matches_cold(self, cfg, index_scale):
+        # compares the vectors: a stale total under another index_scale
+        # gives the same gain to the last bit
+        clear_memos()
+        want = [np.array(dist) for dist in _total_pmfs(*self.MEANS, cfg, index_scale)]
+        clear_memos()
+        default = [np.array(dist) for dist in _total_pmfs(*self.MEANS, OracleConfig())]
+        for _ in range(2):
+            got = _total_pmfs(*self.MEANS, cfg, index_scale)
+            for dist, base, wanted in zip(got, default, want):
+                assert len(dist) != len(base)
+                np.testing.assert_array_equal(dist, wanted)
+            for dist, base in zip(_total_pmfs(*self.MEANS, OracleConfig()), default):
+                np.testing.assert_array_equal(dist, base)
+
     def test_exceptions_are_not_cached(self):
         small = OracleConfig(cell_cap=1e3)
+        clear_memos()
         for _ in range(2):
             with pytest.raises(DomainError):
                 pivot_gain_bruteforce(-1.0, 0, 0, 0, "A")
@@ -162,6 +223,8 @@ class TestTotalsMemo:
                 pivot_gain_bruteforce(float("nan"), 0, 0, 0, "A")
             with pytest.raises(TruncationLimitError):
                 pivot_gain_bruteforce(50, 50, 50, 50, "A", small)
+        # the cap is checked before any total is built
+        assert _vote_total.cache_info().misses == 0
         # a breach right after the same means were summed under a larger cap
         pivot_gain_bruteforce(50, 50, 50, 50, "A")
         with pytest.raises(TruncationLimitError):
