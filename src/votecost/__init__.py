@@ -3,10 +3,11 @@
 A polity of expected size ``n`` chooses between two alternatives; a
 share ``p`` of citizens votes unconditionally, the rest vote only when
 the expected benefit of being pivotal covers the voting cost ``c``.
-This package computes the closed-form pivot gains, solves for every
-type-symmetric equilibrium, classifies costs into the five-regime
-landscape (including the coin-toss window a designer must avoid), and
-verifies all closed forms against brute-force and Monte Carlo oracles.
+This package computes the closed-form pivot gains, solves for the
+equilibria of the five type-symmetric families, classifies costs into
+the five-regime landscape (including the coin-toss window a designer
+must avoid), and verifies all closed forms against brute-force and
+Monte Carlo oracles.
 """
 
 from .equilibria import (
@@ -32,14 +33,12 @@ from .oracle import (
     pivot_gain_bruteforce,
     poisson_environment_pivot,
     simulate_election,
-    tie_rule,
     utility_bruteforce,
 )
 from .pivot import (
     ElectorateParams,
     StrategyPair,
     ThresholdSet,
-    a_wins_expected,
     expected_margin,
     log_frontiers,
     r1_closed,
@@ -55,7 +54,7 @@ from .regime import (
     recommend_cost,
     sweep_bounds,
 )
-from .special_fn import g, g_leading, h, h_ray_leading, i_sign, log_g, log_h
+from .special_fn import g, h, log_g, log_h
 
 __version__ = "0.1.0"
 
@@ -69,11 +68,8 @@ __all__ = [
     # special functions
     "g",
     "h",
-    "i_sign",
     "log_g",
     "log_h",
-    "g_leading",
-    "h_ray_leading",
     # pivot layer
     "ElectorateParams",
     "StrategyPair",
@@ -81,7 +77,6 @@ __all__ = [
     "r1_closed",
     "r2_closed",
     "expected_margin",
-    "a_wins_expected",
     "thresholds",
     "log_frontiers",
     # oracles
@@ -89,7 +84,6 @@ __all__ = [
     "BruteForceGain",
     "MonteCarloEstimate",
     "WinStats",
-    "tie_rule",
     "pivot_gain_bruteforce",
     "utility_bruteforce",
     "simulate_election",

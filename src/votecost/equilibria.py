@@ -1,6 +1,6 @@
-"""Root-finding for every type-symmetric equilibrium at a given voting cost.
+"""Root-finding for the five families of type-symmetric equilibria at a cost.
 
-Five families exist, distinguished by which non-partisan groups mix,
+The families are distinguished by which non-partisan groups mix,
 abstain, or vote for sure:
 
     coin toss            both alpha interior; both sides indifferent;
@@ -9,6 +9,11 @@ abstain, or vote for sure:
     no queue             (0, 0); only partisans vote
     partial saturation   alpha_b = 1, A-side indifferent
     all swipe            (1, 1); everyone votes
+
+They are the families of the large-population regime table.  Where the
+frontiers are not yet in their large-population order (``classify``
+case 0), other type-symmetric equilibria can exist, such as the corner
+(alpha_a, alpha_b) = (0, 1); no solver here looks for them.
 
 Each family reduces to a one-dimensional condition in an aggregate
 turnout variable z:
@@ -21,9 +26,9 @@ and the existence of no-queue / all-swipe is a pair of inequalities.
 The absenteeism kernel z -> h(x_a, z) is strictly decreasing when
 x_a <= sqrt(2) and otherwise rises to a unique interior peak and falls;
 ``find_h_peak`` locates the peak from the single sign change of the
-slope probe ``i_sign``, and each monotone branch is solved separately
-with Brent's bracketed method (``_brent``), which is correct in every
-sub-case.
+slope probe ``_i_sign_core``, and each monotone branch is solved
+separately with Brent's bracketed method (``_brent``), which is correct
+in every sub-case.
 
 The kernel values at the interval ends are the cost frontiers of
 ``pivot.thresholds``.  The solvers read them from one ``ThresholdSet``
@@ -499,7 +504,10 @@ def enumerate_equilibria(
     cfg: SolverConfig | None = None,
     ts: ThresholdSet | None = None,
 ) -> list[Equilibrium]:
-    """Every type-symmetric equilibrium at cost ``c``, deduplicated and sorted.
+    """The equilibria of the five families at cost ``c``, deduplicated and sorted.
+
+    In ``classify`` case 0 other type-symmetric equilibria can exist
+    (see the module docstring); they are not reported.
 
     Coincident strategy pairs produced by two solvers (interval
     endpoints, e.g. a saturation root at alpha_a = 1 meeting the

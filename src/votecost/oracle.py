@@ -53,7 +53,6 @@ __all__ = [
     "BruteForceGain",
     "MonteCarloEstimate",
     "WinStats",
-    "tie_rule",
     "pivot_gain_bruteforce",
     "utility_bruteforce",
     "simulate_election",
@@ -100,15 +99,6 @@ class OracleConfig:
 DEFAULT_ORACLE_CONFIG = OracleConfig()
 
 _SIDES = ("A", "B")
-
-
-def tie_rule(m: int, n: int) -> float:
-    """Payoff of the first side when it polls m votes against n: 1, 1/2, or 0."""
-    if m > n:
-        return 1.0
-    if m == n:
-        return 0.5
-    return 0.0
 
 
 # Distinct means per electorate of the verify grid: x_a, x_b and five

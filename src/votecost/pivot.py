@@ -42,7 +42,6 @@ __all__ = [
     "r1_closed",
     "r2_closed",
     "expected_margin",
-    "a_wins_expected",
     "thresholds",
     "log_frontiers",
     "log_coin_toss_bounds",
@@ -139,11 +138,6 @@ def expected_margin(params: ElectorateParams, s: StrategyPair) -> float:
     """Expected A-minus-B vote margin: n p_a (p + (1-p) a_A) - n (1-p_a)(p + (1-p) a_B)."""
     u, v = turnout_means(params, s)
     return u - v
-
-
-def a_wins_expected(params: ElectorateParams, s: StrategyPair) -> bool:
-    """True when the expected vote margin favors A strictly."""
-    return expected_margin(params, s) > 0.0
 
 
 @dataclass(frozen=True)

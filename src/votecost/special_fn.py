@@ -29,9 +29,11 @@ scipy's Cephes ``i0e``/``i1e``.  The exponent is computed as
 
 The formula has two entry points:
 
-* ``g``, ``h`` and ``i_sign`` take and return Python floats, for the
-  root finders.  Their values underflow to 0.0 once the exponent passes
-  ~745, at populations of ~1e6 for the exponentially small frontiers.
+* ``g`` and ``h`` take and return Python floats, for the root finders.
+  Their values underflow to 0.0 once the exponent passes ~745, at
+  populations of ~1e6 for the exponentially small frontiers.  The
+  solvers' slope probe ``_i_sign_core`` is damped by e^{-t} alone and
+  keeps its sign there.
 * ``log_g`` and ``log_h`` take numpy arrays and return natural logs,
   finite for every positive argument, for the cost frontiers.
 
@@ -50,11 +52,8 @@ from .errors import DomainError
 __all__ = [
     "g",
     "h",
-    "i_sign",
     "log_g",
     "log_h",
-    "g_leading",
-    "h_ray_leading",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -94,27 +93,13 @@ def h(x_a: float, z: float) -> float:
 
 def _i_sign_core(x_a: float, z: float) -> float:
     # (x_a - z) F1(x_a z) - x_a F2(x_a z), scaled by e^{-t} instead of
-    # e^{-x_a-z}: same sign everywhere, but free of the catastrophic
-    # underflow of the fully damped form when z is far from x_a.
+    # e^{-x_a-z}: same sign as dh/dz for z > 0, but free of the
+    # catastrophic underflow of the fully damped form when z is far from
+    # x_a.  Requires x_a > 0 and z >= 0, which ``find_h_peak`` ensures.
     if z == 0.0:
         return 0.0
     t = 2.0 * math.sqrt(x_a * z)
     return (x_a - z) * float(i0e(t)) - math.sqrt(x_a / z) * float(i1e(t))
-
-
-def i_sign(x_a: float, z: float) -> float:
-    """Damped slope probe for h(x_a, .): sign equals sign of dh/dz for z > 0.
-
-    Returns [(x_a - z) F1(x_a z) - x_a F2(x_a z)] e^{-x_a-z}.  Only the
-    sign and zeros are contractual; the magnitude carries the damping
-    factor so the value never overflows.
-    """
-    if not (x_a > 0.0):
-        raise DomainError(f"i_sign requires x_a > 0, got {x_a!r}")
-    if not (z >= 0.0):
-        raise DomainError(f"i_sign requires z >= 0, got {z!r}")
-    core = _i_sign_core(x_a, z)
-    return core * math.exp(-((math.sqrt(x_a) - math.sqrt(z)) ** 2))
 
 
 def log_g(z) -> np.ndarray:
@@ -137,26 +122,3 @@ def log_h(x_a, z) -> np.ndarray:
         raise DomainError("log_h requires every x_a >= 0 and z > 0")
     scaled, exponent = _h_parts(x_a, z, np.sqrt)
     return np.log(scaled) - exponent
-
-
-def g_leading(z: float) -> float:
-    """Leading large-z term of g: sqrt(2 / (pi z)).  Diagnostics only."""
-    if not (z > 0.0):
-        raise DomainError(f"g_leading requires z > 0, got {z!r}")
-    return math.sqrt(2.0 / (math.pi * z))
-
-
-def h_ray_leading(x_a: float, q: float) -> float:
-    """Leading term of h(x_a, q x_a) for large x_a along a fixed ray q.
-
-    (sqrt(q) + 1) / (4 sqrt(pi x_a) q^{3/4}) * exp(-(sqrt(q) - 1)^2 x_a).
-    Diagnostics only; the exponent is written in its cancellation-free
-    form (q + 1 - 2 sqrt(q) = (sqrt(q) - 1)^2).
-    """
-    if not (x_a > 0.0):
-        raise DomainError(f"h_ray_leading requires x_a > 0, got {x_a!r}")
-    if not (q > 0.0):
-        raise DomainError(f"h_ray_leading requires q > 0, got {q!r}")
-    rq = math.sqrt(q)
-    prefactor = (rq + 1.0) / (4.0 * math.sqrt(math.pi * x_a) * q**0.75)
-    return prefactor * math.exp(-((rq - 1.0) ** 2) * x_a)

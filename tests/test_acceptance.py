@@ -47,7 +47,7 @@ def central_diff(fn, z, rel_step=3e-6):
 
 def test_criterion_1_oracle_equivalence():
     rows = standard_verify_rows(OracleConfig(tail_eps=1e-13))
-    max_err = max(r["abs_error"] for r in rows)
+    max_err = max(r.abs_error for r in rows)
     ok = max_err < 1e-10
     report(1, "oracle equivalence", ok, f"max |closed - brute| = {max_err:.3e} over {len(rows)} checks")
     assert ok

@@ -28,6 +28,14 @@ from votecost.pivot import ElectorateParams, thresholds
 from votecost.regime import classify
 
 
+EQUILIBRIUM_HEADER = ["kind", "alpha_a", "alpha_b", "z_root", "residual", "winner", "notes"]
+EQUILIBRIUM_KEYS = ["kind", "strategies", "z_root", "residual", "winner", "notes"]
+
+# a case-0 point where none of the five families exists
+EMPTY_SOLVE = ["solve", "--n", "7.720378020741096", "--p", "0.9914664648146816",
+               "--pa", "0.6319540163784259", "--c", "0.12530346880670365"]
+
+
 def run_cli(argv):
     status, text, _ = execute(argv)
     return status, text
@@ -75,6 +83,8 @@ class TestSolveVerb:
         assert kinds == ["coin_toss", "partial_absenteeism", "no_queue"]
         for eq in doc["results"]:
             assert eq["residual"] < 1e-8
+            assert list(eq) == EQUILIBRIUM_KEYS
+            assert list(eq["strategies"]) == ["alpha_a", "alpha_b"]
 
     def test_csv_schema(self):
         status, text = run_cli(
@@ -82,21 +92,41 @@ class TestSolveVerb:
              "--format", "csv"]
         )
         rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0] == ["kind", "alpha_a", "alpha_b", "z_root", "residual", "winner", "notes"]
+        assert rows[0] == EQUILIBRIUM_HEADER
         assert len(rows) == 4
+
+    def test_empty_result_keeps_header(self):
+        status, text = run_cli(EMPTY_SOLVE + ["--format", "csv"])
+        assert status == EXIT_OK
+        assert text == ",".join(EQUILIBRIUM_HEADER) + "\n"
+        status, text = run_cli(EMPTY_SOLVE)
+        doc = json.loads(text)
+        assert doc["results"] == []
+        assert doc["diagnostics"]["count"] == 0
 
 
 class TestClassifyVerb:
+    ARGV = ["classify", "--n", "500", "--p", "0.2", "--pa", "0.6", "--c", "0.028"]
+
     def test_report_roundtrip(self):
-        status, text = run_cli(
-            ["classify", "--n", "500", "--p", "0.2", "--pa", "0.6", "--c", "0.028"]
-        )
+        status, text = run_cli(self.ARGV)
         assert status == EXIT_OK
         doc = json.loads(text)
         want = classify(ElectorateParams(n=500, p=0.2, p_a=0.6), 0.028)
         assert doc["results"] == _jsonable(want)
         assert doc["results"]["case_index"] == 2
         assert doc["results"]["avoid"] is True
+        # dict equality ignores order; the key order is part of the output
+        res = doc["results"]
+        assert list(res) == ["case_index", "thresholds", "equilibria", "avoid", "notes"]
+        for eq in res["equilibria"]:
+            assert list(eq) == EQUILIBRIUM_KEYS
+
+    def test_csv_schema(self):
+        status, text = run_cli(self.ARGV + ["--format", "csv"])
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == ["case_index", "avoid", *EQUILIBRIUM_HEADER]
+        assert len(rows) == 4
 
 
 class TestSweepVerb:
@@ -145,6 +175,10 @@ class TestSimulateVerb:
         doc = json.loads(text)
         res = doc["results"]
         assert res["n_a_wins"] + res["n_tie"] + res["n_b_wins"] == 4000
+        assert list(res) == [
+            "p_a_wins", "p_tie", "p_b_wins", "se_a_wins", "pivot_a", "se_pivot_a",
+            "pivot_b", "se_pivot_b", "trials_used", "n_a_wins", "n_tie", "n_b_wins",
+        ]
         assert doc["diagnostics"]["class_size_a"] == 96
         assert doc["diagnostics"]["class_size_b"] == 64
 
@@ -171,6 +205,16 @@ class TestSimulateVerb:
         argv = self.BASE + ["--alpha-a", "0.3", "--alpha-b", "0.7"]
         assert run_cli(argv) == run_cli(argv)
 
+    def test_csv_schema(self):
+        argv = self.BASE + ["--alpha-a", "0.3", "--alpha-b", "0.7", "--format", "csv"]
+        rows = list(csv.reader(io.StringIO(run_cli(argv)[1])))
+        assert rows[0] == [
+            "trials", "seed", "alpha_a", "alpha_b", "p_a_wins", "se_a_wins", "p_tie",
+            "p_b_wins", "pivot_a", "se_pivot_a", "pivot_b", "se_pivot_b",
+            "n_a_wins", "n_tie", "n_b_wins",
+        ]
+        assert len(rows) == 2
+
 
 class TestVerifyVerb:
     def test_passes_default_grid(self):
@@ -184,19 +228,27 @@ class TestVerifyVerb:
     def test_deterministic_bytes(self):
         assert run_cli(["verify"]) == run_cli(["verify"])
 
+    def test_json_row_keys_match_csv_header(self):
+        _, text = run_cli(["verify"])
+        header = next(csv.reader(io.StringIO(text)))
+        _, text = run_cli(["verify", "--format", "json"])
+        rows = json.loads(text)["results"]["rows"]
+        assert len(rows) == 1800
+        assert all(list(row) == header for row in rows)
+
     def test_brute_force_matches_cold_memo(self):
         # the memoized grid gives, bit for bit, what each sum gives on its own
         cfg = OracleConfig()
         rows = standard_verify_rows(cfg)
         assert len(rows) == 1800
         for row in rows:
-            params = ElectorateParams(n=row["n"], p=row["p"], p_a=row["pa"])
-            y_a = params.m_a * row["alpha_a"]
-            y_b = params.m_b * row["alpha_b"]
+            params = ElectorateParams(n=row.n, p=row.p, p_a=row.pa)
+            y_a = params.m_a * row.alpha_a
+            y_b = params.m_b * row.alpha_b
             _vote_total.cache_clear()
             _upper_index.cache_clear()
-            cold = pivot_gain_bruteforce(params.x_a, params.x_b, y_a, y_b, row["side"], cfg)
-            assert row["brute_force"] == cold.value, row
+            cold = pivot_gain_bruteforce(params.x_a, params.x_b, y_a, y_b, row.side, cfg)
+            assert row.brute_force == cold.value, row
 
     def test_tolerance_breach_exit(self):
         status, text = run_cli(["verify", "--tol", "1e-30", "--format", "json"])

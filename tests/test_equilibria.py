@@ -7,6 +7,7 @@ import pytest
 
 import votecost.equilibria as eqm
 from bisect_oracle import bisect
+from reference_fns import h_ray_leading, i_sign
 from votecost.equilibria import (
     DEFAULT_SOLVER_CONFIG,
     EquilibriumKind,
@@ -30,7 +31,7 @@ from votecost.pivot import (
     thresholds,
 )
 from votecost.regime import classify
-from votecost.special_fn import h, h_ray_leading, i_sign
+from votecost.special_fn import h
 
 REF = ElectorateParams(n=500, p=0.2, p_a=0.6)
 REF_TS = thresholds(REF)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_fns import tie_rule
 from scipy import stats
 
 from votecost.equilibria import solve_coin_toss
@@ -19,7 +20,6 @@ from votecost.oracle import (
     pivot_gain_bruteforce,
     poisson_environment_pivot,
     simulate_election,
-    tie_rule,
     utility_bruteforce,
 )
 from votecost.pivot import ElectorateParams, StrategyPair, r1_closed, r2_closed

@@ -11,7 +11,6 @@ from votecost.pivot import (
     ElectorateParams,
     StrategyPair,
     expected_margin,
-    a_wins_expected,
     r1_closed,
     r2_closed,
     thresholds,
@@ -114,13 +113,13 @@ class TestMargin:
         params = ElectorateParams(n=200, p=0.25, p_a=0.7)
         s = StrategyPair(1.0, 1.0)
         assert expected_margin(params, s) == pytest.approx(200 * (2 * 0.7 - 1))
-        assert a_wins_expected(params, s)
+        assert expected_margin(params, s) > 0.0
 
     def test_partisans_only(self):
         params = ElectorateParams(n=200, p=0.25, p_a=0.7)
         s = StrategyPair(0.0, 0.0)
         assert expected_margin(params, s) == pytest.approx(200 * 0.25 * (2 * 0.7 - 1))
-        assert a_wins_expected(params, s)
+        assert expected_margin(params, s) > 0.0
 
 
 class TestThresholds:
