@@ -11,10 +11,8 @@ Monte Carlo oracles.
 """
 
 from .equilibria import (
-    DEFAULT_SOLVER_CONFIG,
     Equilibrium,
     EquilibriumKind,
-    SolverConfig,
     Winner,
     all_swipe_exists,
     enumerate_equilibria,
@@ -89,8 +87,6 @@ __all__ = [
     "simulate_election",
     "poisson_environment_pivot",
     # equilibria
-    "SolverConfig",
-    "DEFAULT_SOLVER_CONFIG",
     "EquilibriumKind",
     "Winner",
     "Equilibrium",

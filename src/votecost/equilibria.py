@@ -16,11 +16,13 @@ case 0), other type-symmetric equilibria can exist, such as the corner
 (alpha_a, alpha_b) = (0, 1); no solver here looks for them.
 
 Each family reduces to a one-dimensional condition in an aggregate
-turnout variable z:
+turnout variable z, solved only over the z of valid strategies:
 
-    coin toss            g(z) = 2c on [2 x_a, 2 n (1 - p_a)]   (g decreasing)
-    partial absenteeism  h(x_a, z) = c on [x_b, x_a]           (unimodal in z)
-    partial saturation   h(n(1-p_a), z) = c on [n(1-p_a), n p_a] (decreasing)
+    coin toss            g(z) = 2c on [2 x_a, 2 n (1 - p_a)]      (g decreasing)
+    partial absenteeism  h(x_a, z) = c on [x_b, min(x_a, n (1 - p_a))]
+                                                              (unimodal in z)
+    partial saturation   h(n(1-p_a), z) = c on [max(n(1-p_a), x_a), n p_a]
+                                                              (decreasing)
 
 and the existence of no-queue / all-swipe is a pair of inequalities.
 The absenteeism kernel z -> h(x_a, z) is strictly decreasing when
@@ -34,27 +36,33 @@ The kernel values at the interval ends are the cost frontiers of
 ``pivot.thresholds``.  The solvers read them from one ``ThresholdSet``
 (``classify`` passes its own), so solvers and classifier compare the
 cost against the same numbers and no frontier is evaluated twice.
+Where ``ct_admissible`` is false (x_a > n (1 - p_a), ``classify`` case
+0), the strategy bound replaces x_a or n (1 - p_a) as an interval end,
+and one kernel call gives its value.
 
-Boundary conventions (costs sitting exactly on a frontier are a
-measure-zero event; ties are broken deterministically):
+Boundary conventions.  One rule, ``cost_side``, decides whether a cost
+lies below, on or above a kernel value f: on means
+|c - f| <= EPS_CMP * max(c, f), compared in log space so that it holds
+where f underflows.  The solvers, the existence tests and ``classify``
+all decide with it, and never by comparing solved z or alpha values:
 
-* the coin-toss window is treated as strictly open, with ``eps_cmp``
-  margin on both inequalities;
-* absenteeism roots within ``eps_cmp`` of z = x_b are the no-queue
-  point (alpha_b = 0) and are reported only by ``no_queue_exists``;
-* existence inequalities for no-queue / all-swipe / saturation carry
-  ``eps_cmp`` slack toward the closed-interval reading.
+* a cost on an interval end takes that end as its root, so the
+  recovered alpha is exactly 0 or 1 there;
+* the coin-toss window [ct_lower, ct_upper] is closed;
+* a cost on pa_lower makes the absenteeism root at z = x_b the
+  no-queue corner, reported only by ``no_queue_exists``;
+* a cost on ps_lower makes the saturation root at z = n p_a the
+  all-swipe corner, reported once, as saturation with a note.
 
-``eps_cmp`` scales with the magnitudes being compared (the frontiers
-range from ~1/2 down to exponentially small values, where any fixed
-absolute slack would swallow whole regimes).
+EPS_CMP is relative: the frontiers range from ~1/2 down to
+exponentially small values, where any fixed absolute slack would
+swallow whole regimes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -75,8 +83,7 @@ __all__ = [
     "EquilibriumKind",
     "Winner",
     "Equilibrium",
-    "SolverConfig",
-    "DEFAULT_SOLVER_CONFIG",
+    "cost_side",
     "solve_coin_toss",
     "find_h_peak",
     "solve_partial_absenteeism",
@@ -85,6 +92,14 @@ __all__ = [
     "all_swipe_exists",
     "enumerate_equilibria",
 ]
+
+# Tolerances, read when a function runs.  A root finder stops once the
+# root is bracketed within Z_REL_TOL * max(1, |z|) and raises after
+# MAX_ITER function evaluations; EPS_CMP is the relative slack of
+# ``cost_side``.
+Z_REL_TOL = 1e-12
+MAX_ITER = 200
+EPS_CMP = 1e-12
 
 
 class EquilibriumKind(str, Enum):
@@ -95,40 +110,9 @@ class EquilibriumKind(str, Enum):
     ALL_SWIPE = "all_swipe"
 
 
-_KIND_ORDER = {kind: i for i, kind in enumerate(EquilibriumKind)}
-
-
 class Winner(str, Enum):
     A = "A"
     TIE_IN_EXPECTATION = "tie_in_expectation"
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Root-finding and comparison tolerances.
-
-    z_rel_tol:  root-relative tolerance: a root finder stops once the
-                root is bracketed within z_rel_tol * max(1, |z|).
-    max_iter:   function evaluations allowed per root (exceeding it raises).
-    eps_cmp:    relative slack for boundary comparisons of costs, in (0, 1).
-    """
-
-    z_rel_tol: float = 1e-12
-    max_iter: int = 200
-    eps_cmp: float = 1e-12
-
-    def __post_init__(self):
-        if not (self.z_rel_tol > 0.0 and math.isfinite(self.z_rel_tol)):
-            raise DomainError(f"z_rel_tol must be finite and > 0, got {self.z_rel_tol!r}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
-            raise DomainError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 50:
-            raise DomainError(f"max_iter must be >= 50, got {self.max_iter!r}")
-        if not (0.0 < self.eps_cmp < 1.0):
-            raise DomainError(f"eps_cmp must be in (0, 1), got {self.eps_cmp!r}")
-
-
-DEFAULT_SOLVER_CONFIG = SolverConfig()
 
 
 @dataclass(frozen=True)
@@ -150,13 +134,22 @@ class Equilibrium:
     notes: tuple[str, ...] = ()
 
 
+def cost_side(c: float, log_f: float) -> int:
+    """-1, 0 or +1 as the cost ``c`` lies below, on or above f = exp(log_f).
+
+    On means |c - f| <= EPS_CMP * max(c, f), which is
+    |log c - log f| <= -log1p(-EPS_CMP).  ``log_f`` may be -inf (a
+    kernel value that underflowed); every positive cost is above it.
+    """
+    gap = math.log(c) - log_f
+    slack = -math.log1p(-EPS_CMP)
+    if gap > slack:
+        return 1
+    return -1 if gap < -slack else 0
+
+
 def _winner_from_margin(margin: float) -> Winner:
     return Winner.A if margin > 0.0 else Winner.TIE_IN_EXPECTATION
-
-
-def boundary_tol(eps: float, *values: float) -> float:
-    """Comparison slack at the scale of the values being compared."""
-    return eps * max(abs(v) for v in values)
 
 
 def _brent(
@@ -165,7 +158,6 @@ def _brent(
     hi: float,
     f_lo: float,
     f_hi: float,
-    cfg: SolverConfig,
     label: str,
 ) -> float:
     """Root of ``fn`` on a bracket with f(lo) and f(hi) of opposite (or zero) sign.
@@ -174,7 +166,7 @@ def _brent(
     secant or inverse quadratic steps while they shrink the bracket fast
     enough, bisection otherwise.  Every evaluation lies inside the
     bracket.  Stops when the half-bracket is below
-    z_rel_tol/2 * max(1, |x|) at the best point x, or when no float is
+    Z_REL_TOL/2 * max(1, |x|) at the best point x, or when no float is
     left between x and the midpoint.
     """
     if f_lo == 0.0:
@@ -185,16 +177,17 @@ def _brent(
     # values underflow to 0.0 and would defeat the bracket check
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ConvergenceError(f"{label}: endpoints do not bracket a root")
+    z_rel_tol, max_iter = Z_REL_TOL, MAX_ITER
     x_pre, f_pre, x_cur, f_cur = lo, f_lo, hi, f_hi
     x_blk = f_blk = s_pre = s_cur = 0.0
-    for _ in range(cfg.max_iter):
+    for _ in range(max_iter):
         if (f_pre > 0.0) != (f_cur > 0.0):
             x_blk, f_blk = x_pre, f_pre
             s_pre = s_cur = x_cur - x_pre
         if abs(f_blk) < abs(f_cur):
             x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
             f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = 0.5 * cfg.z_rel_tol * max(1.0, abs(x_cur))
+        delta = 0.5 * z_rel_tol * max(1.0, abs(x_cur))
         s_bis = 0.5 * (x_blk - x_cur)
         mid = x_cur + s_bis
         if abs(s_bis) < delta or mid == x_cur or mid == x_blk:
@@ -228,48 +221,74 @@ def _brent(
         if f_cur == 0.0:
             return x_cur
     raise ConvergenceError(
-        f"{label}: no convergence after {cfg.max_iter} iterations "
+        f"{label}: no convergence after {max_iter} iterations "
         f"(bracket width {abs(x_blk - x_cur):.3e})"
     )
+
+
+def _kernel_point(x: float, z: float, c: float) -> tuple[float, float, float]:
+    """(z, log h(x, z), h(x, z) - c) for ``_roots``; log -inf where h underflows."""
+    value = h(x, z)
+    return z, (math.log(value) if value > 0.0 else -math.inf), value - c
+
+
+def _roots(
+    fn: Callable[[float], float],
+    c: float,
+    points: list[tuple[float, float, float]],
+    label: str,
+) -> list[float]:
+    """Sorted roots of fn(z) = kernel(z) - c over consecutive monotone pieces.
+
+    ``points`` are (z, log kernel(z), fn(z)) at the ends of the monotone
+    pieces, in increasing z.  A point whose kernel value ``cost_side``
+    puts the cost on is a root itself; a piece whose two ends it puts
+    on opposite sides holds one root, which ``_brent`` finds.
+    """
+    sides = [cost_side(c, log_f) for _, log_f, _ in points]
+    roots = [z for (z, _, _), side in zip(points, sides) if side == 0]
+    for (a, _, f_a), (b, _, f_b), s_a, s_b in zip(points, points[1:], sides, sides[1:]):
+        if s_a * s_b < 0:
+            roots.append(_brent(fn, a, b, f_a, f_b, label))
+    return sorted(roots)
 
 
 def solve_coin_toss(
     params: ElectorateParams,
     c: float,
-    cfg: SolverConfig | None = None,
     ts: ThresholdSet | None = None,
 ) -> Equilibrium | None:
     """The unique interior mixed equilibrium, if the cost admits one.
 
-    Exists iff g(2 x_a) > 2c > g(2 n (1 - p_a)) (strict, with eps_cmp
-    margin), which requires x_a < n (1 - p_a).  The defining condition
-    g(z) = 2c is solved on [2 x_a, 2 n (1 - p_a)]; both alpha values
-    are recovered from the root and the equal-turnout identity.  The
-    two bounds are ``ts.ct_upper`` and ``ts.ct_lower`` (``ts`` defaults
-    to ``thresholds(params)``).
+    Exists iff ct_lower <= c <= ct_upper on the closed window that
+    ``cost_side`` reads, which requires x_a <= n (1 - p_a)
+    (``ts.ct_admissible``).  The defining condition g(z) = 2c is solved
+    on [2 x_a, 2 n (1 - p_a)], where g falls from 2 ct_upper to
+    2 ct_lower; a cost on a bound takes that end, where alpha_a = 0 or
+    alpha_b = 1.  Both alpha values are recovered from the root and the
+    equal-turnout identity.  ``ts`` defaults to ``thresholds(params)``.
     """
-    cfg = cfg or DEFAULT_SOLVER_CONFIG
     if not (0.0 < c < 0.5):
         raise DomainError(
             f"coin-toss costs must lie in (0, 1/2) since pivot gains never "
             f"exceed 1/2, got {c!r}"
         )
-    lo = 2.0 * params.x_a
-    hi = 2.0 * params.total_b
-    if lo >= hi:
-        return None
     ts = ts or thresholds(params)
-    target = 2.0 * c
-    g_lo = 2.0 * ts.ct_upper  # g(lo)
-    g_hi = 2.0 * ts.ct_lower  # g(hi)
-    if not (
-        g_lo - target > boundary_tol(cfg.eps_cmp, g_lo, target)
-        and target - g_hi > boundary_tol(cfg.eps_cmp, g_hi, target)
-    ):
+    if not ts.ct_admissible:
         return None
-    z = _brent(
-        lambda t: g(t) - target, lo, hi, g_lo - target, g_hi - target, cfg, "coin toss"
+    target = 2.0 * c
+    roots = _roots(
+        lambda t: g(t) - target,
+        c,
+        [
+            (2.0 * params.x_a, ts.log_ct_upper, 2.0 * ts.ct_upper - target),
+            (2.0 * params.total_b, ts.log_ct_lower, 2.0 * ts.ct_lower - target),
+        ],
+        "coin toss",
     )
+    if not roots:
+        return None
+    z = roots[0]
     turnout = 0.5 * z
     alpha_a = (turnout - params.x_a) / params.m_a
     alpha_a = min(1.0, max(0.0, alpha_a))
@@ -288,7 +307,7 @@ def solve_coin_toss(
     )
 
 
-def find_h_peak(x_a: float, cfg: SolverConfig | None = None) -> float:
+def find_h_peak(x_a: float) -> float:
     """Maximizer of z -> h(x_a, z) on [0, inf).
 
     Returns 0 when x_a <= sqrt(2) (the kernel is then decreasing
@@ -298,7 +317,6 @@ def find_h_peak(x_a: float, cfg: SolverConfig | None = None) -> float:
     for x_a within roundoff of sqrt(2)), the peak is indistinguishable
     from 0 at double precision and 0 is returned.
     """
-    cfg = cfg or DEFAULT_SOLVER_CONFIG
     if not (x_a > 0.0):
         raise DomainError(f"find_h_peak requires x_a > 0, got {x_a!r}")
     if x_a <= SQRT2:
@@ -312,9 +330,7 @@ def find_h_peak(x_a: float, cfg: SolverConfig | None = None) -> float:
         f_lo = _i_sign_core(x_a, lo)
     if f_lo <= 0.0:
         return 0.0
-    return _brent(
-        lambda t: _i_sign_core(x_a, t), lo, x_a, f_lo, f_hi, cfg, "h peak"
-    )
+    return _brent(lambda t: _i_sign_core(x_a, t), lo, x_a, f_lo, f_hi, "h peak")
 
 
 def _balance_note(margin: float) -> tuple[str, ...]:
@@ -323,141 +339,112 @@ def _balance_note(margin: float) -> tuple[str, ...]:
     return ()
 
 
-def _absenteeism_equilibrium(
-    params: ElectorateParams, c: float, z: float, cfg: SolverConfig
-) -> Equilibrium | None:
-    if z - params.x_b <= cfg.eps_cmp * max(1.0, params.x_b):
-        return None  # alpha_b = 0 there: that is the no-queue point
-    alpha_b = (z - params.x_b) / params.m_b
-    if alpha_b > 1.0 + cfg.eps_cmp:
-        return None
-    alpha_b = min(1.0, max(0.0, alpha_b))
-    s = StrategyPair(0.0, alpha_b)
-    residual = abs(r2_closed(params, s) - c)
-    margin = expected_margin(params, s)
-    return Equilibrium(
-        kind=EquilibriumKind.PARTIAL_ABSENTEEISM,
-        strategies=s,
-        z_root=z,
-        residual=residual,
-        winner=_winner_from_margin(margin),
-        notes=_balance_note(margin),
-    )
-
-
 def solve_partial_absenteeism(
     params: ElectorateParams,
     c: float,
-    cfg: SolverConfig | None = None,
     ts: ThresholdSet | None = None,
 ) -> list[Equilibrium]:
     """All equilibria with alpha_a = 0 and the B side indifferent.
 
-    Solves h(x_a, z) = c for the opponent total z on [x_b, x_a], split at
-    the kernel peak into at most two monotone branches, so 0, 1 or 2
-    roots are found.  Roots whose recovered alpha_b leaves [0, 1] are
-    discarded; the root z = x_b (alpha_b = 0) belongs to the no-queue
-    test, not here.  The kernel values at the interval ends are
-    ``ts.pa_lower`` and ``ts.ct_upper``.
+    Solves h(x_a, z) = c for the opponent total z on
+    [x_b, min(x_a, n (1 - p_a))], where alpha_b runs from 0 to at most 1,
+    split at the kernel peak into at most two monotone branches, so 0, 1
+    or 2 roots are found.  The kernel values at the interval ends are
+    ``ts.pa_lower`` and ``ts.ct_upper`` (one kernel call at
+    z = n (1 - p_a) where ``ts.ct_admissible`` is false).  A cost on
+    pa_lower has its root at z = x_b, the no-queue point, which is left
+    to ``no_queue_exists``.
     """
-    cfg = cfg or DEFAULT_SOLVER_CONFIG
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
     ts = ts or thresholds(params)
-    z_lo, z_hi = params.x_b, params.x_a
-    peak = find_h_peak(params.x_a, cfg)
-    # h(x_a, x_b) = pa_lower and h(x_a, x_a) = g(2 x_a) / 2 = ct_upper
-    ends = [(z_lo, ts.pa_lower - c), (z_hi, ts.ct_upper - c)]
-    if z_lo < peak < z_hi:
-        ends.insert(1, (peak, h(params.x_a, peak) - c))
-    roots: list[float] = []
-    for (a, f_a), (b, f_b) in zip(ends, ends[1:]):
-        if f_a != 0.0 and f_b != 0.0 and (f_a > 0.0) == (f_b > 0.0):
-            continue
-        roots.append(
-            _brent(
-                lambda t: h(params.x_a, t) - c, a, b, f_a, f_b, cfg, "absenteeism"
+    x_a, z_lo = params.x_a, params.x_b
+    if ts.ct_admissible:  # h(x_a, x_a) = g(2 x_a) / 2
+        top = (x_a, ts.log_ct_upper, ts.ct_upper - c)
+    else:
+        top = _kernel_point(x_a, params.total_b, c)
+    points = [(z_lo, ts.log_pa_lower, ts.pa_lower - c), top]
+    peak = find_h_peak(x_a)
+    if z_lo < peak < top[0]:
+        points.insert(1, _kernel_point(x_a, peak, c))
+    roots = _roots(lambda t: h(x_a, t) - c, c, points, "absenteeism")
+    if roots and cost_side(c, ts.log_pa_lower) == 0:
+        roots = roots[1:]  # z = x_b: the no-queue corner
+    out = []
+    for z in roots:
+        # exactly 0 at z = x_b and 1 at z = n (1 - p_a)
+        s = StrategyPair(0.0, (z - z_lo) / (params.total_b - z_lo))
+        margin = x_a - z
+        out.append(
+            Equilibrium(
+                kind=EquilibriumKind.PARTIAL_ABSENTEEISM,
+                strategies=s,
+                z_root=z,
+                residual=abs(r2_closed(params, s) - c),
+                winner=_winner_from_margin(margin),
+                notes=_balance_note(margin),
             )
         )
-    if len(roots) == 2 and abs(roots[1] - roots[0]) <= 1e-9 * max(1.0, z_hi):
-        roots = roots[:1]  # both branches converged to the peak itself
-    out = []
-    for z in sorted(roots):
-        eq = _absenteeism_equilibrium(params, c, z, cfg)
-        if eq is not None:
-            out.append(eq)
     return out
 
 
 def no_queue_exists(
     params: ElectorateParams,
     c: float,
-    cfg: SolverConfig | None = None,
     ts: ThresholdSet | None = None,
 ) -> bool:
-    """Whether (0, 0) is an equilibrium: c >= h(x_a, x_b) up to eps_cmp.
+    """Whether (0, 0) is an equilibrium: c on or above h(x_a, x_b).
 
     The A-side inequality is implied (its gain at (0,0) is the smaller
     of the two), so only the B-side bound h(x_a, x_b) = ``ts.pa_lower``
     matters.
     """
-    cfg = cfg or DEFAULT_SOLVER_CONFIG
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
-    floor = (ts or thresholds(params)).pa_lower
-    return c >= floor - boundary_tol(cfg.eps_cmp, c, floor)
+    return cost_side(c, (ts or thresholds(params)).log_pa_lower) >= 0
 
 
 def solve_partial_saturation(
     params: ElectorateParams,
     c: float,
-    cfg: SolverConfig | None = None,
     ts: ThresholdSet | None = None,
 ) -> Equilibrium | None:
     """The equilibrium with alpha_b = 1 and the A side indifferent, if any.
 
-    Solves h(n(1-p_a), z) = c for the own total z on [n(1-p_a), n p_a],
-    where the kernel is strictly decreasing (its peak lies left of the
-    interval), so the root is unique.  Exists iff
-    h(n(1-p_a), n p_a) <= c <= g(2 n(1-p_a))/2 up to eps_cmp (that is,
-    ``ts.ps_lower <= c <= ts.ct_lower``), and the recovered alpha_a must
-    be a probability (roots below the A-partisan mean are not strategies
-    and yield no equilibrium).
+    Solves h(n(1-p_a), z) = c for the own total z on
+    [max(n(1-p_a), x_a), n p_a], where alpha_a runs from at least 0 to
+    1 and the kernel is strictly decreasing (its peak lies left of the
+    interval), so the root is unique.  Exists iff c lies on or between
+    the kernel values at the two ends: ``ts.ps_lower`` at z = n p_a and
+    ``ts.ct_lower`` at z = n(1-p_a) (one kernel call at z = x_a where
+    ``ts.ct_admissible`` is false).  A cost on ps_lower has its root at
+    z = n p_a, alpha_a = 1.
     """
-    cfg = cfg or DEFAULT_SOLVER_CONFIG
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
-    k = params.total_b
-    z_lo, z_hi = params.total_b, params.total_a
     ts = ts or thresholds(params)
-    h_lo = ts.ct_lower  # h(k, z_lo) = g(2 n (1-p_a)) / 2
-    h_hi = ts.ps_lower  # h(k, z_hi)
-    tol_lo = boundary_tol(cfg.eps_cmp, c, h_lo)
-    tol_hi = boundary_tol(cfg.eps_cmp, c, h_hi)
-    if c > h_lo + tol_lo or c < h_hi - tol_hi:
-        return None
-    # a cost within eps_cmp of a frontier takes the interval end, not a
-    # solved neighbour
-    if c >= h_lo - tol_lo:
-        z0 = z_lo
-    elif c <= h_hi + tol_hi:
-        z0 = z_hi
+    k, x_a, z_hi = params.total_b, params.x_a, params.total_a
+    if ts.ct_admissible:  # h(k, k) = g(2 n (1-p_a)) / 2
+        bottom = (k, ts.log_ct_lower, ts.ct_lower - c)
     else:
-        z0 = _brent(
-            lambda t: h(k, t) - c, z_lo, z_hi, h_lo - c, h_hi - c, cfg, "saturation"
-        )
-    alpha_a = (z0 - params.x_a) / params.m_a
-    if alpha_a < -cfg.eps_cmp:
+        bottom = _kernel_point(k, x_a, c)
+    roots = _roots(
+        lambda t: h(k, t) - c,
+        c,
+        [bottom, (z_hi, ts.log_ps_lower, ts.ps_lower - c)],
+        "saturation",
+    )
+    if not roots:
         return None
-    alpha_a = min(1.0, max(0.0, alpha_a))
-    s = StrategyPair(alpha_a, 1.0)
-    residual = abs(r1_closed(params, s) - c)
-    margin = expected_margin(params, s)
+    z = roots[-1]  # should c lie on both end values, the all-swipe end
+    # exactly 0 at z = x_a and 1 at z = n p_a
+    s = StrategyPair((z - x_a) / (z_hi - x_a), 1.0)
+    margin = z - k
     return Equilibrium(
         kind=EquilibriumKind.PARTIAL_SATURATION,
         strategies=s,
-        z_root=z0,
-        residual=residual,
+        z_root=z,
+        residual=abs(r1_closed(params, s) - c),
         winner=_winner_from_margin(margin),
         notes=_balance_note(margin),
     )
@@ -466,19 +453,16 @@ def solve_partial_saturation(
 def all_swipe_exists(
     params: ElectorateParams,
     c: float,
-    cfg: SolverConfig | None = None,
     ts: ThresholdSet | None = None,
 ) -> bool:
-    """Whether (1, 1) is an equilibrium: c <= h(n(1-p_a), n p_a) up to eps_cmp.
+    """Whether (1, 1) is an equilibrium: c on or below h(n(1-p_a), n p_a).
 
     The B-side inequality is implied (its gain at (1,1) is the larger of
     the two), so only the A-side bound ``ts.ps_lower`` matters.
     """
-    cfg = cfg or DEFAULT_SOLVER_CONFIG
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
-    ceiling = (ts or thresholds(params)).ps_lower
-    return c <= ceiling + boundary_tol(cfg.eps_cmp, c, ceiling)
+    return cost_side(c, (ts or thresholds(params)).log_ps_lower) <= 0
 
 
 def _corner_equilibrium(
@@ -494,62 +478,41 @@ def _corner_equilibrium(
     )
 
 
-def _strategies_close(a: StrategyPair, b: StrategyPair, eps: float) -> bool:
-    return abs(a.alpha_a - b.alpha_a) <= eps and abs(a.alpha_b - b.alpha_b) <= eps
-
-
 def enumerate_equilibria(
     params: ElectorateParams,
     c: float,
-    cfg: SolverConfig | None = None,
     ts: ThresholdSet | None = None,
 ) -> list[Equilibrium]:
-    """The equilibria of the five families at cost ``c``, deduplicated and sorted.
+    """The equilibria of the five families at cost ``c``, in family order.
 
     In ``classify`` case 0 other type-symmetric equilibria can exist
     (see the module docstring); they are not reported.
 
-    Coincident strategy pairs produced by two solvers (interval
-    endpoints, e.g. a saturation root at alpha_a = 1 meeting the
-    all-swipe corner) are reported once, with the coincidence noted.
+    At a cost on ps_lower the saturation root is the all-swipe corner;
+    it is reported once, as saturation, with the coincidence noted.
     Costs of 1/2 and above admit no coin toss (gains never reach 1/2),
     so the mixed solver is skipped there.  Every solver compares ``c``
     against the same frontiers ``ts`` (default ``thresholds(params)``).
     """
-    cfg = cfg or DEFAULT_SOLVER_CONFIG
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
     ts = ts or thresholds(params)
     found: list[Equilibrium] = []
     if c < 0.5:
-        ct = solve_coin_toss(params, c, cfg, ts)
+        ct = solve_coin_toss(params, c, ts)
         if ct is not None:
             found.append(ct)
-    found.extend(solve_partial_absenteeism(params, c, cfg, ts))
-    if no_queue_exists(params, c, cfg, ts):
+    found.extend(solve_partial_absenteeism(params, c, ts))
+    if no_queue_exists(params, c, ts):
         found.append(_corner_equilibrium(params, EquilibriumKind.NO_QUEUE, 0.0))
-    sat = solve_partial_saturation(params, c, cfg, ts)
+    sat = solve_partial_saturation(params, c, ts)
+    swipe = all_swipe_exists(params, c, ts)
+    if sat is not None and cost_side(c, ts.log_ps_lower) == 0:
+        # the saturation root was taken at alpha_a = 1
+        note = f"coincides with {EquilibriumKind.ALL_SWIPE.value} solution"
+        sat, swipe = dataclasses.replace(sat, notes=sat.notes + (note,)), False
     if sat is not None:
         found.append(sat)
-    if all_swipe_exists(params, c, cfg, ts):
+    if swipe:
         found.append(_corner_equilibrium(params, EquilibriumKind.ALL_SWIPE, 1.0))
-
-    found.sort(key=lambda e: (_KIND_ORDER[e.kind], e.z_root if e.z_root is not None else -1.0))
-    merged: list[Equilibrium] = []
-    for eq in found:
-        dup_at = next(
-            (
-                i
-                for i, m in enumerate(merged)
-                if _strategies_close(m.strategies, eq.strategies, cfg.eps_cmp)
-            ),
-            None,
-        )
-        if dup_at is None:
-            merged.append(eq)
-        else:
-            kept = merged[dup_at]
-            merged[dup_at] = dataclasses.replace(
-                kept, notes=kept.notes + (f"coincides with {eq.kind.value} solution",)
-            )
-    return merged
+    return found

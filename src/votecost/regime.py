@@ -7,7 +7,7 @@ and partition the cost axis into five regimes:
     case 1   c >  ct_upper            0-2 absenteeism equilibria + no-queue
     case 2   ct_lower <= c <= ct_upper  coin toss + absenteeism + no-queue
     case 3   pa_lower <= c < ct_lower   absenteeism + saturation + no-queue
-    case 4   ps_lower <= c <= pa_lower  exactly one saturation equilibrium
+    case 4   ps_lower <= c < pa_lower   exactly one saturation equilibrium
     case 5   c <  ps_lower             only the all-swipe equilibrium
 
 Only case 2 admits the coin toss, in which the majority side is no
@@ -16,8 +16,14 @@ window (``coin_toss_interval`` / ``recommend_cost``).
 
 The frontiers and the cost are compared in log space, so the cases stay
 distinct where pa_lower and ps_lower underflow to 0.0 (n >~ 1e6).
-Costs within ``eps_cmp`` (relative) of a frontier are assigned to the
-lower-numbered case and flagged.  When the frontiers are not strictly
+Boundary conventions: whether a cost is below, on or above a frontier
+is decided by ``equilibria.cost_side``, the rule the solvers use: "<="
+in the table includes a cost on the frontier and "<" excludes it, so
+the coin-toss window is closed.  A cost on frontier k (k = 1 for
+ct_upper through 4 for ps_lower) is flagged in the notes, and the
+solvers may return the boundary solution sets of both cases k and
+k + 1, so the prediction checked against them is the union of the two.
+When the frontiers are not strictly
 ordered at the given parameters (small populations, or x_a above the
 admissibility bound), the classifier reports case 0 with the realized
 equilibrium list and no case prediction.
@@ -32,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import (
-    DEFAULT_SOLVER_CONFIG,
     Equilibrium,
     EquilibriumKind,
-    SolverConfig,
+    Winner,
+    cost_side,
     enumerate_equilibria,
 )
 from .errors import DomainError
@@ -73,21 +79,17 @@ CASE_DESCRIPTIONS = {
 
 @dataclass(frozen=True)
 class RegimeReport:
-    """Classification of one cost against the five-regime landscape."""
+    """Classification of one cost against the five-regime landscape.
+
+    ``avoid`` is True when some equilibrium does not elect A; outside
+    case 0 that is exactly case 2.
+    """
 
     case_index: int
     thresholds: ThresholdSet
     equilibria: tuple[Equilibrium, ...]
     avoid: bool
     notes: tuple[str, ...]
-
-
-def _case_for_cost(log_c: float, logs: list[float], log_slack: float) -> int:
-    # c >= f - eps * max(c, f)  <=>  log c >= log f - log_slack
-    for case, log_f in enumerate(logs, start=1):
-        if log_c >= log_f - log_slack:
-            return case
-    return 5
 
 
 def predicted_kinds(case_index: int) -> dict[EquilibriumKind, tuple[int, int]]:
@@ -107,8 +109,19 @@ def predicted_kinds(case_index: int) -> dict[EquilibriumKind, tuple[int, int]]:
     return table[case_index]
 
 
-def _check_prediction(case_index: int, eqs: tuple[Equilibrium, ...]) -> str | None:
-    promised = predicted_kinds(case_index)
+def _check_prediction(
+    case_index: int, cases: set[int], eqs: tuple[Equilibrium, ...]
+) -> str | None:
+    # every count any of the cases allows is accepted
+    tables = [predicted_kinds(k) for k in cases]
+    promised = {
+        kind: (
+            min(t.get(kind, (0, 0))[0] for t in tables),
+            max(t.get(kind, (0, 0))[1] for t in tables),
+        )
+        for kind in EquilibriumKind
+        if any(kind in t for t in tables)
+    }
     realized = Counter(eq.kind for eq in eqs)
     for kind in EquilibriumKind:
         lo, hi = promised.get(kind, (0, 0))
@@ -125,19 +138,16 @@ def _check_prediction(case_index: int, eqs: tuple[Equilibrium, ...]) -> str | No
     return None
 
 
-def classify(
-    params: ElectorateParams, c: float, cfg: SolverConfig | None = None
-) -> RegimeReport:
+def classify(params: ElectorateParams, c: float) -> RegimeReport:
     """Classify cost ``c`` and cross-check the prediction against the solvers.
 
     A mismatch between the regime table and the realized equilibrium set
     is recorded in ``notes``, never reconciled silently.
     """
-    cfg = cfg or DEFAULT_SOLVER_CONFIG
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
     ts = thresholds(params)
-    eqs = tuple(enumerate_equilibria(params, c, cfg, ts))
+    eqs = tuple(enumerate_equilibria(params, c, ts))
     notes: list[str] = []
     logs = [ts.log_ct_upper, ts.log_ct_lower, ts.log_pa_lower, ts.log_ps_lower]
     ordered = logs[0] > logs[1] > logs[2] > logs[3]
@@ -145,20 +155,24 @@ def classify(
         case = 0
         notes.append(CASE_DESCRIPTIONS[0])
     else:
-        log_c = math.log(c)
-        # |c - f| <= eps_cmp * max(c, f)  <=>  |log c - log f| <= log_slack
-        log_slack = -math.log1p(-cfg.eps_cmp)
-        for name, log_f in zip(THRESHOLD_NAMES, logs):
-            if abs(log_c - log_f) <= log_slack:
+        sides = [cost_side(c, log_f) for log_f in logs]
+        # above ct_upper is case 1; otherwise the first frontier the cost
+        # is on or above closes its case from below
+        case = 1 if sides[0] > 0 else next(
+            (k for k, side in enumerate(sides[1:], start=2) if side >= 0), 5
+        )
+        cases = {case}
+        for k, (name, side) in enumerate(zip(THRESHOLD_NAMES, sides), start=1):
+            if side == 0:
                 notes.append(
-                    f"cost within eps_cmp of the {name} frontier; assigned to the "
-                    f"lower-numbered case by convention"
+                    f"cost on the {name} frontier (within the relative slack "
+                    f"EPS_CMP): the solution sets of cases {k} and {k + 1} both apply"
                 )
-        case = _case_for_cost(log_c, logs, log_slack)
-        mismatch = _check_prediction(case, eqs)
+                cases |= {k, k + 1}
+        mismatch = _check_prediction(case, cases, eqs)
         if mismatch is not None:
             notes.append(mismatch)
-    avoid = any(eq.kind is EquilibriumKind.COIN_TOSS for eq in eqs)
+    avoid = any(eq.winner is not Winner.A for eq in eqs)
     return RegimeReport(
         case_index=case,
         thresholds=ts,
@@ -169,10 +183,11 @@ def classify(
 
 
 def coin_toss_interval(params: ElectorateParams) -> tuple[float, float] | None:
-    """The open cost interval admitting a coin toss, or None.
+    """The closed cost interval admitting a coin toss, or None.
 
     Absent when the mean A-partisan count exceeds the mean count of all
-    B supporters; otherwise (g(2 n (1-p_a))/2, g(2 x_a)/2).
+    B supporters; otherwise [g(2 n (1-p_a))/2, g(2 x_a)/2], with its
+    ends read by ``equilibria.cost_side``.
     """
     if params.x_a > params.total_b:
         return None
@@ -180,24 +195,26 @@ def coin_toss_interval(params: ElectorateParams) -> tuple[float, float] | None:
     return (lower, upper)
 
 
-def recommend_cost(
-    params: ElectorateParams, c_min: float, cfg: SolverConfig | None = None
-) -> float:
-    """Smallest feasible cost >= c_min that avoids the coin-toss window.
+def recommend_cost(params: ElectorateParams, c_min: float) -> float:
+    """Lowest feasible cost >= c_min that avoids the coin-toss window.
 
-    Returns c_min unchanged when it already lies outside the (open)
-    window; otherwise the window's upper bound plus eps_cmp.
+    Returns c_min unchanged when ``cost_side`` puts it outside the
+    closed window.  Otherwise steps up from the window's upper bound in
+    doubling steps to the first cost that ``cost_side`` puts above it,
+    at most about twice as far above the bound as the smallest such.
     """
-    cfg = cfg or DEFAULT_SOLVER_CONFIG
     if not (c_min > 0.0):
         raise DomainError(f"c_min must be > 0, got {c_min!r}")
-    interval = coin_toss_interval(params)
-    if interval is None:
+    if params.x_a > params.total_b:
         return c_min
-    lower, upper = interval
-    if c_min <= lower or c_min >= upper:
+    log_upper, log_lower = log_coin_toss_bounds(params.x_a, params.total_b).tolist()
+    if cost_side(c_min, log_upper) > 0 or cost_side(c_min, log_lower) < 0:
         return c_min
-    return upper + cfg.eps_cmp
+    c = math.exp(log_upper)
+    step = math.ulp(c)
+    while cost_side(c, log_upper) <= 0:
+        c, step = c + step, 2.0 * step
+    return c
 
 
 @dataclass(frozen=True)

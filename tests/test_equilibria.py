@@ -9,9 +9,7 @@ import votecost.equilibria as eqm
 from bisect_oracle import bisect
 from reference_fns import h_ray_leading, i_sign
 from votecost.equilibria import (
-    DEFAULT_SOLVER_CONFIG,
     EquilibriumKind,
-    SolverConfig,
     Winner,
     _brent,
     all_swipe_exists,
@@ -318,42 +316,29 @@ class TestEnumerate:
                     assert min(r1, r2) >= c - 1e-8
 
 
-class TestSolverConfig:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            SolverConfig(z_rel_tol=0.0)
-        with pytest.raises(DomainError):
-            SolverConfig(max_iter=10)
-        with pytest.raises(DomainError):
-            SolverConfig(eps_cmp=-1.0)
+class TestCostSide:
+    def test_on_below_and_above(self):
+        f = REF_TS.ct_upper
+        log_f = REF_TS.log_ct_upper
+        assert eqm.cost_side(f, log_f) == 0
+        for rel in (0.5e-12, -0.5e-12):
+            assert eqm.cost_side(f * (1.0 + rel), log_f) == 0
+        assert eqm.cost_side(f * (1.0 + 2e-12), log_f) == 1
+        assert eqm.cost_side(f * (1.0 - 2e-12), log_f) == -1
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"eps_cmp": 1.0},
-            {"eps_cmp": 2.0},
-            {"eps_cmp": float("nan")},
-            {"z_rel_tol": float("inf")},
-            {"z_rel_tol": float("nan")},
-            {"max_iter": 60.5},
-            {"max_iter": 200.0},
-            {"max_iter": True},
-            {"max_iter": np.int64(49)},
-        ],
-        ids=repr,
-    )
-    def test_rejects_invalid_settings(self, kwargs):
-        # each of these used to pass and then fail inside classify or _brent
-        with pytest.raises(DomainError):
-            SolverConfig(**kwargs)
+    def test_underflowed_frontier(self):
+        # pa_lower is 0.0 in linear space at n = 1e7; its log is finite
+        ts = thresholds(ElectorateParams(n=1e7, p=0.2, p_a=0.6))
+        assert ts.pa_lower == 0.0
+        assert eqm.cost_side(1e-300, ts.log_pa_lower) == 1
+        # a kernel value that underflowed has log -inf: every cost is above
+        assert eqm.cost_side(1e-300, -math.inf) == 1
 
-    def test_accepts_numpy_integers(self):
-        params = ElectorateParams(n=500, p=0.2, p_a=0.6)
-        report = classify(params, 0.02, SolverConfig(max_iter=np.int64(60)))
-        assert report == classify(params, 0.02, SolverConfig(max_iter=60))
-
-
-CFG = DEFAULT_SOLVER_CONFIG
+    def test_slack_read_when_called(self, monkeypatch):
+        f, log_f = REF_TS.ct_upper, REF_TS.log_ct_upper
+        monkeypatch.setattr(eqm, "EPS_CMP", 1e-6)
+        assert eqm.cost_side(f * (1.0 + 1e-7), log_f) == 0
+        assert eqm.cost_side(f * (1.0 + 1e-5), log_f) == 1
 
 
 def _jump(at):
@@ -365,14 +350,14 @@ class TestBrent:
         def never(t):
             raise AssertionError("evaluated inside the bracket")
 
-        assert _brent(never, 1.0, 2.0, 0.0, 5.0, CFG, "t") == 1.0
-        assert _brent(never, 1.0, 2.0, -5.0, 0.0, CFG, "t") == 2.0
+        assert _brent(never, 1.0, 2.0, 0.0, 5.0, "t") == 1.0
+        assert _brent(never, 1.0, 2.0, -5.0, 0.0, "t") == 2.0
 
     def test_same_sign_endpoints_raise(self):
         with pytest.raises(ConvergenceError, match="do not bracket"):
-            _brent(lambda t: t, 1.0, 2.0, 1.0, 2.0, CFG, "t")
+            _brent(lambda t: t, 1.0, 2.0, 1.0, 2.0, "t")
         with pytest.raises(ConvergenceError, match="do not bracket"):
-            _brent(lambda t: -t, 1.0, 2.0, -1e-300, -2e-300, CFG, "t")
+            _brent(lambda t: -t, 1.0, 2.0, -1e-300, -2e-300, "t")
 
     @pytest.mark.parametrize("scale", [1.0, 1e-200])
     @pytest.mark.parametrize(
@@ -385,8 +370,8 @@ class TestBrent:
         def fn(t):
             return scale * (10.0 * ramp(t) - 0.5)
 
-        z = _brent(fn, 0.0, 1.0, fn(0.0), fn(1.0), CFG, "flat")
-        assert abs(z - root) <= CFG.z_rel_tol
+        z = _brent(fn, 0.0, 1.0, fn(0.0), fn(1.0), "flat")
+        assert abs(z - root) <= eqm.Z_REL_TOL
 
     def test_flat_saturation_residual_at_large_population(self):
         # n = 1e7 in regime 4: h(total_b, .) falls from ~1e-200 to 0.0 over
@@ -402,26 +387,27 @@ class TestBrent:
         def fn(t):
             return h(k, t) - c
 
-        want = bisect(fn, k, z_hi, fn(k), fn(z_hi), CFG, "saturation")
-        assert abs(eq.z_root - want) <= 2.0 * CFG.z_rel_tol * z_hi
+        want = bisect(fn, k, z_hi, fn(k), fn(z_hi), "saturation")
+        assert abs(eq.z_root - want) <= 2.0 * eqm.Z_REL_TOL * z_hi
 
     def test_jump_discontinuity(self):
-        z = _brent(_jump(0.3), 0.0, 1.0, -1.0, 1.0, CFG, "jump")
-        assert abs(z - 0.3) <= CFG.z_rel_tol
+        z = _brent(_jump(0.3), 0.0, 1.0, -1.0, 1.0, "jump")
+        assert abs(z - 0.3) <= eqm.Z_REL_TOL
 
-    def test_tolerance_below_machine_epsilon(self):
-        cfg = SolverConfig(z_rel_tol=1e-30)
-        z = _brent(lambda t: t**3 - 2.0, 0.0, 2.0, -2.0, 6.0, cfg, "cube root")
+    def test_tolerance_below_machine_epsilon(self, monkeypatch):
+        monkeypatch.setattr(eqm, "Z_REL_TOL", 1e-30)
+        z = _brent(lambda t: t**3 - 2.0, 0.0, 2.0, -2.0, 6.0, "cube root")
         assert abs(z - 2.0 ** (1.0 / 3.0)) <= 4.0 * math.ulp(z)
-        z = _brent(_jump(0.3), 0.0, 1.0, -1.0, 1.0, cfg, "jump")
+        z = _brent(_jump(0.3), 0.0, 1.0, -1.0, 1.0, "jump")
         assert abs(z - 0.3) <= 2.0 * math.ulp(0.3)
 
-    def test_small_iteration_budget_raises(self):
+    def test_small_iteration_budget_raises(self, monkeypatch):
         # locating a jump to 1e-12 in [0, 1e30] takes ~140 halvings
         fn = _jump(0.3)
-        assert abs(_brent(fn, 0.0, 1e30, -1.0, 1.0, CFG, "jump") - 0.3) <= 1e-12
+        assert abs(_brent(fn, 0.0, 1e30, -1.0, 1.0, "jump") - 0.3) <= 1e-12
+        monkeypatch.setattr(eqm, "MAX_ITER", 50)
         with pytest.raises(ConvergenceError, match="after 50 iterations"):
-            _brent(fn, 0.0, 1e30, -1.0, 1.0, SolverConfig(max_iter=50), "jump")
+            _brent(fn, 0.0, 1e30, -1.0, 1.0, "jump")
 
 
 def _regime_costs(params, rng):
@@ -476,8 +462,8 @@ def _classify_with(finder, grid):
 
         return wrapper
 
-    def recorded(fn, lo, hi, f_lo, f_hi, cfg, label):
-        z = finder(fn, lo, hi, f_lo, f_hi, cfg, label)
+    def recorded(fn, lo, hi, f_lo, f_hi, label):
+        z = finder(fn, lo, hi, f_lo, f_hi, label)
         roots.append((label, lo, hi, z))
         return z
 
@@ -519,7 +505,7 @@ class TestAgainstBisection:
         (_, ref, _), (_, new, _) = against_bisection
         assert [r[0] for r in new] == [r[0] for r in ref]
         for (_, lo, hi, want), (_, _, _, got) in zip(ref, new):
-            assert abs(got - want) <= 2.0 * CFG.z_rel_tol * max(1.0, abs(lo), abs(hi))
+            assert abs(got - want) <= 2.0 * eqm.Z_REL_TOL * max(1.0, abs(lo), abs(hi))
 
     def test_residuals_no_worse(self, against_bisection):
         (ref, _, _), (new, _, _) = against_bisection

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from votecost.equilibria import EquilibriumKind
+from fuzz_frontiers import relative_residual
+from votecost.equilibria import EquilibriumKind, Winner, cost_side
 from votecost.errors import DomainError
 from votecost.pivot import ElectorateParams, thresholds
 from votecost.regime import (
@@ -92,6 +93,69 @@ class TestClassify:
             classify(REF, 0.0)
 
 
+def _mismatch(report):
+    return any(" but solvers returned " in note for note in report.notes)
+
+
+class TestFrontierRegression:
+    """Costs on a frontier, or just off one, classify consistently."""
+
+    @pytest.mark.parametrize(
+        "name, case",
+        [("ct_upper", 2), ("ct_lower", 2), ("pa_lower", 3), ("ps_lower", 4)],
+    )
+    def test_reference_electorate_on_each_frontier(self, name, case):
+        report = classify(REF, getattr(REF_TS, name))
+        assert report.case_index == case
+        assert report.avoid == (case == 2)
+        assert not _mismatch(report)
+        assert any(f"on the {name} frontier" in note for note in report.notes)
+
+    @pytest.mark.parametrize(
+        "n, p, p_a",
+        [
+            # the absenteeism root has alpha_b = 7.4e-13
+            (14933.674366311781, 0.31393409655949434, 0.6574212364786887),
+            # Brent lands on z = x_b itself
+            (971221.5309695947, 0.11537433109490168, 0.5411730581385497),
+        ],
+    )
+    def test_absenteeism_just_above_pa_lower_is_kept(self, n, p, p_a):
+        params = ElectorateParams(n=n, p=p, p_a=p_a)
+        c = math.exp(thresholds(params).log_pa_lower + 1e-9)
+        report = classify(params, c)
+        assert report.case_index == 3
+        assert [eq.kind for eq in report.equilibria] == [
+            EquilibriumKind.PARTIAL_ABSENTEEISM,
+            EquilibriumKind.NO_QUEUE,
+            EquilibriumKind.PARTIAL_SATURATION,
+        ]
+        assert not _mismatch(report)
+
+    def test_within_slack_below_ct_upper_is_a_tie(self):
+        params = ElectorateParams(
+            n=6131872.687381369, p=0.10443941343529836, p_a=0.7899827423699078
+        )
+        c = math.exp(thresholds(params).log_ct_upper - 1e-13)
+        report = classify(params, c)
+        assert report.case_index == 2
+        assert report.avoid
+        assert any(eq.winner is Winner.TIE_IN_EXPECTATION for eq in report.equilibria)
+        assert not _mismatch(report)
+
+    def test_case_zero_residuals_stay_small(self):
+        # the (0, 1) corner is an equilibrium here, outside the five
+        # families; no returned strategy pair may be a clipped stand-in
+        params = ElectorateParams(
+            n=214230.76409670702, p=2.2772341428207655e-09, p_a=0.9999999997425196
+        )
+        c = 0.4997561916472948
+        report = classify(params, c)
+        assert report.case_index == 0
+        for eq in report.equilibria:
+            assert relative_residual(params, eq, c) <= 1e-8
+
+
 class TestUnderflowRegression:
     """Beyond n ~ 1e6 pa_lower and ps_lower underflow to 0.0 in linear
     space; classification must still separate the cases by their logs."""
@@ -169,6 +233,15 @@ class TestRecommendCost:
         assert out >= REF_TS.ct_upper
         lo, hi = coin_toss_interval(REF)
         assert not (lo < out < hi)
+
+    @pytest.mark.parametrize("edge", ["ct_lower", "ct_upper"])
+    def test_window_edge_lifted_above_window(self, edge):
+        # the window is closed: a cost on either edge admits a tie
+        out = recommend_cost(REF, getattr(REF_TS, edge))
+        assert cost_side(out, REF_TS.log_ct_upper) == 1
+        report = classify(REF, out)
+        assert report.case_index == 1
+        assert not report.avoid
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
