@@ -49,6 +49,9 @@ all decide with it, and never by comparing solved z or alpha values:
 * a cost on an interval end takes that end as its root, so the
   recovered alpha is exactly 0 or 1 there;
 * the coin-toss window [ct_lower, ct_upper] is closed;
+* a cost on ct_upper or ct_lower makes the absenteeism root at
+  z = x_a or the saturation root at z = n (1 - p_a) the coin toss,
+  reported once, as the coin toss with a note;
 * a cost on pa_lower makes the absenteeism root at z = x_b the
   no-queue corner, reported only by ``no_queue_exists``;
 * a cost on ps_lower makes the saturation root at z = n p_a the
@@ -146,6 +149,10 @@ def cost_side(c: float, log_f: float) -> int:
     if gap > slack:
         return 1
     return -1 if gap < -slack else 0
+
+
+def _noted(eq: Equilibrium, kind: EquilibriumKind) -> Equilibrium:
+    return dataclasses.replace(eq, notes=eq.notes + (f"coincides with {kind.value} solution",))
 
 
 def _winner_from_margin(margin: float) -> Winner:
@@ -353,7 +360,8 @@ def solve_partial_absenteeism(
     ``ts.pa_lower`` and ``ts.ct_upper`` (one kernel call at
     z = n (1 - p_a) where ``ts.ct_admissible`` is false).  A cost on
     pa_lower has its root at z = x_b, the no-queue point, which is left
-    to ``no_queue_exists``.
+    to ``no_queue_exists``.  A cost on ct_upper has its root at z = x_a,
+    the coin toss at alpha_a = 0.
     """
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
@@ -418,7 +426,8 @@ def solve_partial_saturation(
     the kernel values at the two ends: ``ts.ps_lower`` at z = n p_a and
     ``ts.ct_lower`` at z = n(1-p_a) (one kernel call at z = x_a where
     ``ts.ct_admissible`` is false).  A cost on ps_lower has its root at
-    z = n p_a, alpha_a = 1.
+    z = n p_a, alpha_a = 1, and a cost on ct_lower at z = n(1-p_a), the
+    coin toss at alpha_b = 1.
     """
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
@@ -488,8 +497,10 @@ def enumerate_equilibria(
     In ``classify`` case 0 other type-symmetric equilibria can exist
     (see the module docstring); they are not reported.
 
-    At a cost on ps_lower the saturation root is the all-swipe corner;
-    it is reported once, as saturation, with the coincidence noted.
+    A strategy pair that two families share on a frontier is reported
+    once, with the coincidence noted: on ct_upper or ct_lower as the
+    coin toss, on ps_lower as saturation.
+
     Costs of 1/2 and above admit no coin toss (gains never reach 1/2),
     so the mixed solver is skipped there.  Every solver compares ``c``
     against the same frontiers ``ts`` (default ``thresholds(params)``).
@@ -497,22 +508,25 @@ def enumerate_equilibria(
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
     ts = ts or thresholds(params)
-    found: list[Equilibrium] = []
-    if c < 0.5:
-        ct = solve_coin_toss(params, c, ts)
-        if ct is not None:
-            found.append(ct)
-    found.extend(solve_partial_absenteeism(params, c, ts))
-    if no_queue_exists(params, c, ts):
-        found.append(_corner_equilibrium(params, EquilibriumKind.NO_QUEUE, 0.0))
+    K = EquilibriumKind
+    ct = solve_coin_toss(params, c, ts) if c < 0.5 else None
+    absent = solve_partial_absenteeism(params, c, ts)
     sat = solve_partial_saturation(params, c, ts)
     swipe = all_swipe_exists(params, c, ts)
+    if ct is not None and cost_side(c, ts.log_ct_upper) == 0:
+        # the absenteeism root at z = x_a is the coin toss at alpha_a = 0
+        ct, absent = _noted(ct, K.PARTIAL_ABSENTEEISM), absent[:-1]
     if sat is not None and cost_side(c, ts.log_ps_lower) == 0:
         # the saturation root was taken at alpha_a = 1
-        note = f"coincides with {EquilibriumKind.ALL_SWIPE.value} solution"
-        sat, swipe = dataclasses.replace(sat, notes=sat.notes + (note,)), False
+        sat, swipe = _noted(sat, K.ALL_SWIPE), False
+    elif ct is not None and cost_side(c, ts.log_ct_lower) == 0:
+        # the saturation root at z = n(1-p_a) is the coin toss at alpha_b = 1
+        ct, sat = _noted(ct, K.PARTIAL_SATURATION), None
+    found = ([] if ct is None else [ct]) + absent
+    if no_queue_exists(params, c, ts):
+        found.append(_corner_equilibrium(params, K.NO_QUEUE, 0.0))
     if sat is not None:
         found.append(sat)
     if swipe:
-        found.append(_corner_equilibrium(params, EquilibriumKind.ALL_SWIPE, 1.0))
+        found.append(_corner_equilibrium(params, K.ALL_SWIPE, 1.0))
     return found

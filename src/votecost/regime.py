@@ -21,9 +21,8 @@ is decided by ``equilibria.cost_side``, the rule the solvers use: "<="
 in the table includes a cost on the frontier and "<" excludes it, so
 the coin-toss window is closed.  A cost on frontier k (k = 1 for
 ct_upper through 4 for ps_lower) is flagged in the notes, and the
-solvers may return the boundary solution sets of both cases k and
-k + 1, so the prediction checked against them is the union of the two.
-When the frontiers are not strictly
+solvers' list must fit the prediction of case k or of case k + 1 on
+its own (``predicted_kinds``).  When the frontiers are not strictly
 ordered at the given parameters (small populations, or x_a above the
 admissibility bound), the classifier reports case 0 with the realized
 equilibrium list and no case prediction.
@@ -92,14 +91,20 @@ class RegimeReport:
     notes: tuple[str, ...]
 
 
-def predicted_kinds(case_index: int) -> dict[EquilibriumKind, tuple[int, int]]:
-    """Kind -> (min count, max count) promised by the regime table."""
+def predicted_kinds(
+    case_index: int, on_pa_lower: bool = False
+) -> dict[EquilibriumKind, tuple[int, int]]:
+    """Kind -> (min count, max count) promised by the regime table.
+
+    On pa_lower, case 3's absenteeism root is the no-queue corner,
+    which the solvers list once.
+    """
     K = EquilibriumKind
     table = {
         1: {K.PARTIAL_ABSENTEEISM: (0, 2), K.NO_QUEUE: (1, 1)},
         2: {K.COIN_TOSS: (1, 1), K.PARTIAL_ABSENTEEISM: (1, 1), K.NO_QUEUE: (1, 1)},
         3: {
-            K.PARTIAL_ABSENTEEISM: (1, 1),
+            K.PARTIAL_ABSENTEEISM: (0, 0) if on_pa_lower else (1, 1),
             K.PARTIAL_SATURATION: (1, 1),
             K.NO_QUEUE: (1, 1),
         },
@@ -110,32 +115,24 @@ def predicted_kinds(case_index: int) -> dict[EquilibriumKind, tuple[int, int]]:
 
 
 def _check_prediction(
-    case_index: int, cases: set[int], eqs: tuple[Equilibrium, ...]
+    case_index: int, tables: list[dict], eqs: tuple[Equilibrium, ...]
 ) -> str | None:
-    # every count any of the cases allows is accepted
-    tables = [predicted_kinds(k) for k in cases]
-    promised = {
-        kind: (
-            min(t.get(kind, (0, 0))[0] for t in tables),
-            max(t.get(kind, (0, 0))[1] for t in tables),
-        )
-        for kind in EquilibriumKind
-        if any(kind in t for t in tables)
-    }
+    # the realized counts must fit one of the tables on its own
     realized = Counter(eq.kind for eq in eqs)
-    for kind in EquilibriumKind:
-        lo, hi = promised.get(kind, (0, 0))
-        if not (lo <= realized.get(kind, 0) <= hi):
-            promised_str = ", ".join(
-                f"{k.value}x{lo}" + (f"-{hi}" if hi != lo else "")
-                for k, (lo, hi) in promised.items()
-            )
-            realized_str = ", ".join(f"{k.value}x{v}" for k, v in realized.items()) or "none"
-            return (
-                f"case {case_index} predicts [{promised_str}] "
-                f"but solvers returned [{realized_str}]"
-            )
-    return None
+    for t in tables:
+        within = all(lo <= realized[k] <= hi for k, (lo, hi) in t.items())
+        if within and realized.keys() <= t.keys():
+            return None
+    promised_str = " or ".join(
+        "["
+        + ", ".join(
+            f"{k.value}x{lo}" + (f"-{hi}" if hi != lo else "") for k, (lo, hi) in t.items()
+        )
+        + "]"
+        for t in tables
+    )
+    realized_str = ", ".join(f"{k.value}x{v}" for k, v in realized.items()) or "none"
+    return f"case {case_index} predicts {promised_str} but solvers returned [{realized_str}]"
 
 
 def classify(params: ElectorateParams, c: float) -> RegimeReport:
@@ -166,10 +163,11 @@ def classify(params: ElectorateParams, c: float) -> RegimeReport:
             if side == 0:
                 notes.append(
                     f"cost on the {name} frontier (within the relative slack "
-                    f"EPS_CMP): the solution sets of cases {k} and {k + 1} both apply"
+                    f"EPS_CMP): the solution set of case {k} or {k + 1} applies"
                 )
                 cases |= {k, k + 1}
-        mismatch = _check_prediction(case, cases, eqs)
+        tables = [predicted_kinds(k, on_pa_lower=sides[2] == 0) for k in sorted(cases)]
+        mismatch = _check_prediction(case, tables, eqs)
         if mismatch is not None:
             notes.append(mismatch)
     avoid = any(eq.winner is not Winner.A for eq in eqs)
@@ -182,6 +180,13 @@ def classify(params: ElectorateParams, c: float) -> RegimeReport:
     )
 
 
+def _log_window(params: ElectorateParams) -> list[float] | None:
+    """[log ct_upper, log ct_lower], or None where x_a > n (1 - p_a)."""
+    if params.x_a > params.total_b:
+        return None
+    return log_coin_toss_bounds(params.x_a, params.total_b).tolist()
+
+
 def coin_toss_interval(params: ElectorateParams) -> tuple[float, float] | None:
     """The closed cost interval admitting a coin toss, or None.
 
@@ -189,9 +194,10 @@ def coin_toss_interval(params: ElectorateParams) -> tuple[float, float] | None:
     B supporters; otherwise [g(2 n (1-p_a))/2, g(2 x_a)/2], with its
     ends read by ``equilibria.cost_side``.
     """
-    if params.x_a > params.total_b:
+    window = _log_window(params)
+    if window is None:
         return None
-    upper, lower = np.exp(log_coin_toss_bounds(params.x_a, params.total_b)).tolist()
+    upper, lower = np.exp(window).tolist()
     return (lower, upper)
 
 
@@ -205,9 +211,10 @@ def recommend_cost(params: ElectorateParams, c_min: float) -> float:
     """
     if not (c_min > 0.0):
         raise DomainError(f"c_min must be > 0, got {c_min!r}")
-    if params.x_a > params.total_b:
+    window = _log_window(params)
+    if window is None:
         return c_min
-    log_upper, log_lower = log_coin_toss_bounds(params.x_a, params.total_b).tolist()
+    log_upper, log_lower = window
     if cost_side(c_min, log_upper) > 0 or cost_side(c_min, log_lower) < 0:
         return c_min
     c = math.exp(log_upper)

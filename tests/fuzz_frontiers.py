@@ -37,15 +37,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from votecost import (  # noqa: E402
-    ElectorateParams,
-    classify,
-    log_frontiers,
-    r1_closed,
-    r2_closed,
-)
+from residuals import RESIDUAL_BOUND, relative_residual  # noqa: E402
+from votecost import ElectorateParams, classify, log_frontiers  # noqa: E402
 
-RESIDUAL_BOUND = 1e-8
 OFFSETS = (0.0, 1e-13, -1e-13, 1e-9, -1e-9)
 
 
@@ -54,19 +48,6 @@ def _share(rng: np.random.Generator, lo: float, hi: float, profile: str) -> floa
         return float(rng.uniform(lo + 0.01, hi - 0.01))
     gap = 10.0 ** rng.uniform(-12.0, -1.0)
     return float(lo + gap if rng.random() < 0.5 else hi - gap)
-
-
-def relative_residual(params: ElectorateParams, eq, c: float) -> float:
-    """Largest relative defect of the equalities and inequalities of ``eq``."""
-    r1, r2 = r1_closed(params, eq.strategies), r2_closed(params, eq.strategies)
-    conditions = {
-        "coin_toss": (abs(r1 - c), abs(r2 - c)),
-        "partial_absenteeism": (abs(r2 - c), r1 - c),
-        "no_queue": (r1 - c, r2 - c),
-        "partial_saturation": (abs(r1 - c), c - r2),
-        "all_swipe": (c - r1, c - r2),
-    }[eq.kind.value]
-    return max(0.0, *conditions) / c
 
 
 def run(points: int, profile: str, seed: int) -> dict[str, float]:

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import skellam
 
-from fuzz_frontiers import RESIDUAL_BOUND, relative_residual
+from residuals import RESIDUAL_BOUND, relative_residual
 from votecost import (
     DomainError,
     ElectorateParams,

@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from fuzz_frontiers import relative_residual
-from votecost.equilibria import EquilibriumKind, Winner, cost_side
+from residuals import RESIDUAL_BOUND, relative_residual
+import votecost.regime as regime
+from votecost.equilibria import (
+    EquilibriumKind,
+    Winner,
+    cost_side,
+    enumerate_equilibria,
+    solve_partial_absenteeism,
+)
 from votecost.errors import DomainError
 from votecost.pivot import ElectorateParams, thresholds
 from votecost.regime import (
@@ -112,6 +119,38 @@ class TestFrontierRegression:
         assert any(f"on the {name} frontier" in note for note in report.notes)
 
     @pytest.mark.parametrize(
+        "name, kinds, coincides",
+        [
+            ("ct_upper", ["coin_toss", "partial_absenteeism", "no_queue"], "partial_absenteeism"),
+            ("ct_lower", ["coin_toss", "partial_absenteeism", "no_queue"], "partial_saturation"),
+            ("pa_lower", ["no_queue", "partial_saturation"], None),
+            ("ps_lower", ["partial_saturation"], "all_swipe"),
+        ],
+    )
+    def test_each_strategy_pair_reported_once(self, name, kinds, coincides):
+        # a pair two families share on the frontier is listed once, with a note
+        eqs = enumerate_equilibria(REF, getattr(REF_TS, name))
+        assert [eq.kind.value for eq in eqs] == kinds
+        pairs = [(eq.strategies.alpha_a, eq.strategies.alpha_b) for eq in eqs]
+        for i, a in enumerate(pairs):
+            for b in pairs[i + 1 :]:
+                assert max(abs(a[0] - b[0]), abs(a[1] - b[1])) > 1e-6, (a, b)
+        noted = [n for eq in eqs for n in eq.notes if n.startswith("coincides with")]
+        assert noted == ([] if coincides is None else [f"coincides with {coincides} solution"])
+
+    @pytest.mark.parametrize("name", ["ct_upper", "ps_lower"])
+    def test_mismatch_unless_one_case_fits(self, name, monkeypatch):
+        # lists that only a mix of the two adjacent cases allows: the coin
+        # toss beside both absenteeism roots, or nothing at all
+        c = getattr(REF_TS, name)
+        eqs = {
+            "ct_upper": enumerate_equilibria(REF, c) + solve_partial_absenteeism(REF, c)[-1:],
+            "ps_lower": [],
+        }[name]
+        monkeypatch.setattr(regime, "enumerate_equilibria", lambda *args: eqs)
+        assert _mismatch(classify(REF, c))
+
+    @pytest.mark.parametrize(
         "n, p, p_a",
         [
             # the absenteeism root has alpha_b = 7.4e-13
@@ -153,7 +192,7 @@ class TestFrontierRegression:
         report = classify(params, c)
         assert report.case_index == 0
         for eq in report.equilibria:
-            assert relative_residual(params, eq, c) <= 1e-8
+            assert relative_residual(params, eq, c) <= RESIDUAL_BOUND
 
 
 class TestUnderflowRegression:
