@@ -5,6 +5,12 @@ to stdout unless --out is given, in which case the file is written
 atomically (temp file + rename); logs go to stderr.  Exit codes:
 0 success, 2 validation error, 3 solver non-convergence or truncation
 budget breach, 4 verification tolerance breach.
+
+Each verb's runner reads its flags, ``--format`` and ``--out`` straight
+from the parsed argparse namespace and checks the ones only it takes;
+``run`` builds the electorate and turns every validation error into an
+error payload in one place.  Oracle flags take their defaults from
+``DEFAULT_ORACLE_CONFIG``.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from . import __version__
 from .equilibria import Equilibrium, EquilibriumKind, enumerate_equilibria
 from .errors import ConvergenceError, DomainError, TruncationLimitError
 from .oracle import (
+    DEFAULT_ORACLE_CONFIG,
     OracleConfig,
     class_sizes,
     pivot_gain_bruteforce,
@@ -65,33 +72,12 @@ CLASSIFY_PREFIX = ("case_index", "avoid")
 _COLUMN_RENAMES = {"p_a": "pa"}
 
 
-@dataclass
-class Command:
-    """One validated CLI invocation."""
-
-    verb: str
-    params: ElectorateParams | None = None
-    cost: float | None = None
-    output_format: str = "json"
-    output_path: str | None = None
-    oracle_cfg: OracleConfig = OracleConfig()
-    sweep: SweepSpec | None = None
-    alpha_a: float | None = None
-    alpha_b: float | None = None
-    kind: str | None = None
-    verify_tol: float = 1e-10
-
-
 def _jsonable(obj: Any) -> Any:
     if is_dataclass(obj) and not isinstance(obj, type):
         # fields hidden from repr (ThresholdSet's logs) stay out of the output too
         return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj) if f.repr}
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(x) for x in obj.tolist()]
     if isinstance(obj, (list, tuple)):
@@ -152,10 +138,12 @@ def _csv_text(header: list[str], rows: list[list[Any]]) -> str:
     return buf.getvalue()
 
 
-def _json_text(cmd: Command, results: Any, diagnostics: dict[str, Any]) -> str:
+def _json_text(
+    verb: str, params: ElectorateParams | None, results: Any, diagnostics: dict[str, Any]
+) -> str:
     envelope = {
-        "command": cmd.verb,
-        "params": _jsonable(cmd.params) if cmd.params is not None else None,
+        "command": verb,
+        "params": _jsonable(params),
         "results": _jsonable(results),
         "diagnostics": _jsonable(diagnostics),
         "version": __version__,
@@ -217,83 +205,90 @@ def standard_verify_rows(cfg: OracleConfig) -> list[VerifyRow]:
     return rows
 
 
-def _run_thresholds(cmd: Command) -> tuple[int, Any, dict, list[str], list[list]]:
-    ts = thresholds(cmd.params)
+# (exit status, results, diagnostics, CSV header, CSV rows)
+_Output = tuple[int, Any, dict, list[str], list[list]]
+
+
+def _run_thresholds(args: argparse.Namespace, params: ElectorateParams) -> _Output:
+    ts = thresholds(params)
     params_header, params_cells = _csv_schema(ElectorateParams)
     ts_header, ts_cells = _csv_schema(ThresholdSet)
-    row = [*params_cells(cmd.params), *ts_cells(ts)]
+    row = [*params_cells(params), *ts_cells(ts)]
     return EXIT_OK, ts, {}, params_header + ts_header, [row]
 
 
-def _run_solve(cmd: Command) -> tuple[int, Any, dict, list[str], list[list]]:
-    eqs = enumerate_equilibria(cmd.params, cmd.cost)
+def _run_solve(args: argparse.Namespace, params: ElectorateParams) -> _Output:
+    eqs = enumerate_equilibria(params, args.c)
     header, cells = _csv_schema(Equilibrium)
     rows = [cells(eq) for eq in eqs]
-    return EXIT_OK, eqs, {"cost": cmd.cost, "count": len(eqs)}, header, rows
+    return EXIT_OK, eqs, {"cost": args.c, "count": len(eqs)}, header, rows
 
 
-def _run_classify(cmd: Command) -> tuple[int, Any, dict, list[str], list[list]]:
-    report = classify(cmd.params, cmd.cost)
+def _run_classify(args: argparse.Namespace, params: ElectorateParams) -> _Output:
+    report = classify(params, args.c)
     eq_header, cells = _csv_schema(Equilibrium)
     header = [*CLASSIFY_PREFIX, *eq_header]
     prefix = [getattr(report, name) for name in CLASSIFY_PREFIX]
     rows = [[*prefix, *cells(eq)] for eq in report.equilibria]
-    diag = {"cost": cmd.cost, "case_description": CASE_DESCRIPTIONS[report.case_index]}
+    diag = {"cost": args.c, "case_description": CASE_DESCRIPTIONS[report.case_index]}
     return EXIT_OK, report, diag, header, rows
 
 
-def _run_sweep(cmd: Command) -> tuple[int, Any, dict, list[str], list[list]]:
-    table = sweep_bounds(cmd.sweep)
-    quantities = list(cmd.sweep.quantities)
+def _run_sweep(args: argparse.Namespace, params: None) -> _Output:
+    if args.points < 1:
+        raise DomainError(f"--points must be >= 1, got {args.points}")
+    if not (0 < args.n_min <= args.n_max):
+        raise DomainError("need 0 < --n-min <= --n-max")
+    if args.points == 1:
+        grid = (float(args.n_min),)
+    else:
+        grid = tuple(float(x) for x in np.geomspace(args.n_min, args.n_max, args.points))
+    quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
+    spec = SweepSpec(p=args.p, p_a=args.pa, n_grid=grid, quantities=quantities)
+    table = sweep_bounds(spec)
     header = ["n", *quantities]
     rows = [
         [float(table.n[i])] + [float(table.columns[q][i]) for q in quantities]
         for i in range(len(table.n))
     ]
-    results = {
-        "n": table.n,
-        "columns": table.columns,
-        "onset": table.onset,
-    }
-    diag = {"p": cmd.sweep.p, "pa": cmd.sweep.p_a, "points": len(table.n)}
+    results = {"n": table.n, "columns": table.columns, "onset": table.onset}
+    diag = {"p": spec.p, "pa": spec.p_a, "points": len(table.n)}
     return EXIT_OK, results, diag, header, rows
 
 
-def _run_verify(cmd: Command) -> tuple[int, Any, dict, list[str], list[list]]:
-    rows = standard_verify_rows(cmd.oracle_cfg)
+def _run_verify(args: argparse.Namespace, params: None) -> _Output:
+    rows = standard_verify_rows(OracleConfig(tail_eps=args.tail_eps))
     max_err = max(r.abs_error for r in rows)
-    ok = max_err < cmd.verify_tol
+    ok = max_err < args.tol
     header, cells = _csv_schema(VerifyRow)
     csv_rows = [cells(r) for r in rows]
     results = {
         "max_abs_error": max_err,
-        "tolerance": cmd.verify_tol,
+        "tolerance": args.tol,
         "points": len(rows),
         "pass": ok,
         "rows": rows,
     }
-    diag = {"tail_eps": cmd.oracle_cfg.tail_eps}
+    diag = {"tail_eps": args.tail_eps}
     return (EXIT_OK if ok else EXIT_TOLERANCE), results, diag, header, csv_rows
 
 
-def _strategy_for_simulate(cmd: Command) -> tuple[StrategyPair, dict[str, Any]]:
-    if cmd.alpha_a is not None or cmd.alpha_b is not None:
-        if cmd.alpha_a is None or cmd.alpha_b is None:
+def _strategy_for_simulate(
+    args: argparse.Namespace, params: ElectorateParams
+) -> tuple[StrategyPair, dict[str, Any]]:
+    if args.alpha_a is not None or args.alpha_b is not None:
+        if args.alpha_a is None or args.alpha_b is None:
             raise DomainError("--alpha-a and --alpha-b must be given together")
-        return StrategyPair(cmd.alpha_a, cmd.alpha_b), {"strategy_source": "explicit"}
-    if cmd.kind is None:
+        return StrategyPair(args.alpha_a, args.alpha_b), {"strategy_source": "explicit"}
+    if args.kind is None:
         raise DomainError("simulate needs either --alpha-a/--alpha-b or --kind with --c")
-    if cmd.cost is None:
+    if args.c is None:
         raise DomainError("--kind requires --c to solve for the equilibrium")
-    wanted = EquilibriumKind(cmd.kind)
-    eqs = [
-        eq
-        for eq in enumerate_equilibria(cmd.params, cmd.cost)
-        if eq.kind is wanted
-    ]
+    wanted = EquilibriumKind(args.kind)
+    eqs = [eq for eq in enumerate_equilibria(params, args.c) if eq.kind is wanted]
     if not eqs:
         raise DomainError(
-            f"no {wanted.value} equilibrium exists at c={cmd.cost!r} for these parameters"
+            f"no {wanted.value} equilibrium exists at c={args.c!r} for these parameters"
         )
     diag = {"strategy_source": f"solved {wanted.value}", "solved_count": len(eqs)}
     if len(eqs) > 1:
@@ -301,24 +296,25 @@ def _strategy_for_simulate(cmd: Command) -> tuple[StrategyPair, dict[str, Any]]:
     return eqs[0].strategies, diag
 
 
-def _run_simulate(cmd: Command) -> tuple[int, Any, dict, list[str], list[list]]:
-    s, diag = _strategy_for_simulate(cmd)
-    stats = simulate_election(cmd.params, s, cmd.oracle_cfg)
-    size_a, size_b = class_sizes(cmd.params)
+def _run_simulate(args: argparse.Namespace, params: ElectorateParams) -> _Output:
+    cfg = OracleConfig(trials=args.trials, seed=args.seed)
+    s, diag = _strategy_for_simulate(args, params)
+    stats = simulate_election(params, s, cfg)
+    size_a, size_b = class_sizes(params)
     diag.update(
         {
             "alpha_a": s.alpha_a,
             "alpha_b": s.alpha_b,
             "class_size_a": size_a,
             "class_size_b": size_b,
-            "seed": cmd.oracle_cfg.seed,
-            "trials": cmd.oracle_cfg.trials,
+            "seed": cfg.seed,
+            "trials": cfg.trials,
         }
     )
     values = dict(
         vars(stats),
         trials=stats.trials_used,
-        seed=cmd.oracle_cfg.seed,
+        seed=cfg.seed,
         alpha_a=s.alpha_a,
         alpha_b=s.alpha_b,
     )
@@ -351,35 +347,43 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def run(cmd: Command) -> tuple[int, str]:
-    """Execute a validated command; returns (exit status, serialized output).
+def run(args: argparse.Namespace) -> tuple[int, str]:
+    """Run parsed arguments; returns (exit status, serialized output).
 
-    When ``cmd.output_path`` is set the output is also written there
-    atomically.
+    Every validation error, of the electorate or of a verb's own flags,
+    becomes an error payload here.  When ``args.out`` is set the output
+    is also written there atomically.
     """
+    params = None
     try:
-        status, results, diag, header, rows = _RUNNERS[cmd.verb](cmd)
+        if hasattr(args, "n"):
+            params = ElectorateParams(n=args.n, p=args.p, p_a=args.pa)
+        status, results, diag, header, rows = _RUNNERS[args.verb](args, params)
     except (DomainError, ValueError) as exc:
-        return _error_output(cmd, exc, EXIT_VALIDATION)
+        return _error_output(args, params, exc, EXIT_VALIDATION)
     except (ConvergenceError, TruncationLimitError) as exc:
-        return _error_output(cmd, exc, EXIT_NO_CONVERGENCE)
-    if cmd.output_format == "csv":
+        return _error_output(args, params, exc, EXIT_NO_CONVERGENCE)
+    if args.format == "csv":
         text = _csv_text(header, rows)
     else:
-        text = _json_text(cmd, results, diag)
-    if cmd.output_path:
+        text = _json_text(args.verb, params, results, diag)
+    if args.out:
         try:
-            _write_atomic(cmd.output_path, text)
+            _write_atomic(args.out, text)
         except OSError as exc:
-            return _error_output(cmd, exc, EXIT_VALIDATION)
+            # name the path given, not the random temp file beside it
+            exc = OSError(exc.errno, exc.strerror, args.out)
+            return _error_output(args, params, exc, EXIT_VALIDATION)
     return status, text
 
 
-def _error_output(cmd: Command, exc: Exception, status: int) -> tuple[int, str]:
-    if cmd.output_format == "json":
+def _error_output(
+    args: argparse.Namespace, params: ElectorateParams | None, exc: Exception, status: int
+) -> tuple[int, str]:
+    if args.format == "json":
         payload = {
-            "command": cmd.verb,
-            "params": _jsonable(cmd.params) if cmd.params is not None else None,
+            "command": args.verb,
+            "params": _jsonable(params),
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "version": __version__,
         }
@@ -435,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", help="closed form vs brute force on the standard grid")
     sub.add_argument("--tol", type=float, default=1e-10)
-    sub.add_argument("--tail-eps", type=float, default=1e-13)
+    sub.add_argument("--tail-eps", type=float, default=DEFAULT_ORACLE_CONFIG.tail_eps)
     _add_common(sub, "csv")
 
     sub = subs.add_parser("simulate", help="Monte Carlo election statistics")
@@ -449,71 +453,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulate at a solved equilibrium of this kind (requires --c)",
     )
     sub.add_argument("--c", type=float, default=None)
-    sub.add_argument("--trials", type=int, default=100_000)
-    sub.add_argument("--seed", type=int, default=20240717)
+    sub.add_argument("--trials", type=int, default=DEFAULT_ORACLE_CONFIG.trials)
+    sub.add_argument("--seed", type=int, default=DEFAULT_ORACLE_CONFIG.seed)
     _add_common(sub, "json")
 
     return parser
 
 
-def command_from_args(args: argparse.Namespace) -> Command:
-    params = None
-    if hasattr(args, "n"):
-        params = ElectorateParams(n=args.n, p=args.p, p_a=args.pa)
-    cmd = Command(
-        verb=args.verb,
-        params=params,
-        output_format=args.format,
-        output_path=args.out,
-    )
-    if hasattr(args, "c"):
-        cmd.cost = args.c
-    if args.verb == "sweep":
-        if args.points < 1:
-            raise DomainError(f"--points must be >= 1, got {args.points}")
-        if not (0 < args.n_min <= args.n_max):
-            raise DomainError("need 0 < --n-min <= --n-max")
-        if args.points == 1:
-            grid = (float(args.n_min),)
-        else:
-            grid = tuple(
-                float(x)
-                for x in np.geomspace(args.n_min, args.n_max, args.points)
-            )
-        quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
-        cmd.sweep = SweepSpec(p=args.p, p_a=args.pa, n_grid=grid, quantities=quantities)
-    if args.verb == "verify":
-        cmd.verify_tol = args.tol
-        cmd.oracle_cfg = OracleConfig(tail_eps=args.tail_eps)
-    if args.verb == "simulate":
-        cmd.alpha_a = args.alpha_a
-        cmd.alpha_b = args.alpha_b
-        cmd.kind = args.kind
-        cmd.oracle_cfg = OracleConfig(trials=args.trials, seed=args.seed)
-    return cmd
-
-
-def execute(argv: list[str] | None = None) -> tuple[int, str, Command]:
-    """Parse argv and run it; validation failures become error payloads."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        cmd = command_from_args(args)
-    except (DomainError, ValueError) as exc:
-        stub = Command(verb=args.verb, output_format=getattr(args, "format", "json"))
-        status, text = _error_output(stub, exc, EXIT_VALIDATION)
-        return status, text, stub
-    status, text = run(cmd)
-    return status, text, cmd
+def execute(argv: list[str] | None = None) -> tuple[int, str, argparse.Namespace]:
+    """Parse argv and run it; returns (exit status, output, parsed arguments)."""
+    args = build_parser().parse_args(argv)
+    status, text = run(args)
+    return status, text, args
 
 
 def main(argv: list[str] | None = None) -> int:
-    status, text, cmd = execute(argv)
+    status, text, args = execute(argv)
     failed = status in (EXIT_VALIDATION, EXIT_NO_CONVERGENCE)
-    if failed and cmd.output_format == "csv":
+    if failed and args.format == "csv":
         sys.stderr.write(text)
-    elif cmd.output_path and not failed:
-        print(f"wrote {cmd.output_path}", file=sys.stderr)
+    elif args.out and not failed:
+        print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
     return status

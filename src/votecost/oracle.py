@@ -71,15 +71,11 @@ class OracleConfig:
         Monte Carlo sample count.
     seed:
         64-bit seed for the PCG64 bit generator.
-    cell_cap:
-        Upper bound on the truncation-box volume (product of the four
-        per-index lengths) accepted by the brute-force routines.
     """
 
     tail_eps: float = 1e-13
     trials: int = 100_000
     seed: int = 20240717
-    cell_cap: float = 1e9
 
     def __post_init__(self):
         if not (0.0 < self.tail_eps < 1e-6):
@@ -92,11 +88,13 @@ class OracleConfig:
             raise DomainError(f"trials must be >= 1, got {self.trials!r}")
         if not (0 <= self.seed < 2**64):
             raise DomainError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
-        if not self.cell_cap > 0:
-            raise DomainError(f"cell_cap must be > 0, got {self.cell_cap!r}")
 
 
 DEFAULT_ORACLE_CONFIG = OracleConfig()
+
+# Upper bound on the truncation-box volume (product of the four
+# per-index lengths) accepted by the brute-force routines.
+CELL_CAP = 1e9
 
 _SIDES = ("A", "B")
 
@@ -152,9 +150,9 @@ def _total_pmfs(
     if index_scale != 1.0:
         ks = [int(math.ceil(k * index_scale)) for k in ks]
     cells = math.prod(k + 1 for k in ks)
-    if cells > cfg.cell_cap:
+    if cells > CELL_CAP:
         raise TruncationLimitError(
-            f"truncation box of {cells:.3g} cells exceeds cell_cap={cfg.cell_cap:.3g}"
+            f"truncation box of {cells:.3g} cells exceeds CELL_CAP={CELL_CAP:.3g}"
         )
     k_a, k_b, k_r, k_s = ks
     return _vote_total(x_a, y_a, k_a, k_r), _vote_total(x_b, y_b, k_b, k_s)

@@ -44,7 +44,6 @@ __all__ = [
     "expected_margin",
     "thresholds",
     "log_frontiers",
-    "log_coin_toss_bounds",
 ]
 
 LOG_HALF = math.log(0.5)
@@ -55,7 +54,9 @@ class ElectorateParams:
     """Expected population size ``n``, partisan share ``p``, A share ``p_a``.
 
     ``n`` is a positive real (a mean, not a head count); ``p`` in (0, 1);
-    ``p_a`` in (1/2, 1) so that A is the ex-ante majority side.
+    ``p_a`` in (1/2, 1) so that A is the ex-ante majority side.  The
+    four partisan and non-partisan means must come out positive, and
+    x_a above x_b, in floating point; shares near 0 can underflow them.
     """
 
     n: float
@@ -69,6 +70,12 @@ class ElectorateParams:
             raise DomainError(f"p must lie in (0, 1), got {self.p!r}")
         if not (0.5 < self.p_a < 1.0):
             raise DomainError(f"p_a must lie in (1/2, 1), got {self.p_a!r}")
+        if not (min(self.x_a, self.x_b, self.m_a, self.m_b) > 0.0 and self.x_a > self.x_b):
+            raise DomainError(
+                f"the means at n={self.n!r}, p={self.p!r}, p_a={self.p_a!r} "
+                f"underflow: need x_a > x_b > 0 and m_a, m_b > 0, got x_a={self.x_a!r}, "
+                f"x_b={self.x_b!r}, m_a={self.m_a!r}, m_b={self.m_b!r}"
+            )
 
     @property
     def x_a(self) -> float:
@@ -168,11 +175,6 @@ class ThresholdSet:
     log_ps_lower: float = field(repr=False)
 
 
-def log_coin_toss_bounds(x_a, total_b) -> np.ndarray:
-    """Logs of (ct_upper, ct_lower) = (g(2 x_a) / 2, g(2 n (1 - p_a)) / 2)."""
-    return log_g(2.0 * np.array([x_a, total_b])) + LOG_HALF
-
-
 def log_frontiers(n, p: float, p_a: float) -> np.ndarray:
     """Logs of (ct_upper, ct_lower, pa_lower, ps_lower), stacked on axis 0.
 
@@ -183,11 +185,11 @@ def log_frontiers(n, p: float, p_a: float) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     x_a, x_b = n * p * p_a, n * p * (1.0 - p_a)
     total_a, total_b = n * p_a, n * (1.0 - p_a)
+    # ct_upper and ct_lower are g/2 at twice the first arguments of the
+    # two h frontiers
+    first = np.array([x_a, total_b])
     return np.concatenate(
-        [
-            log_coin_toss_bounds(x_a, total_b),
-            log_h(np.array([x_a, total_b]), np.array([x_b, total_a])),
-        ]
+        [log_g(2.0 * first) + LOG_HALF, log_h(first, np.array([x_b, total_a]))]
     )
 
 

@@ -44,13 +44,7 @@ from .equilibria import (
     enumerate_equilibria,
 )
 from .errors import DomainError
-from .pivot import (
-    ElectorateParams,
-    ThresholdSet,
-    log_coin_toss_bounds,
-    log_frontiers,
-    thresholds,
-)
+from .pivot import ElectorateParams, ThresholdSet, log_frontiers, thresholds
 from .special_fn import SQRT2
 
 __all__ = [
@@ -180,25 +174,16 @@ def classify(params: ElectorateParams, c: float) -> RegimeReport:
     )
 
 
-def _log_window(params: ElectorateParams) -> list[float] | None:
-    """[log ct_upper, log ct_lower], or None where x_a > n (1 - p_a)."""
-    if params.x_a > params.total_b:
-        return None
-    return log_coin_toss_bounds(params.x_a, params.total_b).tolist()
-
-
 def coin_toss_interval(params: ElectorateParams) -> tuple[float, float] | None:
     """The closed cost interval admitting a coin toss, or None.
 
     Absent when the mean A-partisan count exceeds the mean count of all
-    B supporters; otherwise [g(2 n (1-p_a))/2, g(2 x_a)/2], with its
-    ends read by ``equilibria.cost_side``.
+    B supporters (``ct_admissible`` false); otherwise [ct_lower,
+    ct_upper] of ``thresholds``, with its ends read by
+    ``equilibria.cost_side``.
     """
-    window = _log_window(params)
-    if window is None:
-        return None
-    upper, lower = np.exp(window).tolist()
-    return (lower, upper)
+    ts = thresholds(params)
+    return (ts.ct_lower, ts.ct_upper) if ts.ct_admissible else None
 
 
 def recommend_cost(params: ElectorateParams, c_min: float) -> float:
@@ -211,15 +196,14 @@ def recommend_cost(params: ElectorateParams, c_min: float) -> float:
     """
     if not (c_min > 0.0):
         raise DomainError(f"c_min must be > 0, got {c_min!r}")
-    window = _log_window(params)
-    if window is None:
+    ts = thresholds(params)
+    if not ts.ct_admissible:
         return c_min
-    log_upper, log_lower = window
-    if cost_side(c_min, log_upper) > 0 or cost_side(c_min, log_lower) < 0:
+    if cost_side(c_min, ts.log_ct_upper) > 0 or cost_side(c_min, ts.log_ct_lower) < 0:
         return c_min
-    c = math.exp(log_upper)
+    c = math.exp(ts.log_ct_upper)
     step = math.ulp(c)
-    while cost_side(c, log_upper) <= 0:
+    while cost_side(c, ts.log_ct_upper) <= 0:
         c, step = c + step, 2.0 * step
     return c
 

@@ -7,22 +7,16 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 from votecost.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_TOLERANCE,
     EXIT_VALIDATION,
-    Command,
-    _error_output,
     _jsonable,
-    build_parser,
-    command_from_args,
     execute,
     standard_verify_rows,
 )
-from votecost.errors import ConvergenceError, DomainError
+from votecost.errors import ConvergenceError
 from votecost.oracle import OracleConfig, _upper_index, _vote_total, pivot_gain_bruteforce
 from votecost.pivot import ElectorateParams, thresholds
 from votecost.regime import classify
@@ -151,13 +145,16 @@ class TestSweepVerb:
         assert rows[0] == ["n", "ct_upper", "ct_lower"]
 
     def test_bad_quantity_is_validation_error(self):
-        parser = build_parser()
-        args = parser.parse_args(
+        status, text = run_cli(
             ["sweep", "--p", "0.2", "--pa", "0.6", "--n-min", "100",
-             "--n-max", "1000", "--points", "5", "--quantities", "nope"]
+             "--n-max", "1000", "--points", "5", "--quantities", "nope",
+             "--format", "json"]
         )
-        with pytest.raises(DomainError):
-            command_from_args(args)
+        assert status == EXIT_VALIDATION
+        doc = json.loads(text)
+        assert doc["error"]["type"] == "DomainError"
+        assert "nope" in doc["error"]["message"]
+        assert doc["params"] is None
 
     def test_deterministic_bytes(self):
         argv = ["sweep", "--p", "0.2", "--pa", "0.6", "--n-min", "100",
@@ -200,6 +197,16 @@ class TestSimulateVerb:
     def test_half_alpha_pair_is_validation_error(self):
         status, _ = run_cli(self.BASE + ["--alpha-a", "0.3"])
         assert status == EXIT_VALIDATION
+
+    def test_oracle_config_error_reports_params(self):
+        argv = ["simulate", "--n", "200", "--p", "0.2", "--pa", "0.6",
+                "--seed", "-1", "--alpha-a", "0.3", "--alpha-b", "0.7"]
+        status, text = run_cli(argv)
+        assert status == EXIT_VALIDATION
+        doc = json.loads(text)
+        assert doc["error"]["type"] == "DomainError"
+        assert "seed" in doc["error"]["message"]
+        assert doc["params"] == {"n": 200.0, "p": 0.2, "p_a": 0.6}
 
     def test_deterministic_bytes(self):
         argv = self.BASE + ["--alpha-a", "0.3", "--alpha-b", "0.7"]
@@ -269,6 +276,17 @@ class TestOutputFile:
         leftovers = [p for p in os.listdir(tmp_path) if p != "table.csv"]
         assert leftovers == []
 
+    def test_missing_directory_names_the_given_path(self, tmp_path):
+        out = tmp_path / "missing" / "table.json"
+        argv = ["thresholds", "--n", "500", "--p", "0.2", "--pa", "0.6", "--out", str(out)]
+        first, second = run_cli(argv), run_cli(argv)
+        assert first == second
+        status, text = first
+        assert status == EXIT_VALIDATION
+        message = json.loads(text)["error"]["message"]
+        assert str(out) in message
+        assert ".votecost-" not in text
+
     def test_seventeen_significant_digits(self):
         status, text = run_cli(
             ["thresholds", "--n", "500", "--p", "0.2", "--pa", "0.6", "--format", "csv"]
@@ -280,11 +298,18 @@ class TestOutputFile:
 
 
 class TestExitCodeMapping:
-    def test_convergence_maps_to_exit_three(self):
-        cmd = Command(verb="solve", params=ElectorateParams(500, 0.2, 0.6), cost=0.02)
-        status, text = _error_output(cmd, ConvergenceError("stalled"), EXIT_NO_CONVERGENCE)
+    def test_convergence_maps_to_exit_three(self, monkeypatch):
+        def stalled(params, c):
+            raise ConvergenceError("stalled")
+
+        monkeypatch.setattr("votecost.cli.enumerate_equilibria", stalled)
+        status, text = run_cli(
+            ["solve", "--n", "500", "--p", "0.2", "--pa", "0.6", "--c", "0.02"]
+        )
         assert status == EXIT_NO_CONVERGENCE
-        assert json.loads(text)["error"]["type"] == "ConvergenceError"
+        doc = json.loads(text)
+        assert doc["error"] == {"type": "ConvergenceError", "message": "stalled"}
+        assert doc["params"] == {"n": 500.0, "p": 0.2, "p_a": 0.6}
 
 
 class TestEntryPoint:

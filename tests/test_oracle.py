@@ -5,6 +5,7 @@ import pytest
 from reference_fns import tie_rule
 from scipy import stats
 
+from votecost import oracle
 from votecost.equilibria import solve_coin_toss
 from votecost.errors import DomainError, TruncationLimitError
 from votecost.oracle import (
@@ -76,9 +77,10 @@ class TestBruteForce:
         fast = pivot_gain_bruteforce(*means, "A")
         assert abs(total - fast.value) < 1e-12
 
-    def test_cell_cap(self):
+    def test_cell_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "CELL_CAP", 1e3)
         with pytest.raises(TruncationLimitError):
-            pivot_gain_bruteforce(50, 50, 50, 50, "A", OracleConfig(cell_cap=1e3))
+            pivot_gain_bruteforce(50, 50, 50, 50, "A")
 
     def test_rejects_bad_args(self):
         with pytest.raises(DomainError):
@@ -213,22 +215,24 @@ class TestTotalsMemo:
             for dist, base in zip(_total_pmfs(*self.MEANS, OracleConfig()), default):
                 np.testing.assert_array_equal(dist, base)
 
-    def test_exceptions_are_not_cached(self):
-        small = OracleConfig(cell_cap=1e3)
+    def test_exceptions_are_not_cached(self, monkeypatch):
         clear_memos()
-        for _ in range(2):
-            with pytest.raises(DomainError):
-                pivot_gain_bruteforce(-1.0, 0, 0, 0, "A")
-            with pytest.raises(DomainError):
-                pivot_gain_bruteforce(float("nan"), 0, 0, 0, "A")
-            with pytest.raises(TruncationLimitError):
-                pivot_gain_bruteforce(50, 50, 50, 50, "A", small)
+        with monkeypatch.context() as small:
+            small.setattr(oracle, "CELL_CAP", 1e3)
+            for _ in range(2):
+                with pytest.raises(DomainError):
+                    pivot_gain_bruteforce(-1.0, 0, 0, 0, "A")
+                with pytest.raises(DomainError):
+                    pivot_gain_bruteforce(float("nan"), 0, 0, 0, "A")
+                with pytest.raises(TruncationLimitError):
+                    pivot_gain_bruteforce(50, 50, 50, 50, "A")
         # the cap is checked before any total is built
         assert _vote_total.cache_info().misses == 0
         # a breach right after the same means were summed under a larger cap
         pivot_gain_bruteforce(50, 50, 50, 50, "A")
+        monkeypatch.setattr(oracle, "CELL_CAP", 1e3)
         with pytest.raises(TruncationLimitError):
-            pivot_gain_bruteforce(50, 50, 50, 50, "A", small)
+            pivot_gain_bruteforce(50, 50, 50, 50, "A")
 
 
 class TestUtility:

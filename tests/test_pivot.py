@@ -47,6 +47,26 @@ class TestElectorateParams:
         with pytest.raises(DomainError):
             ElectorateParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "n, p, p_a",
+        [
+            # x_b underflows to 0.0; the kernel used to reject it instead
+            (1.0, 5e-324, 0.9),
+            # n p underflows, so x_a = x_b = 0.0
+            (5e-324, 0.5, 0.6),
+            # x_a and x_b round to the same subnormal 2.5e-323, which made
+            # the no-queue corner a tie and recommend_cost a cost to avoid
+            (10.0, 5e-324, 0.53125),
+        ],
+    )
+    def test_rejects_underflowing_means(self, n, p, p_a):
+        with pytest.raises(DomainError) as err:
+            ElectorateParams(n=n, p=p, p_a=p_a)
+        message = str(err.value)
+        assert f"n={n!r}" in message
+        assert f"p={p!r}" in message
+        assert f"p_a={p_a!r}" in message
+
 
 class TestStrategyPair:
     def test_bounds(self):
