@@ -33,9 +33,10 @@ separately with Brent's bracketed method (``_brent``), which is correct
 in every sub-case.
 
 The kernel values at the interval ends are the cost frontiers of
-``pivot.thresholds``.  The solvers read them from one ``ThresholdSet``
-(``classify`` passes its own), so solvers and classifier compare the
-cost against the same numbers and no frontier is evaluated twice.
+``pivot.thresholds``, which each ``ElectorateParams`` evaluates once and
+keeps.  The solvers read them from there, so solvers and classifier
+compare the cost against the same numbers and no frontier is evaluated
+twice.
 Where ``ct_admissible`` is false (x_a > n (1 - p_a), ``classify`` case
 0), the strategy bound replaces x_a or n (1 - p_a) as an interval end,
 and one kernel call gives its value.
@@ -74,7 +75,6 @@ from .errors import ConvergenceError, DomainError
 from .pivot import (
     ElectorateParams,
     StrategyPair,
-    ThresholdSet,
     expected_margin,
     r1_closed,
     r2_closed,
@@ -143,7 +143,10 @@ def cost_side(c: float, log_f: float) -> int:
     On means |c - f| <= EPS_CMP * max(c, f), which is
     |log c - log f| <= -log1p(-EPS_CMP).  ``log_f`` may be -inf (a
     kernel value that underflowed); every positive cost is above it.
+    A cost that is not > 0 (NaN included) raises ``DomainError``.
     """
+    if not (c > 0.0):
+        raise DomainError(f"cost must be > 0, got {c!r}")
     gap = math.log(c) - log_f
     slack = -math.log1p(-EPS_CMP)
     if gap > slack:
@@ -260,27 +263,23 @@ def _roots(
     return sorted(roots)
 
 
-def solve_coin_toss(
-    params: ElectorateParams,
-    c: float,
-    ts: ThresholdSet | None = None,
-) -> Equilibrium | None:
+def solve_coin_toss(params: ElectorateParams, c: float) -> Equilibrium | None:
     """The unique interior mixed equilibrium, if the cost admits one.
 
     Exists iff ct_lower <= c <= ct_upper on the closed window that
     ``cost_side`` reads, which requires x_a <= n (1 - p_a)
-    (``ts.ct_admissible``).  The defining condition g(z) = 2c is solved
+    (``ct_admissible``).  The defining condition g(z) = 2c is solved
     on [2 x_a, 2 n (1 - p_a)], where g falls from 2 ct_upper to
     2 ct_lower; a cost on a bound takes that end, where alpha_a = 0 or
     alpha_b = 1.  Both alpha values are recovered from the root and the
-    equal-turnout identity.  ``ts`` defaults to ``thresholds(params)``.
+    equal-turnout identity.
     """
     if not (0.0 < c < 0.5):
         raise DomainError(
             f"coin-toss costs must lie in (0, 1/2) since pivot gains never "
             f"exceed 1/2, got {c!r}"
         )
-    ts = ts or thresholds(params)
+    ts = thresholds(params)
     if not ts.ct_admissible:
         return None
     target = 2.0 * c
@@ -346,26 +345,22 @@ def _balance_note(margin: float) -> tuple[str, ...]:
     return ()
 
 
-def solve_partial_absenteeism(
-    params: ElectorateParams,
-    c: float,
-    ts: ThresholdSet | None = None,
-) -> list[Equilibrium]:
+def solve_partial_absenteeism(params: ElectorateParams, c: float) -> list[Equilibrium]:
     """All equilibria with alpha_a = 0 and the B side indifferent.
 
     Solves h(x_a, z) = c for the opponent total z on
     [x_b, min(x_a, n (1 - p_a))], where alpha_b runs from 0 to at most 1,
     split at the kernel peak into at most two monotone branches, so 0, 1
     or 2 roots are found.  The kernel values at the interval ends are
-    ``ts.pa_lower`` and ``ts.ct_upper`` (one kernel call at
-    z = n (1 - p_a) where ``ts.ct_admissible`` is false).  A cost on
-    pa_lower has its root at z = x_b, the no-queue point, which is left
-    to ``no_queue_exists``.  A cost on ct_upper has its root at z = x_a,
-    the coin toss at alpha_a = 0.
+    pa_lower and ct_upper (one kernel call at z = n (1 - p_a) where
+    ``ct_admissible`` is false).  A cost on pa_lower has its root at
+    z = x_b, the no-queue point, which is left to ``no_queue_exists``.
+    A cost on ct_upper has its root at z = x_a, the coin toss at
+    alpha_a = 0.
     """
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
-    ts = ts or thresholds(params)
+    ts = thresholds(params)
     x_a, z_lo = params.x_a, params.x_b
     if ts.ct_admissible:  # h(x_a, x_a) = g(2 x_a) / 2
         top = (x_a, ts.log_ct_upper, ts.ct_upper - c)
@@ -396,42 +391,34 @@ def solve_partial_absenteeism(
     return out
 
 
-def no_queue_exists(
-    params: ElectorateParams,
-    c: float,
-    ts: ThresholdSet | None = None,
-) -> bool:
+def no_queue_exists(params: ElectorateParams, c: float) -> bool:
     """Whether (0, 0) is an equilibrium: c on or above h(x_a, x_b).
 
     The A-side inequality is implied (its gain at (0,0) is the smaller
-    of the two), so only the B-side bound h(x_a, x_b) = ``ts.pa_lower``
+    of the two), so only the B-side bound h(x_a, x_b) = pa_lower
     matters.
     """
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
-    return cost_side(c, (ts or thresholds(params)).log_pa_lower) >= 0
+    return cost_side(c, thresholds(params).log_pa_lower) >= 0
 
 
-def solve_partial_saturation(
-    params: ElectorateParams,
-    c: float,
-    ts: ThresholdSet | None = None,
-) -> Equilibrium | None:
+def solve_partial_saturation(params: ElectorateParams, c: float) -> Equilibrium | None:
     """The equilibrium with alpha_b = 1 and the A side indifferent, if any.
 
     Solves h(n(1-p_a), z) = c for the own total z on
     [max(n(1-p_a), x_a), n p_a], where alpha_a runs from at least 0 to
     1 and the kernel is strictly decreasing (its peak lies left of the
     interval), so the root is unique.  Exists iff c lies on or between
-    the kernel values at the two ends: ``ts.ps_lower`` at z = n p_a and
-    ``ts.ct_lower`` at z = n(1-p_a) (one kernel call at z = x_a where
-    ``ts.ct_admissible`` is false).  A cost on ps_lower has its root at
+    the kernel values at the two ends: ps_lower at z = n p_a and
+    ct_lower at z = n(1-p_a) (one kernel call at z = x_a where
+    ``ct_admissible`` is false).  A cost on ps_lower has its root at
     z = n p_a, alpha_a = 1, and a cost on ct_lower at z = n(1-p_a), the
     coin toss at alpha_b = 1.
     """
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
-    ts = ts or thresholds(params)
+    ts = thresholds(params)
     k, x_a, z_hi = params.total_b, params.x_a, params.total_a
     if ts.ct_admissible:  # h(k, k) = g(2 n (1-p_a)) / 2
         bottom = (k, ts.log_ct_lower, ts.ct_lower - c)
@@ -459,19 +446,15 @@ def solve_partial_saturation(
     )
 
 
-def all_swipe_exists(
-    params: ElectorateParams,
-    c: float,
-    ts: ThresholdSet | None = None,
-) -> bool:
+def all_swipe_exists(params: ElectorateParams, c: float) -> bool:
     """Whether (1, 1) is an equilibrium: c on or below h(n(1-p_a), n p_a).
 
     The B-side inequality is implied (its gain at (1,1) is the larger of
-    the two), so only the A-side bound ``ts.ps_lower`` matters.
+    the two), so only the A-side bound ps_lower matters.
     """
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
-    return cost_side(c, (ts or thresholds(params)).log_ps_lower) <= 0
+    return cost_side(c, thresholds(params).log_ps_lower) <= 0
 
 
 def _corner_equilibrium(
@@ -487,11 +470,7 @@ def _corner_equilibrium(
     )
 
 
-def enumerate_equilibria(
-    params: ElectorateParams,
-    c: float,
-    ts: ThresholdSet | None = None,
-) -> list[Equilibrium]:
+def enumerate_equilibria(params: ElectorateParams, c: float) -> list[Equilibrium]:
     """The equilibria of the five families at cost ``c``, in family order.
 
     In ``classify`` case 0 other type-symmetric equilibria can exist
@@ -503,16 +482,16 @@ def enumerate_equilibria(
 
     Costs of 1/2 and above admit no coin toss (gains never reach 1/2),
     so the mixed solver is skipped there.  Every solver compares ``c``
-    against the same frontiers ``ts`` (default ``thresholds(params)``).
+    against the same frontiers, ``thresholds(params)``.
     """
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
-    ts = ts or thresholds(params)
+    ts = thresholds(params)
     K = EquilibriumKind
-    ct = solve_coin_toss(params, c, ts) if c < 0.5 else None
-    absent = solve_partial_absenteeism(params, c, ts)
-    sat = solve_partial_saturation(params, c, ts)
-    swipe = all_swipe_exists(params, c, ts)
+    ct = solve_coin_toss(params, c) if c < 0.5 else None
+    absent = solve_partial_absenteeism(params, c)
+    sat = solve_partial_saturation(params, c)
+    swipe = all_swipe_exists(params, c)
     if ct is not None and cost_side(c, ts.log_ct_upper) == 0:
         # the absenteeism root at z = x_a is the coin toss at alpha_a = 0
         ct, absent = _noted(ct, K.PARTIAL_ABSENTEEISM), absent[:-1]
@@ -523,7 +502,7 @@ def enumerate_equilibria(
         # the saturation root at z = n(1-p_a) is the coin toss at alpha_b = 1
         ct, sat = _noted(ct, K.PARTIAL_SATURATION), None
     found = ([] if ct is None else [ct]) + absent
-    if no_queue_exists(params, c, ts):
+    if no_queue_exists(params, c):
         found.append(_corner_equilibrium(params, K.NO_QUEUE, 0.0))
     if sat is not None:
         found.append(sat)

@@ -133,13 +133,12 @@ def _total_pmfs(
     y_a: float,
     y_b: float,
     cfg: OracleConfig,
-    index_scale: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Truncated pmf vectors of the two vote totals a+r and b+s.
 
-    ``index_scale`` inflates every truncation index (used by the
-    truncation-soundness check); the cell cap applies to the raw
-    four-index box.  The returned arrays are read-only.
+    Each index is cut at its ``_upper_index`` for ``cfg.tail_eps``, and
+    the four-index box must fit in CELL_CAP.  The returned arrays are
+    read-only.
     """
     for name, mean in (("x_a", x_a), ("x_b", x_b), ("y_a", y_a), ("y_b", y_b)):
         if not (mean >= 0.0 and math.isfinite(mean)):
@@ -147,8 +146,6 @@ def _total_pmfs(
     # plain floats, so 0-d arrays also make a hashable memo key
     x_a, x_b, y_a, y_b = (float(m) for m in (x_a, x_b, y_a, y_b))
     ks = [_upper_index(m, cfg.tail_eps) for m in (x_a, x_b, y_a, y_b)]
-    if index_scale != 1.0:
-        ks = [int(math.ceil(k * index_scale)) for k in ks]
     cells = math.prod(k + 1 for k in ks)
     if cells > CELL_CAP:
         raise TruncationLimitError(
@@ -197,7 +194,6 @@ def pivot_gain_bruteforce(
     y_b: float,
     side: str = "A",
     cfg: OracleConfig | None = None,
-    index_scale: float = 1.0,
 ) -> BruteForceGain:
     """Quadruple-sum pivot gain for ``side`` at the given Poisson means.
 
@@ -207,7 +203,7 @@ def pivot_gain_bruteforce(
     cfg = cfg or DEFAULT_ORACLE_CONFIG
     if side not in _SIDES:
         raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
-    dist_a, dist_b = _total_pmfs(x_a, x_b, y_a, y_b, cfg, index_scale)
+    dist_a, dist_b = _total_pmfs(x_a, x_b, y_a, y_b, cfg)
     own, other = (dist_a, dist_b) if side == "A" else (dist_b, dist_a)
     n = len(own)
     other_pad = np.zeros(n + 1)

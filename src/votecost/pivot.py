@@ -18,10 +18,12 @@ equilibrium landscape for a given electorate:
     pa_lower = h(x_a, x_b)               absenteeism / no-queue floor
     ps_lower = h(n (1 - p_a), n p_a)     saturation floor (all-swipe ceiling)
 
-The frontiers are computed once, in log form, by ``log_frontiers``,
-which also takes an array of populations for sweeps.  The linear values
-are their exponentials: pa_lower and ps_lower decay exponentially in n
-and underflow to 0.0 from n ~ 1e6, while their logs stay finite.
+The frontiers are computed in log form by ``log_frontiers``, which
+also takes an array of populations for sweeps.  The linear values are
+their exponentials: pa_lower and ps_lower decay exponentially in n and
+underflow to 0.0 from n ~ 1e6, while their logs stay finite.  Each
+``ElectorateParams`` evaluates its frontiers once, on the first call of
+``thresholds``, and every later call returns the same ``ThresholdSet``.
 """
 
 from __future__ import annotations
@@ -57,11 +59,16 @@ class ElectorateParams:
     ``p_a`` in (1/2, 1) so that A is the ex-ante majority side.  The
     four partisan and non-partisan means must come out positive, and
     x_a above x_b, in floating point; shares near 0 can underflow them.
+    The four cost frontiers are computed on first use and kept on the
+    instance (``thresholds``); they take no part in ``==``, ``hash`` or
+    ``repr``.
     """
 
     n: float
     p: float
     p_a: float
+    # not a field (no annotation): the first call of thresholds() sets it
+    _thresholds = None
 
     def __post_init__(self):
         if not (self.n > 0.0 and math.isfinite(self.n)):
@@ -194,9 +201,15 @@ def log_frontiers(n, p: float, p_a: float) -> np.ndarray:
 
 
 def thresholds(params: ElectorateParams) -> ThresholdSet:
-    """Evaluate the four cost frontiers at ``params``."""
-    logs = log_frontiers(params.n, params.p, params.p_a)
-    # field order: the four linear frontiers, ct_admissible, the four logs
-    return ThresholdSet(
-        *np.exp(logs).tolist(), params.x_a <= params.total_b, *logs.tolist()
-    )
+    """The four cost frontiers at ``params``, evaluated once per instance."""
+    ts = params._thresholds
+    if ts is None:
+        logs = log_frontiers(params.n, params.p, params.p_a)
+        # field order: the four linear frontiers, ct_admissible, the four logs
+        ts = ThresholdSet(
+            *np.exp(logs).tolist(), params.x_a <= params.total_b, *logs.tolist()
+        )
+        # set in place: a functools.cached_property made classify ~5% slower
+        # on CPython 3.11
+        object.__setattr__(params, "_thresholds", ts)
+    return ts

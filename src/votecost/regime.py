@@ -138,7 +138,7 @@ def classify(params: ElectorateParams, c: float) -> RegimeReport:
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
     ts = thresholds(params)
-    eqs = tuple(enumerate_equilibria(params, c, ts))
+    eqs = tuple(enumerate_equilibria(params, c))
     notes: list[str] = []
     logs = [ts.log_ct_upper, ts.log_ct_lower, ts.log_pa_lower, ts.log_ps_lower]
     ordered = logs[0] > logs[1] > logs[2] > logs[3]

@@ -4,8 +4,11 @@ import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+
+import pytest
 
 from votecost.cli import (
     EXIT_NO_CONVERGENCE,
@@ -275,6 +278,20 @@ class TestOutputFile:
         assert out.read_text() == text
         leftovers = [p for p in os.listdir(tmp_path) if p != "table.csv"]
         assert leftovers == []
+
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask_022", "umask_077"]
+    )
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        out = tmp_path / "table.json"
+        argv = ["thresholds", "--n", "500", "--p", "0.2", "--pa", "0.6", "--out", str(out)]
+        saved = os.umask(umask)
+        try:
+            status, _ = run_cli(argv)
+        finally:
+            os.umask(saved)
+        assert status == EXIT_OK
+        assert stat.S_IMODE(out.stat().st_mode) == mode
 
     def test_missing_directory_names_the_given_path(self, tmp_path):
         out = tmp_path / "missing" / "table.json"

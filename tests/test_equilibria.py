@@ -28,7 +28,7 @@ from votecost.pivot import (
     r2_closed,
     thresholds,
 )
-from votecost.regime import classify
+from votecost.regime import classify, coin_toss_interval, recommend_cost
 from votecost.special_fn import h
 
 REF = ElectorateParams(n=500, p=0.2, p_a=0.6)
@@ -334,6 +334,11 @@ class TestCostSide:
         # a kernel value that underflowed has log -inf: every cost is above
         assert eqm.cost_side(1e-300, -math.inf) == 1
 
+    @pytest.mark.parametrize("c", [math.nan, 0.0, -0.1, -math.inf])
+    def test_rejects_cost_not_positive(self, c):
+        with pytest.raises(DomainError, match="cost must be > 0"):
+            eqm.cost_side(c, REF_TS.log_ct_upper)
+
     def test_slack_read_when_called(self, monkeypatch):
         f, log_f = REF_TS.ct_upper, REF_TS.log_ct_upper
         monkeypatch.setattr(eqm, "EPS_CMP", 1e-6)
@@ -537,14 +542,6 @@ FRONTIER_PARAMS = [
 
 class TestSharedFrontiers:
     @pytest.mark.parametrize("params", FRONTIER_PARAMS)
-    def test_passing_thresholds_changes_nothing(self, params):
-        ts = thresholds(params)
-        for c in _costs_on_and_between_frontiers(params):
-            assert enumerate_equilibria(params, c) == enumerate_equilibria(
-                params, c, ts=ts
-            )
-
-    @pytest.mark.parametrize("params", FRONTIER_PARAMS)
     def test_classify_never_recomputes_a_frontier(self, params, monkeypatch):
         g_args, h_args = [], []
 
@@ -567,15 +564,28 @@ class TestSharedFrontiers:
         assert not frontier_args & set(h_args)
 
     def test_classify_computes_frontiers_once(self, monkeypatch):
-        import votecost.regime
+        import votecost.pivot
 
         calls = []
+        log_frontiers = votecost.pivot.log_frontiers
 
-        def counted(params):
-            calls.append(params)
-            return thresholds(params)
+        def counted(*args):
+            calls.append(args)
+            return log_frontiers(*args)
 
-        monkeypatch.setattr(votecost.regime, "thresholds", counted)
-        monkeypatch.setattr(eqm, "thresholds", counted)
-        classify(REF, 0.5 * (REF_TS.ct_upper + REF_TS.ct_lower))
-        assert calls == [REF]
+        monkeypatch.setattr(votecost.pivot, "log_frontiers", counted)
+        params = ElectorateParams(n=REF.n, p=REF.p, p_a=REF.p_a)
+        c = 0.5 * (REF_TS.ct_upper + REF_TS.ct_lower)
+        classify(params, c)
+        recommend_cost(params, c)
+        coin_toss_interval(params)
+        for solver in (
+            solve_coin_toss,
+            solve_partial_absenteeism,
+            no_queue_exists,
+            solve_partial_saturation,
+            all_swipe_exists,
+            enumerate_equilibria,
+        ):
+            solver(params, c)
+        assert calls == [(params.n, params.p, params.p_a)]

@@ -57,9 +57,18 @@ class TestBruteForce:
         assert abs(a.value - b.value) < 1e-10
 
     def test_truncation_soundness(self):
-        base = pivot_gain_bruteforce(3.0, 2.0, 4.0, 1.0, "A")
-        doubled = pivot_gain_bruteforce(3.0, 2.0, 4.0, 1.0, "A", index_scale=2.0)
-        assert abs(base.value - doubled.value) < base.error_bound
+        # the same sum with every index cut at twice its truncation point
+        means = (3.0, 2.0, 4.0, 1.0)
+        base = pivot_gain_bruteforce(*means, "A")
+        pmfs = []
+        for m in means:
+            k = int(stats.poisson.ppf(1.0 - OracleConfig().tail_eps, m))
+            pmfs.append(stats.poisson.pmf(np.arange(2 * k + 1), m))
+        own, other = np.convolve(pmfs[0], pmfs[2]), np.convolve(pmfs[1], pmfs[3])
+        other = np.pad(other, (0, max(0, len(own) + 1 - len(other))))
+        # P(T_B - T_A = 0) + P(T_B - T_A = 1), each with gain 1/2
+        doubled = 0.5 * (own @ other[: len(own)] + own @ other[1 : len(own) + 1])
+        assert abs(base.value - doubled) < base.error_bound
 
     def test_matches_literal_quadruple_loop(self):
         # the convolution evaluation is a regrouping of the four nested
@@ -160,10 +169,9 @@ class TestTotalsMemo:
         [
             lambda: pivot_gain_bruteforce(2.0, 1.0, 1.0, 2.0, "A"),
             lambda: pivot_gain_bruteforce(1.8, 1.2, 0.7, 1.3, "A", OracleConfig(tail_eps=1e-7)),
-            lambda: pivot_gain_bruteforce(1.8, 1.2, 0.7, 1.3, "A", index_scale=2.0),
             lambda: utility_bruteforce("B", 1, 0.3, 4.0, 0.0, 2.5, 0.1),
         ],
-        ids=["means", "config", "index_scale", "utility"],
+        ids=["means", "config", "utility"],
     )
     def test_interleaved_call_does_not_change_results(self, between):
         # each result must equal the one computed from an empty memo
@@ -196,19 +204,19 @@ class TestTotalsMemo:
         assert _upper_index.cache_info().currsize == _INDEX_MEMO_SIZE
 
     @pytest.mark.parametrize(
-        "cfg, index_scale",
-        [(OracleConfig(tail_eps=1e-7), 1.0), (OracleConfig(), 2.0), (OracleConfig(), 1.5)],
-        ids=["tail_eps", "index_scale_2", "index_scale_1.5"],
+        "cfg",
+        [OracleConfig(tail_eps=1e-7), OracleConfig(tail_eps=1e-9), OracleConfig(tail_eps=1e-11)],
+        ids=["tail_eps", "tail_eps_1e-9", "tail_eps_1e-11"],
     )
-    def test_truncation_change_between_calls_matches_cold(self, cfg, index_scale):
-        # compares the vectors: a stale total under another index_scale
-        # gives the same gain to the last bit
+    def test_truncation_change_between_calls_matches_cold(self, cfg):
+        # compares the vectors: a stale total under another tail_eps
+        # can give the same gain to the last bit
         clear_memos()
-        want = [np.array(dist) for dist in _total_pmfs(*self.MEANS, cfg, index_scale)]
+        want = [np.array(dist) for dist in _total_pmfs(*self.MEANS, cfg)]
         clear_memos()
         default = [np.array(dist) for dist in _total_pmfs(*self.MEANS, OracleConfig())]
         for _ in range(2):
-            got = _total_pmfs(*self.MEANS, cfg, index_scale)
+            got = _total_pmfs(*self.MEANS, cfg)
             for dist, base, wanted in zip(got, default, want):
                 assert len(dist) != len(base)
                 np.testing.assert_array_equal(dist, wanted)

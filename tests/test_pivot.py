@@ -1,10 +1,12 @@
 """Closed-form pivot gains, margins, and threshold frontiers."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from votecost.cli import _jsonable
 from votecost.errors import DomainError
 from votecost.oracle import pivot_gain_bruteforce
 from votecost.pivot import (
@@ -166,3 +168,14 @@ class TestThresholds:
         params = ElectorateParams(n=777, p=0.23, p_a=0.64)
         ts = thresholds(params)
         assert ts.ct_upper == pytest.approx(h(params.x_a, params.x_a), rel=1e-12)
+
+    def test_cached_frontiers_leave_params_unchanged(self):
+        params = ElectorateParams(n=500, p=0.2, p_a=0.6)
+        fresh = ElectorateParams(n=500, p=0.2, p_a=0.6)
+        before = (repr(params), hash(params), json.dumps(_jsonable(params)))
+        ts = thresholds(params)
+        assert thresholds(params) is ts
+        assert thresholds(fresh) == ts
+        assert params == fresh and fresh == params
+        assert (repr(params), hash(params), json.dumps(_jsonable(params))) == before
+        assert before == (repr(fresh), hash(fresh), json.dumps(_jsonable(fresh)))
