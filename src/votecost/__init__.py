@@ -31,7 +31,6 @@ from .oracle import (
     pivot_gain_bruteforce,
     poisson_environment_pivot,
     simulate_election,
-    utility_bruteforce,
 )
 from .pivot import (
     ElectorateParams,
@@ -83,7 +82,6 @@ __all__ = [
     "MonteCarloEstimate",
     "WinStats",
     "pivot_gain_bruteforce",
-    "utility_bruteforce",
     "simulate_election",
     "poisson_environment_pivot",
     # equilibria

@@ -20,9 +20,9 @@ the same finitely many terms, not a distributional identity.  K comes
 from the inverse Poisson cdf ``pdtrik`` and the pmfs from ``gammaln``
 (``scipy.special``), by the same formulas as ``scipy.stats.poisson``'s
 ``ppf`` and ``pmf``.  Each side's total (one partisan and one voter
-mean) is convolved once and kept, read-only, in a small memo, as are the
-truncation indices, so the sides, grid points and vote/abstain utilities
-that share a total do not rebuild it.
+mean) is convolved once and kept, read-only, in a small memo, as are its
+two pmf vectors and the truncation indices, so the sides and grid points
+that share a total or a mean do not rebuild it.
 
 Monte Carlo.  Randomness comes from numpy's ``Generator`` over the
 ``PCG64`` bit generator seeded directly with the configured seed, so a
@@ -54,7 +54,6 @@ __all__ = [
     "MonteCarloEstimate",
     "WinStats",
     "pivot_gain_bruteforce",
-    "utility_bruteforce",
     "simulate_election",
     "poisson_environment_pivot",
     "class_sizes",
@@ -118,13 +117,26 @@ def _upper_index(mean: float, tail_eps: float) -> int:
     return k
 
 
+# Per electorate, verify convolves each partisan pmf with five voter pmfs,
+# so without a memo it builds 20 vectors, 11 of them distinct (x_a, x_b,
+# four voter means per side and the zero mean of alpha = 0).  Twelve hold
+# them all, and the zero-mean vector, which every electorate starts with,
+# stays from one electorate to the next.  Like the totals memo below, it
+# is too small to carry anything else of one verify run into the next.
+_PMF_MEMO_SIZE = 12
+
+
+@functools.lru_cache(maxsize=_PMF_MEMO_SIZE)
 def _pmf_vector(mean: float, k_max: int) -> np.ndarray:
+    """Read-only Poisson(mean) pmf over 0..k_max."""
     if mean <= 0.0:
         out = np.zeros(k_max + 1)
         out[0] = 1.0
-        return out
-    k = np.arange(k_max + 1)
-    return np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
+    else:
+        k = np.arange(k_max + 1)
+        out = np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
+    out.flags.writeable = False
+    return out
 
 
 def _total_pmfs(
@@ -140,18 +152,24 @@ def _total_pmfs(
     the four-index box must fit in CELL_CAP.  The returned arrays are
     read-only.
     """
-    for name, mean in (("x_a", x_a), ("x_b", x_b), ("y_a", y_a), ("y_b", y_b)):
-        if not (mean >= 0.0 and math.isfinite(mean)):
-            raise DomainError(f"{name} must be a finite mean >= 0, got {mean!r}")
+    # one chained test per call; the loop only names the offending mean
+    inf = math.inf
+    if not (0.0 <= x_a < inf and 0.0 <= x_b < inf and 0.0 <= y_a < inf and 0.0 <= y_b < inf):
+        for name, mean in (("x_a", x_a), ("x_b", x_b), ("y_a", y_a), ("y_b", y_b)):
+            if not (mean >= 0.0 and math.isfinite(mean)):
+                raise DomainError(f"{name} must be a finite mean >= 0, got {mean!r}")
     # plain floats, so 0-d arrays also make a hashable memo key
-    x_a, x_b, y_a, y_b = (float(m) for m in (x_a, x_b, y_a, y_b))
-    ks = [_upper_index(m, cfg.tail_eps) for m in (x_a, x_b, y_a, y_b)]
-    cells = math.prod(k + 1 for k in ks)
+    x_a, x_b, y_a, y_b = float(x_a), float(x_b), float(y_a), float(y_b)
+    tail_eps = cfg.tail_eps
+    k_a = _upper_index(x_a, tail_eps)
+    k_b = _upper_index(x_b, tail_eps)
+    k_r = _upper_index(y_a, tail_eps)
+    k_s = _upper_index(y_b, tail_eps)
+    cells = (k_a + 1) * (k_b + 1) * (k_r + 1) * (k_s + 1)
     if cells > CELL_CAP:
         raise TruncationLimitError(
             f"truncation box of {cells:.3g} cells exceeds CELL_CAP={CELL_CAP:.3g}"
         )
-    k_a, k_b, k_r, k_s = ks
     return _vote_total(x_a, y_a, k_a, k_r), _vote_total(x_b, y_b, k_b, k_s)
 
 
@@ -206,48 +224,14 @@ def pivot_gain_bruteforce(
     dist_a, dist_b = _total_pmfs(x_a, x_b, y_a, y_b, cfg)
     own, other = (dist_a, dist_b) if side == "A" else (dist_b, dist_a)
     n = len(own)
-    other_pad = np.zeros(n + 1)
-    m = min(len(other), n + 1)
-    other_pad[:m] = other[:m]
+    if len(other) <= n:
+        # zero-pad a short total to n + 1, so both dots run over n terms
+        padded = np.zeros(n + 1)
+        padded[: len(other)] = other
+        other = padded
     # P(T_other - T_own = 0) + P(T_other - T_own = 1)
-    p_event = float(np.dot(own, other_pad[:n]) + np.dot(own, other_pad[1 : n + 1]))
+    p_event = float(np.dot(own, other[:n]) + np.dot(own, other[1 : n + 1]))
     return BruteForceGain(value=0.5 * p_event, error_bound=4.0 * cfg.tail_eps)
-
-
-def utility_bruteforce(
-    side: str,
-    vote: int,
-    x_a: float,
-    x_b: float,
-    y_a: float,
-    y_b: float,
-    c: float,
-    cfg: OracleConfig | None = None,
-) -> float:
-    """Perceived utility of a ``side`` supporter who votes (1) or abstains (0).
-
-    Voting adds one vote to the own total and costs ``c``; the payoff is
-    the tie rule applied to the two totals.  Satisfies
-    u(1) - u(0) = pivot gain - c up to twice the truncation bound.
-    """
-    cfg = cfg or DEFAULT_ORACLE_CONFIG
-    if side not in _SIDES:
-        raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
-    if vote not in (0, 1):
-        raise DomainError(f"vote must be 0 or 1, got {vote!r}")
-    if not (c > 0.0):
-        raise DomainError(f"voting cost must be > 0, got {c!r}")
-    dist_a, dist_b = _total_pmfs(x_a, x_b, y_a, y_b, cfg)
-    own, other = (dist_a, dist_b) if side == "A" else (dist_b, dist_a)
-    n = len(own)
-    # E f(T_own + vote, T_other) = sum_m own[m] (P(T_other < m + vote)
-    #                                            + P(T_other = m + vote) / 2)
-    cum = np.cumsum(other)
-    m = np.arange(n) + vote
-    below = np.where(m > 0, cum[np.minimum(m - 1, len(other) - 1)], 0.0)
-    at = np.where(m < len(other), other[np.minimum(m, len(other) - 1)], 0.0)
-    value = float(np.dot(own, below + 0.5 * at))
-    return value - (c if vote else 0.0)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,18 @@
 """Small reference functions the tests use and the package does not.
 
 Leading large-argument terms of the kernels, the damped slope probe of
-``h`` with its domain checks, and the tie rule of the brute-force sums.
-The slope probe wraps the package's ``_i_sign_core``, so tests of its
-sign exercise the kernel the solvers use.
+``h`` with its domain checks, the tie rule of the brute-force sums, and
+the brute-force utility of voting or abstaining.  The slope probe wraps
+the package's ``_i_sign_core``, and the utility reads the oracle's
+``_total_pmfs``, so their tests exercise the code the package runs.
 """
 
 import math
 
+import numpy as np
+
 from votecost.errors import DomainError
+from votecost.oracle import _SIDES, DEFAULT_ORACLE_CONFIG, OracleConfig, _total_pmfs
 from votecost.special_fn import _i_sign_core
 
 
@@ -57,3 +61,39 @@ def tie_rule(m: int, n: int) -> float:
     if m == n:
         return 0.5
     return 0.0
+
+
+def utility_bruteforce(
+    side: str,
+    vote: int,
+    x_a: float,
+    x_b: float,
+    y_a: float,
+    y_b: float,
+    c: float,
+    cfg: OracleConfig | None = None,
+) -> float:
+    """Perceived utility of a ``side`` supporter who votes (1) or abstains (0).
+
+    Voting adds one vote to the own total and costs ``c``; the payoff is
+    the tie rule applied to the two totals.  Satisfies
+    u(1) - u(0) = pivot gain - c up to twice the truncation bound.
+    """
+    cfg = cfg or DEFAULT_ORACLE_CONFIG
+    if side not in _SIDES:
+        raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
+    if vote not in (0, 1):
+        raise DomainError(f"vote must be 0 or 1, got {vote!r}")
+    if not (c > 0.0):
+        raise DomainError(f"voting cost must be > 0, got {c!r}")
+    dist_a, dist_b = _total_pmfs(x_a, x_b, y_a, y_b, cfg)
+    own, other = (dist_a, dist_b) if side == "A" else (dist_b, dist_a)
+    n = len(own)
+    # E f(T_own + vote, T_other) = sum_m own[m] (P(T_other < m + vote)
+    #                                            + P(T_other = m + vote) / 2)
+    cum = np.cumsum(other)
+    m = np.arange(n) + vote
+    below = np.where(m > 0, cum[np.minimum(m - 1, len(other) - 1)], 0.0)
+    at = np.where(m < len(other), other[np.minimum(m, len(other) - 1)], 0.0)
+    value = float(np.dot(own, below + 0.5 * at))
+    return value - (c if vote else 0.0)

@@ -7,6 +7,7 @@ criteria execute.
 import math
 
 import numpy as np
+from reference_fns import utility_bruteforce
 from series_oracle import bessel_i0, bessel_i1, hyp0f1_1, hyp0f1_2
 
 from votecost.cli import standard_verify_rows
@@ -20,7 +21,6 @@ from votecost.oracle import (
     OracleConfig,
     poisson_environment_pivot,
     simulate_election,
-    utility_bruteforce,
 )
 from votecost.pivot import (
     ElectorateParams,

@@ -7,7 +7,9 @@ import os
 import stat
 import subprocess
 import sys
+from enum import Enum
 
+import numpy as np
 import pytest
 
 from votecost.cli import (
@@ -15,12 +17,20 @@ from votecost.cli import (
     EXIT_OK,
     EXIT_TOLERANCE,
     EXIT_VALIDATION,
+    _csv_text,
+    _fmt_cell,
     _jsonable,
     execute,
     standard_verify_rows,
 )
 from votecost.errors import ConvergenceError
-from votecost.oracle import OracleConfig, _upper_index, _vote_total, pivot_gain_bruteforce
+from votecost.oracle import (
+    OracleConfig,
+    _pmf_vector,
+    _upper_index,
+    _vote_total,
+    pivot_gain_bruteforce,
+)
 from votecost.pivot import ElectorateParams, thresholds
 from votecost.regime import classify
 
@@ -256,6 +266,7 @@ class TestVerifyVerb:
             y_a = params.m_a * row.alpha_a
             y_b = params.m_b * row.alpha_b
             _vote_total.cache_clear()
+            _pmf_vector.cache_clear()
             _upper_index.cache_clear()
             cold = pivot_gain_bruteforce(params.x_a, params.x_b, y_a, y_b, row.side, cfg)
             assert row.brute_force == cold.value, row
@@ -265,6 +276,42 @@ class TestVerifyVerb:
         assert status == EXIT_TOLERANCE
         doc = json.loads(text)
         assert doc["results"]["pass"] is False
+
+
+class Shade(Enum):
+    DARK = "dark"
+
+
+class TestCsvText:
+    HEADER = ["signed_zero", "one", "extreme", "other"]
+    # equal values of other types or signs follow a formatted float in
+    # each column, so a memo keyed on the value alone misprints them
+    ROWS = [
+        [0.0, 1.0, float("nan"), np.float64(0.1)],
+        [-0.0, True, float("inf"), None],
+        [0.0, 1, float("-inf"), Shade.DARK],
+        [-0.0, 1.0, 5e-324, ("a,b", "c")],
+        [0.0, True, 1e308, np.float64(-0.0)],
+        [-0.0, 1, 5e-324, 0.1],
+    ]
+
+    def test_matches_per_cell_rule(self):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(self.HEADER)
+        writer.writerows([[_fmt_cell(x) for x in row] for row in self.ROWS])
+        assert _csv_text(self.HEADER, self.ROWS) == buf.getvalue()
+
+    def test_cells(self):
+        header, *rows = csv.reader(io.StringIO(_csv_text(self.HEADER, self.ROWS)))
+        assert header == self.HEADER
+        columns = list(zip(*rows))
+        assert columns[0] == ("0", "-0", "0", "-0", "0", "-0")
+        assert columns[1] == ("1", "true", "1", "1", "true", "1")
+        assert columns[2] == ("nan", "inf", "-inf", "4.9406564584124654e-324", "1e+308",
+                              "4.9406564584124654e-324")
+        assert columns[3] == ("0.10000000000000001", "", "dark", "a,b;c", "-0",
+                              "0.10000000000000001")
 
 
 class TestOutputFile:

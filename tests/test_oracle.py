@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from reference_fns import tie_rule
+from reference_fns import tie_rule, utility_bruteforce
 from scipy import stats
 
 from votecost import oracle
+from votecost.cli import standard_verify_rows
 from votecost.equilibria import solve_coin_toss
 from votecost.errors import DomainError, TruncationLimitError
 from votecost.oracle import (
@@ -21,13 +22,13 @@ from votecost.oracle import (
     pivot_gain_bruteforce,
     poisson_environment_pivot,
     simulate_election,
-    utility_bruteforce,
 )
 from votecost.pivot import ElectorateParams, StrategyPair, r1_closed, r2_closed
 
 
 def clear_memos():
     _vote_total.cache_clear()
+    _pmf_vector.cache_clear()
     _upper_index.cache_clear()
 
 
@@ -85,6 +86,35 @@ class TestBruteForce:
                         total += weight * (tie_rule(a + r + 1, b + s) - tie_rule(a + r, b + s))
         fast = pivot_gain_bruteforce(*means, "A")
         assert abs(total - fast.value) < 1e-12
+
+    @staticmethod
+    def padded_gain(x_a, x_b, y_a, y_b, side, cfg):
+        # the reference: the other total always copied into a zero-padded
+        # vector of length n + 1, whatever its length
+        dist_a, dist_b = _total_pmfs(x_a, x_b, y_a, y_b, cfg)
+        own, other = (dist_a, dist_b) if side == "A" else (dist_b, dist_a)
+        n = len(own)
+        other_pad = np.zeros(n + 1)
+        m = min(len(other), n + 1)
+        other_pad[:m] = other[:m]
+        return 0.5 * float(np.dot(own, other_pad[:n]) + np.dot(own, other_pad[1 : n + 1]))
+
+    @pytest.mark.parametrize("tail_eps", [1e-13, 1e-9])
+    def test_bit_identical_to_padded_copy(self, tail_eps):
+        cfg = OracleConfig(tail_eps=tail_eps)
+        rng = np.random.default_rng(20240717)
+        means = [tuple(m) for m in 10.0 ** rng.uniform(-3.0, 1.7, size=(300, 4))]
+        means += [(0.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 3.0), (0.0, 1.5, 0.7, 0.0)]
+        # len(other) - len(own): below 0, 0, 1 and above 1 all occur
+        seen = set()
+        for point in means:
+            dist_a, dist_b = _total_pmfs(*point, cfg)
+            for side in ("A", "B"):
+                own, other = (dist_a, dist_b) if side == "A" else (dist_b, dist_a)
+                seen.add(min(max(len(other) - len(own), -1), 2))
+                got = pivot_gain_bruteforce(*point, side, cfg).value
+                assert got == self.padded_gain(*point, side, cfg), (point, side)
+        assert seen == {-1, 0, 1, 2}
 
     def test_cell_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "CELL_CAP", 1e3)
@@ -150,7 +180,7 @@ class TestTotalsMemo:
 
     def test_cached_totals_are_read_only(self):
         dist_a, dist_b = _total_pmfs(*self.MEANS, OracleConfig())
-        for dist in (dist_a, dist_b):
+        for dist in (dist_a, dist_b, _pmf_vector(1.8, 12), _pmf_vector(0.0, 3)):
             with pytest.raises(ValueError):
                 dist[0] = 1.0
         again = _total_pmfs(*self.MEANS, OracleConfig())
@@ -222,6 +252,26 @@ class TestTotalsMemo:
                 np.testing.assert_array_equal(dist, wanted)
             for dist, base in zip(_total_pmfs(*self.MEANS, OracleConfig()), default):
                 np.testing.assert_array_equal(dist, base)
+
+    def test_verify_runs_do_not_carry_work_over(self):
+        # a run that reused the last run's totals or pmfs would look
+        # faster when verify is repeated in one process
+        def builds():
+            return _vote_total.cache_info().misses, _pmf_vector.cache_info().misses
+
+        clear_memos()
+        runs = []
+        for _ in range(3):
+            before = builds()
+            standard_verify_rows(OracleConfig())
+            runs.append([after - start for after, start in zip(builds(), before)])
+        (cold_totals, cold_pmfs), *warm = runs
+        assert cold_totals == 360
+        assert cold_pmfs < 720
+        for totals, pmfs in warm:
+            assert totals == 360
+            # the zero-mean vector of alpha = 0 is the only one shared
+            assert pmfs in (cold_pmfs, cold_pmfs - 1)
 
     def test_exceptions_are_not_cached(self, monkeypatch):
         clear_memos()
