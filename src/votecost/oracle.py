@@ -152,12 +152,9 @@ def _total_pmfs(
     the four-index box must fit in CELL_CAP.  The returned arrays are
     read-only.
     """
-    # one chained test per call; the loop only names the offending mean
-    inf = math.inf
-    if not (0.0 <= x_a < inf and 0.0 <= x_b < inf and 0.0 <= y_a < inf and 0.0 <= y_b < inf):
-        for name, mean in (("x_a", x_a), ("x_b", x_b), ("y_a", y_a), ("y_b", y_b)):
-            if not (mean >= 0.0 and math.isfinite(mean)):
-                raise DomainError(f"{name} must be a finite mean >= 0, got {mean!r}")
+    for name, mean in (("x_a", x_a), ("x_b", x_b), ("y_a", y_a), ("y_b", y_b)):
+        if not (0.0 <= mean < math.inf):
+            raise DomainError(f"{name} must be a finite mean >= 0, got {mean!r}")
     # plain floats, so 0-d arrays also make a hashable memo key
     x_a, x_b, y_a, y_b = float(x_a), float(x_b), float(y_a), float(y_b)
     tail_eps = cfg.tail_eps

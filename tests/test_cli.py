@@ -296,10 +296,14 @@ class TestCsvText:
     ]
 
     def test_matches_per_cell_rule(self):
+        # floats as format(x, ".17g") prints them, every other cell as before
+        def cell(x):
+            return format(x, ".17g") if isinstance(x, float) else _fmt_cell(x)
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.HEADER)
-        writer.writerows([[_fmt_cell(x) for x in row] for row in self.ROWS])
+        writer.writerows([[cell(x) for x in row] for row in self.ROWS])
         assert _csv_text(self.HEADER, self.ROWS) == buf.getvalue()
 
     def test_cells(self):

@@ -1,5 +1,7 @@
 """Brute-force sums and Monte Carlo simulation against analytic anchors."""
 
+import math
+
 import numpy as np
 import pytest
 from reference_fns import tie_rule, utility_bruteforce
@@ -126,6 +128,14 @@ class TestBruteForce:
             pivot_gain_bruteforce(-1.0, 0, 0, 0, "A")
         with pytest.raises(DomainError):
             pivot_gain_bruteforce(1.0, 0, 0, 0, "C")
+
+    @pytest.mark.parametrize("bad", [-1.0, -math.inf, math.inf, math.nan])
+    @pytest.mark.parametrize("slot, name", enumerate(["x_a", "x_b", "y_a", "y_b"]))
+    def test_names_the_bad_mean(self, slot, name, bad):
+        means = [1.0, 2.0, 3.0, 4.0]
+        means[slot] = bad
+        with pytest.raises(DomainError, match=f"^{name} must be a finite mean >= 0, got "):
+            pivot_gain_bruteforce(*means, "A")
 
 
 # means from the smallest subnormal up to 1e5
