@@ -194,10 +194,11 @@ def _vote_total(
     return total
 
 
-@dataclass(frozen=True)
+@dataclass
 class BruteForceGain:
     """A truncated-sum pivot gain together with its truncation error bound."""
 
+    # not frozen, like cli.VerifyRow: frozen takes ~0.9 us per verify row, twice as long
     value: float
     error_bound: float
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .special_fn import g, h, log_g, log_h  # noqa: F401  (g stays importable from here)
+from .special_fn import _h_parts, g, h, log_g, log_h
 
 __all__ = [
     "ElectorateParams",
@@ -187,11 +187,25 @@ def log_frontiers(n, p: float, p_a: float) -> np.ndarray:
 
     ``n`` may be a scalar or an array of populations; the products are
     formed in the same order as the ``ElectorateParams`` properties, so
-    the arguments match those the solvers see bit for bit.
+    the arguments match those the solvers see bit for bit.  A scalar
+    ``n`` (one electorate) runs on Python floats and an array ``n`` (a
+    sweep) on stacked arrays; both give the same bits (README,
+    "Numerical notes").
     """
-    n = np.asarray(n, dtype=float)
+    n = float(n) if isinstance(n, (float, int)) else np.asarray(n, dtype=float)
     x_a, x_b = n * p * p_a, n * p * (1.0 - p_a)
     total_a, total_b = n * p_a, n * (1.0 - p_a)
+    if isinstance(n, float):
+        if not (x_a >= 0.0 and total_b >= 0.0 and x_b > 0.0 and total_a > 0.0):
+            raise DomainError(
+                "log_frontiers requires x_a, total_b >= 0 and x_b, total_a > 0, "
+                f"got n={n!r}, p={p!r}, p_a={p_a!r}"
+            )
+        scaled_a, d_a = _h_parts(x_a, x_b, math.sqrt)
+        scaled_b, d_b = _h_parts(total_b, total_a, math.sqrt)
+        logs = np.log([g(2.0 * x_a), g(2.0 * total_b), scaled_a, scaled_b])
+        # adding -(d * d) is subtracting d * d, bit for bit
+        return logs + [LOG_HALF, LOG_HALF, -(d_a * d_a), -(d_b * d_b)]
     # ct_upper and ct_lower are g/2 at twice the first arguments of the
     # two h frontiers
     first = np.array([x_a, total_b])

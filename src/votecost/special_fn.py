@@ -35,7 +35,12 @@ The formula has two entry points:
   solvers' slope probe ``_i_sign_core`` is damped by e^{-t} alone and
   keeps its sign there.
 * ``log_g`` and ``log_h`` take numpy arrays and return natural logs,
-  finite for every positive argument, for the cost frontiers.
+  finite for every positive argument, for the cost frontiers of a sweep.
+  One electorate's frontiers (``pivot.log_frontiers``) use ``g`` and
+  ``_h_parts`` on floats, with the same bits: both square the exponent's
+  root d as ``d * d``, as numpy's array ``** 2`` does.  ``h`` keeps
+  ``d ** 2`` (libm ``pow``), which differs in the last bit at ~0.1% of
+  arguments.
 
 All functions are pure; concurrent use is unrestricted.
 """
@@ -60,12 +65,12 @@ SQRT2 = math.sqrt(2.0)
 
 
 def _h_parts(x_a, z, sqrt):
-    # h = scaled * exp(-exponent); ``sqrt`` is math.sqrt for floats and
-    # np.sqrt for arrays, so both entry points share one formula
+    # h = scaled * exp(-d^2); ``sqrt`` is math.sqrt for floats and
+    # np.sqrt for arrays, so every entry point shares one formula
     rx, rz = sqrt(x_a), sqrt(z)
     t = 2.0 * rx * rz
     scaled = 0.5 * (i0e(t) + (rx / rz) * i1e(t))
-    return scaled, ((x_a - z) / (rx + rz)) ** 2
+    return scaled, (x_a - z) / (rx + rz)
 
 
 def g(z: float) -> float:
@@ -87,8 +92,9 @@ def h(x_a: float, z: float) -> float:
     if z == 0.0:
         # F1(0) = F2(0) = 1
         return 0.5 * (1.0 + x_a) * math.exp(-x_a)
-    scaled, exponent = _h_parts(x_a, z, math.sqrt)
-    return float(scaled) * math.exp(-exponent)
+    scaled, d = _h_parts(x_a, z, math.sqrt)
+    # libm pow, not d * d, keeps the last bit of h, solver roots and verify CSV
+    return float(scaled) * math.exp(-(d**2))
 
 
 def _i_sign_core(x_a: float, z: float) -> float:
@@ -120,5 +126,5 @@ def log_h(x_a, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if not (x_a.min(initial=math.inf) >= 0.0 and z.min(initial=math.inf) > 0.0):
         raise DomainError("log_h requires every x_a >= 0 and z > 0")
-    scaled, exponent = _h_parts(x_a, z, np.sqrt)
-    return np.log(scaled) - exponent
+    scaled, d = _h_parts(x_a, z, np.sqrt)
+    return np.log(scaled) - d * d

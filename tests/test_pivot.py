@@ -13,6 +13,7 @@ from votecost.pivot import (
     ElectorateParams,
     StrategyPair,
     expected_margin,
+    log_frontiers,
     r1_closed,
     r2_closed,
     thresholds,
@@ -179,3 +180,19 @@ class TestThresholds:
         assert params == fresh and fresh == params
         assert (repr(params), hash(params), json.dumps(_jsonable(params))) == before
         assert before == (repr(fresh), hash(fresh), json.dumps(_jsonable(fresh)))
+
+    @pytest.mark.parametrize(
+        "n, p, p_a",
+        [
+            (0.0, 0.2, 0.6),
+            (-1.0, 0.2, 0.6),
+            (math.nan, 0.2, 0.6),
+            (500.0, -0.1, 0.6),
+            (500.0, 0.2, 1.2),
+        ],
+    )
+    def test_log_frontiers_rejects_bad_electorate(self, n, p, p_a):
+        # a scalar n takes the float path, an array n the array path
+        for form in (n, np.array([n])):
+            with pytest.raises(DomainError):
+                log_frontiers(form, p, p_a)

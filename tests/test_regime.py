@@ -15,7 +15,7 @@ from votecost.equilibria import (
     solve_partial_absenteeism,
 )
 from votecost.errors import DomainError
-from votecost.pivot import ElectorateParams, thresholds
+from votecost.pivot import ElectorateParams, log_frontiers, thresholds
 from votecost.regime import (
     SweepSpec,
     _decrease_onset,
@@ -301,13 +301,29 @@ class TestSweep:
             with pytest.raises(DomainError):
                 SweepSpec(p=0.2, p_a=0.6, n_grid=bad)
 
+    # (p, p_a, n grid): thresholds takes the float path of log_frontiers
+    # and sweep_bounds the array path; the two must agree bit for bit
+    PATH_CASES = [
+        (p, p_a, (50.0, 800.0, 3e4, 1e6, 1e7))
+        for p, p_a in ((0.2, 0.6), (0.02, 0.51), (0.5, 0.9), (0.95, 0.75), (1e-6, 0.999999))
+    ] + [
+        # electorates where squaring with Python's ``d ** 2`` (libm pow)
+        # instead of ``d * d`` moved the last bit of a log frontier
+        (0.22812187406137427, 0.9635860863804447, (2325996.9843902644,)),
+        (0.0018484579871642318, 0.845901439551241, (6611052.4661669275,)),
+        (0.9817455775983345, 0.7594227138923049, (345139.87102894555,)),
+        (0.949017314973251, 0.643075260550463, (2917.1612850156193,)),
+    ]
+
     def test_columns_match_thresholds(self):
-        grid = (50.0, 800.0, 3e4, 1e6, 1e7)
-        table = sweep_bounds(SweepSpec(p=0.2, p_a=0.6, n_grid=grid))
-        for i, n in enumerate(grid):
-            ts = thresholds(ElectorateParams(n=n, p=0.2, p_a=0.6))
-            for name, col in table.columns.items():
-                assert col[i] == getattr(ts, name)
+        for p, p_a, grid in self.PATH_CASES:
+            table = sweep_bounds(SweepSpec(p=p, p_a=p_a, n_grid=grid))
+            logs = log_frontiers(np.array(grid), p, p_a)
+            for i, n in enumerate(grid):
+                ts = thresholds(ElectorateParams(n=n, p=p, p_a=p_a))
+                for name, col in table.columns.items():
+                    assert col[i] == getattr(ts, name), (n, p, p_a, name)
+                assert (log_frontiers(n, p, p_a) == logs[:, i]).all(), (n, p, p_a)
 
     def test_decrease_onset_matches_reference_loop(self):
         def reference(col):
