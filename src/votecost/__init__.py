@@ -3,11 +3,10 @@
 A polity of expected size ``n`` chooses between two alternatives; a
 share ``p`` of citizens votes unconditionally, the rest vote only when
 the expected benefit of being pivotal covers the voting cost ``c``.
-This package computes the closed-form pivot gains, solves for the
-equilibria of the five type-symmetric families, classifies costs into
-the five-regime landscape (including the coin-toss window a designer
-must avoid), and verifies all closed forms against brute-force and
-Monte Carlo oracles.
+This package computes the closed-form pivot gains, solves for every
+type-symmetric equilibrium, classifies costs into the five-regime
+landscape (including the coin-toss window a designer must avoid), and
+verifies all closed forms against brute-force and Monte Carlo oracles.
 """
 
 from .equilibria import (

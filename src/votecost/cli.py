@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_electorate(sub)
     _add_common(sub, "json")
 
-    sub = subs.add_parser("solve", help="equilibria of the five families at a cost")
+    sub = subs.add_parser("solve", help="every type-symmetric equilibrium at a cost")
     _add_electorate(sub)
     sub.add_argument("--c", type=float, required=True, help="voting cost")
     _add_common(sub, "json")

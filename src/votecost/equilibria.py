@@ -1,30 +1,34 @@
-"""Root-finding for the five families of type-symmetric equilibria at a cost.
+"""Root-finding for every type-symmetric equilibrium at a cost.
 
-The families are distinguished by which non-partisan groups mix,
-abstain, or vote for sure:
+Each of alpha_a, alpha_b is 0, interior or 1, so an equilibrium has one
+of nine support types.  Six occur, distinguished by which non-partisan
+groups mix, abstain, or vote for sure:
 
     coin toss            both alpha interior; both sides indifferent;
                          expected turnouts equal (a tie in expectation)
     partial absenteeism  alpha_a = 0, B-side indifferent
     no queue             (0, 0); only partisans vote
+    minority swipe       (0, 1); only B non-partisans vote
     partial saturation   alpha_b = 1, A-side indifferent
     all swipe            (1, 1); everyone votes
 
-They are the families of the large-population regime table.  Where the
-frontiers are not yet in their large-population order (``classify``
-case 0), other type-symmetric equilibria can exist, such as the corner
-(alpha_a, alpha_b) = (0, 1); no solver here looks for them.
+The other three, (interior, 0), (1, 0) and (1, interior), never occur:
+with alpha_a = 1 or alpha_b = 0 the A total exceeds the B total, so the
+A gain is below the B gain, which contradicts each of their conditions.
+The minority swipe needs x_a > n (1 - p_a) (``ct_admissible`` false), so
+it occurs only in ``classify`` case 0.
 
-Each family reduces to a one-dimensional condition in an aggregate
-turnout variable z, solved only over the z of valid strategies:
+Each family with a mixing side reduces to a one-dimensional condition
+in an aggregate turnout variable z, solved only over the z of valid
+strategies:
 
     coin toss            g(z) = 2c on [2 x_a, 2 n (1 - p_a)]      (g decreasing)
-    partial absenteeism  h(x_a, z) = c on [x_b, min(x_a, n (1 - p_a))]
+    partial absenteeism  h(x_a, z) = c on (x_b, min(x_a, n (1 - p_a)))
                                                               (unimodal in z)
-    partial saturation   h(n(1-p_a), z) = c on [max(n(1-p_a), x_a), n p_a]
+    partial saturation   h(n(1-p_a), z) = c on (max(n(1-p_a), x_a), n p_a)
                                                               (decreasing)
 
-and the existence of no-queue / all-swipe is a pair of inequalities.
+and the existence of each pure corner is a pair of inequalities.
 The absenteeism kernel z -> h(x_a, z) is strictly decreasing when
 x_a <= sqrt(2) and otherwise rises to a unique interior peak and falls;
 ``find_h_peak`` locates the peak from the single sign change of the
@@ -45,18 +49,16 @@ Boundary conventions.  One rule, ``cost_side``, decides whether a cost
 lies below, on or above a kernel value f: on means
 |c - f| <= EPS_CMP * max(c, f), compared in log space so that it holds
 where f underflows.  The solvers, the existence tests and ``classify``
-all decide with it, and never by comparing solved z or alpha values:
+all decide with it, and never by comparing solved z or alpha values.
+Every strategy pair where two families meet has one owner, which lists
+it once:
 
-* a cost on an interval end takes that end as its root, so the
-  recovered alpha is exactly 0 or 1 there;
-* the coin-toss window [ct_lower, ct_upper] is closed;
-* a cost on ct_upper or ct_lower makes the absenteeism root at
-  z = x_a or the saturation root at z = n (1 - p_a) the coin toss,
-  reported once, as the coin toss with a note;
-* a cost on pa_lower makes the absenteeism root at z = x_b the
-  no-queue corner, reported only by ``no_queue_exists``;
-* a cost on ps_lower makes the saturation root at z = n p_a the
-  all-swipe corner, reported once, as saturation with a note.
+* the coin toss owns both edges of its closed window [ct_lower,
+  ct_upper], and notes the family it meets there;
+* each pure corner owns its own point: (0, 0), (0, 1) and (1, 1);
+* the absenteeism and saturation solvers return only roots strictly
+  inside their edge: an end that ``cost_side`` puts the cost on is
+  left to its owner.
 
 EPS_CMP is relative: the frontiers range from ~1/2 down to
 exponentially small values, where any fixed absolute slack would
@@ -65,7 +67,6 @@ swallow whole regimes.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -109,6 +110,7 @@ class EquilibriumKind(str, Enum):
     COIN_TOSS = "coin_toss"
     PARTIAL_ABSENTEEISM = "partial_absenteeism"
     NO_QUEUE = "no_queue"
+    MINORITY_SWIPE = "minority_swipe"
     PARTIAL_SATURATION = "partial_saturation"
     ALL_SWIPE = "all_swipe"
 
@@ -124,7 +126,7 @@ class Equilibrium:
 
     z_root is the solved aggregate (2(x_a + y_a) for a coin toss, the
     opponent total x_b + y_b for absenteeism, the own total x_a + y_a
-    for saturation) and None for the two pure corners.  residual is the
+    for saturation) and None for the three pure corners.  residual is the
     absolute defect of the defining indifference condition at the
     returned strategies.
     """
@@ -152,10 +154,6 @@ def cost_side(c: float, log_f: float) -> int:
     if gap > slack:
         return 1
     return -1 if gap < -slack else 0
-
-
-def _noted(eq: Equilibrium, kind: EquilibriumKind) -> Equilibrium:
-    return dataclasses.replace(eq, notes=eq.notes + (f"coincides with {kind.value} solution",))
 
 
 def _winner_from_margin(margin: float) -> Winner:
@@ -247,16 +245,19 @@ def _roots(
     c: float,
     points: list[tuple[float, float, float]],
     label: str,
+    closed: bool = False,
 ) -> list[float]:
     """Sorted roots of fn(z) = kernel(z) - c over consecutive monotone pieces.
 
     ``points`` are (z, log kernel(z), fn(z)) at the ends of the monotone
     pieces, in increasing z.  A point whose kernel value ``cost_side``
-    puts the cost on is a root itself; a piece whose two ends it puts
-    on opposite sides holds one root, which ``_brent`` finds.
+    puts the cost on is a root itself, the first and last only if
+    ``closed``; a piece whose two ends it puts on opposite sides holds
+    one root, which ``_brent`` finds.
     """
     sides = [cost_side(c, log_f) for _, log_f, _ in points]
-    roots = [z for (z, _, _), side in zip(points, sides) if side == 0]
+    inner = range(len(points)) if closed else range(1, len(points) - 1)
+    roots = [points[i][0] for i in inner if sides[i] == 0]
     for (a, _, f_a), (b, _, f_b), s_a, s_b in zip(points, points[1:], sides, sides[1:]):
         if s_a * s_b < 0:
             roots.append(_brent(fn, a, b, f_a, f_b, label))
@@ -271,7 +272,8 @@ def solve_coin_toss(params: ElectorateParams, c: float) -> Equilibrium | None:
     (``ct_admissible``).  The defining condition g(z) = 2c is solved
     on [2 x_a, 2 n (1 - p_a)], where g falls from 2 ct_upper to
     2 ct_lower; a cost on a bound takes that end, where alpha_a = 0 or
-    alpha_b = 1.  Both alpha values are recovered from the root and the
+    alpha_b = 1, and notes the absenteeism or saturation family met
+    there.  Both alpha values are recovered from the root and the
     equal-turnout identity.
     """
     if not (0.0 < c < 0.5):
@@ -291,6 +293,7 @@ def solve_coin_toss(params: ElectorateParams, c: float) -> Equilibrium | None:
             (2.0 * params.total_b, ts.log_ct_lower, 2.0 * ts.ct_lower - target),
         ],
         "coin toss",
+        closed=True,
     )
     if not roots:
         return None
@@ -310,6 +313,14 @@ def solve_coin_toss(params: ElectorateParams, c: float) -> Equilibrium | None:
         z_root=z,
         residual=residual,
         winner=Winner.TIE_IN_EXPECTATION,
+        notes=tuple(
+            f"coincides with {kind.value} solution"
+            for kind, log_f in (
+                (EquilibriumKind.PARTIAL_ABSENTEEISM, ts.log_ct_upper),
+                (EquilibriumKind.PARTIAL_SATURATION, ts.log_ct_lower),
+            )
+            if cost_side(c, log_f) == 0
+        ),
     )
 
 
@@ -349,17 +360,14 @@ def solve_partial_absenteeism(params: ElectorateParams, c: float) -> list[Equili
     """All equilibria with alpha_a = 0 and the B side indifferent.
 
     Solves h(x_a, z) = c for the opponent total z on
-    [x_b, min(x_a, n (1 - p_a))], where alpha_b runs from 0 to at most 1,
+    (x_b, min(x_a, n (1 - p_a))), where alpha_b runs inside (0, 1),
     split at the kernel peak into at most two monotone branches, so 0, 1
     or 2 roots are found.  The kernel values at the interval ends are
     pa_lower and ct_upper (one kernel call at z = n (1 - p_a) where
-    ``ct_admissible`` is false).  A cost on pa_lower has its root at
-    z = x_b, the no-queue point, which is left to ``no_queue_exists``.
-    A cost on ct_upper has its root at z = x_a, the coin toss at
-    alpha_a = 0.
+    ``ct_admissible`` is false).  A cost on an end value has its root
+    at that end, which belongs to the no-queue corner, the coin toss or
+    the minority-swipe corner, and is not returned here.
     """
-    if not (c > 0.0):
-        raise DomainError(f"cost must be > 0, got {c!r}")
     ts = thresholds(params)
     x_a, z_lo = params.x_a, params.x_b
     if ts.ct_admissible:  # h(x_a, x_a) = g(2 x_a) / 2
@@ -370,12 +378,8 @@ def solve_partial_absenteeism(params: ElectorateParams, c: float) -> list[Equili
     peak = find_h_peak(x_a)
     if z_lo < peak < top[0]:
         points.insert(1, _kernel_point(x_a, peak, c))
-    roots = _roots(lambda t: h(x_a, t) - c, c, points, "absenteeism")
-    if roots and cost_side(c, ts.log_pa_lower) == 0:
-        roots = roots[1:]  # z = x_b: the no-queue corner
     out = []
-    for z in roots:
-        # exactly 0 at z = x_b and 1 at z = n (1 - p_a)
+    for z in _roots(lambda t: h(x_a, t) - c, c, points, "absenteeism"):
         s = StrategyPair(0.0, (z - z_lo) / (params.total_b - z_lo))
         margin = x_a - z
         out.append(
@@ -398,8 +402,6 @@ def no_queue_exists(params: ElectorateParams, c: float) -> bool:
     of the two), so only the B-side bound h(x_a, x_b) = pa_lower
     matters.
     """
-    if not (c > 0.0):
-        raise DomainError(f"cost must be > 0, got {c!r}")
     return cost_side(c, thresholds(params).log_pa_lower) >= 0
 
 
@@ -407,17 +409,14 @@ def solve_partial_saturation(params: ElectorateParams, c: float) -> Equilibrium 
     """The equilibrium with alpha_b = 1 and the A side indifferent, if any.
 
     Solves h(n(1-p_a), z) = c for the own total z on
-    [max(n(1-p_a), x_a), n p_a], where alpha_a runs from at least 0 to
-    1 and the kernel is strictly decreasing (its peak lies left of the
-    interval), so the root is unique.  Exists iff c lies on or between
-    the kernel values at the two ends: ps_lower at z = n p_a and
-    ct_lower at z = n(1-p_a) (one kernel call at z = x_a where
-    ``ct_admissible`` is false).  A cost on ps_lower has its root at
-    z = n p_a, alpha_a = 1, and a cost on ct_lower at z = n(1-p_a), the
-    coin toss at alpha_b = 1.
+    (max(n(1-p_a), x_a), n p_a), where alpha_a runs inside (0, 1) and
+    the kernel is strictly decreasing (its peak lies left of the
+    interval), so the root is unique.  Exists iff c lies strictly
+    between the kernel values at the two ends: ps_lower at z = n p_a
+    and ct_lower at z = n(1-p_a) (one kernel call at z = x_a where
+    ``ct_admissible`` is false).  A cost on an end value belongs to the
+    all-swipe corner, the coin toss or the minority-swipe corner.
     """
-    if not (c > 0.0):
-        raise DomainError(f"cost must be > 0, got {c!r}")
     ts = thresholds(params)
     k, x_a, z_hi = params.total_b, params.x_a, params.total_a
     if ts.ct_admissible:  # h(k, k) = g(2 n (1-p_a)) / 2
@@ -432,8 +431,7 @@ def solve_partial_saturation(params: ElectorateParams, c: float) -> Equilibrium 
     )
     if not roots:
         return None
-    z = roots[-1]  # should c lie on both end values, the all-swipe end
-    # exactly 0 at z = x_a and 1 at z = n p_a
+    z = roots[0]
     s = StrategyPair((z - x_a) / (z_hi - x_a), 1.0)
     margin = z - k
     return Equilibrium(
@@ -452,15 +450,29 @@ def all_swipe_exists(params: ElectorateParams, c: float) -> bool:
     The B-side inequality is implied (its gain at (1,1) is the larger of
     the two), so only the A-side bound ps_lower matters.
     """
-    if not (c > 0.0):
-        raise DomainError(f"cost must be > 0, got {c!r}")
     return cost_side(c, thresholds(params).log_ps_lower) <= 0
 
 
+def _minority_swipe_exists(params: ElectorateParams, c: float) -> bool:
+    """Whether (0, 1) is an equilibrium: h(n(1-p_a), x_a) <= c <= h(x_a, n(1-p_a)).
+
+    The A gain (left) is below the B gain (right) only where
+    x_a > n (1 - p_a), so the corner is tested only where
+    ``ct_admissible`` is false; where x_a = n (1 - p_a) it is the coin
+    toss.  The kernel arguments are those of the solvers' end points,
+    so the corner and the end roots they leave to it read the same bits.
+    """
+    if thresholds(params).ct_admissible:
+        return False
+    k, x_a = params.total_b, params.x_a
+    r1, r2 = _kernel_point(k, x_a, c)[1], _kernel_point(x_a, k, c)[1]
+    return cost_side(c, r1) >= 0 and cost_side(c, r2) <= 0
+
+
 def _corner_equilibrium(
-    params: ElectorateParams, kind: EquilibriumKind, alpha: float
+    params: ElectorateParams, kind: EquilibriumKind, alpha_a: float, alpha_b: float
 ) -> Equilibrium:
-    s = StrategyPair(alpha, alpha)
+    s = StrategyPair(alpha_a, alpha_b)
     return Equilibrium(
         kind=kind,
         strategies=s,
@@ -471,14 +483,12 @@ def _corner_equilibrium(
 
 
 def enumerate_equilibria(params: ElectorateParams, c: float) -> list[Equilibrium]:
-    """The equilibria of the five families at cost ``c``, in family order.
+    """Every type-symmetric equilibrium at cost ``c``, each listed once.
 
-    In ``classify`` case 0 other type-symmetric equilibria can exist
-    (see the module docstring); they are not reported.
-
-    A strategy pair that two families share on a frontier is reported
-    once, with the coincidence noted: on ct_upper or ct_lower as the
-    coin toss, on ps_lower as saturation.
+    The order follows the path of the families: coin toss, absenteeism,
+    (0, 0), (0, 1), saturation, (1, 1).  A strategy pair where two
+    families meet is listed by its owner alone (see the module
+    docstring).
 
     Costs of 1/2 and above admit no coin toss (gains never reach 1/2),
     so the mixed solver is skipped there.  Every solver compares ``c``
@@ -486,26 +496,14 @@ def enumerate_equilibria(params: ElectorateParams, c: float) -> list[Equilibrium
     """
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
-    ts = thresholds(params)
     K = EquilibriumKind
-    ct = solve_coin_toss(params, c) if c < 0.5 else None
-    absent = solve_partial_absenteeism(params, c)
-    sat = solve_partial_saturation(params, c)
-    swipe = all_swipe_exists(params, c)
-    if ct is not None and cost_side(c, ts.log_ct_upper) == 0:
-        # the absenteeism root at z = x_a is the coin toss at alpha_a = 0
-        ct, absent = _noted(ct, K.PARTIAL_ABSENTEEISM), absent[:-1]
-    if sat is not None and cost_side(c, ts.log_ps_lower) == 0:
-        # the saturation root was taken at alpha_a = 1
-        sat, swipe = _noted(sat, K.ALL_SWIPE), False
-    elif ct is not None and cost_side(c, ts.log_ct_lower) == 0:
-        # the saturation root at z = n(1-p_a) is the coin toss at alpha_b = 1
-        ct, sat = _noted(ct, K.PARTIAL_SATURATION), None
-    found = ([] if ct is None else [ct]) + absent
+    found = [] if c >= 0.5 else [solve_coin_toss(params, c)]
+    found += solve_partial_absenteeism(params, c)
     if no_queue_exists(params, c):
-        found.append(_corner_equilibrium(params, K.NO_QUEUE, 0.0))
-    if sat is not None:
-        found.append(sat)
-    if swipe:
-        found.append(_corner_equilibrium(params, K.ALL_SWIPE, 1.0))
-    return found
+        found.append(_corner_equilibrium(params, K.NO_QUEUE, 0.0, 0.0))
+    if _minority_swipe_exists(params, c):
+        found.append(_corner_equilibrium(params, K.MINORITY_SWIPE, 0.0, 1.0))
+    found.append(solve_partial_saturation(params, c))
+    if all_swipe_exists(params, c):
+        found.append(_corner_equilibrium(params, K.ALL_SWIPE, 1.0, 1.0))
+    return [eq for eq in found if eq is not None]

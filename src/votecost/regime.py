@@ -135,8 +135,6 @@ def classify(params: ElectorateParams, c: float) -> RegimeReport:
     A mismatch between the regime table and the realized equilibrium set
     is recorded in ``notes``, never reconciled silently.
     """
-    if not (c > 0.0):
-        raise DomainError(f"cost must be > 0, got {c!r}")
     ts = thresholds(params)
     eqs = tuple(enumerate_equilibria(params, c))
     notes: list[str] = []

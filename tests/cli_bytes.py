@@ -43,8 +43,8 @@ INVOCATIONS = [
     ("solve json", ["solve", "--n", "1000", "--p", "0.2", "--pa", "0.6", "--c", "0.02"], None),
     ("solve csv", ["solve", "--n", "1000", "--p", "0.2", "--pa", "0.6", "--c", "0.02",
                    "--format", "csv"], None),
-    ("solve empty", ["solve", "--n", "7.720378020741096", "--p", "0.9914664648146816",
-                     "--pa", "0.6319540163784259", "--c", "0.12530346880670365"], None),
+    ("solve corner only", ["solve", "--n", "7.720378020741096", "--p", "0.9914664648146816",
+                           "--pa", "0.6319540163784259", "--c", "0.12530346880670365"], None),
     ("solve bad c", ["solve", *ELECTORATE, "--c", "-0.1"], None),
     ("solve bad c csv", ["solve", *ELECTORATE, "--c", "-0.1", "--format", "csv"], None),
     ("classify json", ["classify", *ELECTORATE, "--c", "0.028"], None),

@@ -23,6 +23,16 @@ that is not a normal double).  The counts printed are:
                     (the float path ``thresholds`` takes) differ from
                     those from a 1-element array n (the array path
                     ``sweep_bounds`` takes), compared with ==
+    empty           reports that list no equilibrium (every Poisson
+                    game has one)
+    missing         equilibria that the grid scan of all nine support
+                    types (``support_scan.scan``) finds and the report
+                    does not list.  A listed pair is the scanned one if
+                    both turnout means agree within TURNOUT_TOL,
+                    relative, or both log pivot gains within GAIN_TOL:
+                    where a kernel is flat, pairs far apart in alpha
+                    are one equilibrium within the slack of
+                    ``cost_side``
     worst_residual  the largest defect of an equilibrium's conditions,
                     relative to c, from ``r1_closed`` and ``r2_closed``
 
@@ -42,9 +52,12 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from residuals import RESIDUAL_BOUND, relative_residual  # noqa: E402
-from votecost import ElectorateParams, classify, log_frontiers  # noqa: E402
+from support_scan import scan  # noqa: E402
+from votecost import ElectorateParams, classify, log_frontiers, log_h  # noqa: E402
 
 OFFSETS = (0.0, 1e-13, -1e-13, 1e-9, -1e-9)
+TURNOUT_TOL = 1e-9
+GAIN_TOL = 1e-10
 
 
 def _share(rng: np.random.Generator, lo: float, hi: float, profile: str) -> float:
@@ -54,10 +67,23 @@ def _share(rng: np.random.Generator, lo: float, hi: float, profile: str) -> floa
     return float(lo + gap if rng.random() < 0.5 else hi - gap)
 
 
+def _turnouts_and_gains(params: ElectorateParams, alpha_a: float, alpha_b: float):
+    u = params.x_a + params.m_a * alpha_a
+    v = params.x_b + params.m_b * alpha_b
+    return np.array([u, v]), log_h(np.array([v, u]), np.array([u, v]))
+
+
+def _same(a, b) -> bool:
+    """Whether two strategy pairs are one equilibrium: equal turnouts or equal gains."""
+    (t_a, g_a), (t_b, g_b) = a, b
+    return bool(np.all(abs(t_a - t_b) <= TURNOUT_TOL * t_a) or np.all(abs(g_a - g_b) <= GAIN_TOL))
+
+
 def run(points: int, profile: str, seed: int) -> dict[str, float]:
     rng = np.random.default_rng([seed, 0 if profile == "interior" else 1])
     counts = dict.fromkeys(
-        ("points", "raised", "mismatch", "avoid_vs_case", "non_a_winner", "path_mismatch"),
+        ("points", "raised", "mismatch", "avoid_vs_case", "non_a_winner", "path_mismatch",
+         "empty", "missing"),
         0,
     )
     worst = 0.0
@@ -88,6 +114,14 @@ def run(points: int, profile: str, seed: int) -> dict[str, float]:
         counts["non_a_winner"] += case not in (0, 2) and any(
             eq.winner.value != "A" for eq in report.equilibria
         )
+        counts["empty"] += not report.equilibria
+        listed = [_turnouts_and_gains(params, eq.strategies.alpha_a, eq.strategies.alpha_b)
+                  for eq in report.equilibria]
+        for kind, alpha_a, alpha_b in scan(params, c):
+            if not any(_same(_turnouts_and_gains(params, alpha_a, alpha_b), b) for b in listed):
+                counts["missing"] += 1
+                print(f"missing {kind} ({alpha_a!r}, {alpha_b!r}) at {params}, c={c!r}",
+                      file=sys.stderr)
         for eq in report.equilibria:
             worst = max(worst, relative_residual(params, eq, c))
     return {**counts, "worst_residual": worst}

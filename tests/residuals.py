@@ -21,6 +21,7 @@ def relative_residual(params: ElectorateParams, eq: Equilibrium, c: float) -> fl
         "coin_toss": (abs(r1 - c), abs(r2 - c)),
         "partial_absenteeism": (abs(r2 - c), r1 - c),
         "no_queue": (r1 - c, r2 - c),
+        "minority_swipe": (r1 - c, c - r2),
         "partial_saturation": (abs(r1 - c), c - r2),
         "all_swipe": (c - r1, c - r2),
     }[eq.kind.value]

@@ -17,12 +17,14 @@ from votecost.cli import (
     EXIT_OK,
     EXIT_TOLERANCE,
     EXIT_VALIDATION,
+    _csv_schema,
     _csv_text,
     _fmt_cell,
     _jsonable,
     execute,
     standard_verify_rows,
 )
+from votecost.equilibria import Equilibrium
 from votecost.errors import ConvergenceError
 from votecost.oracle import (
     OracleConfig,
@@ -38,9 +40,9 @@ from votecost.regime import classify
 EQUILIBRIUM_HEADER = ["kind", "alpha_a", "alpha_b", "z_root", "residual", "winner", "notes"]
 EQUILIBRIUM_KEYS = ["kind", "strategies", "z_root", "residual", "winner", "notes"]
 
-# a case-0 point where none of the five families exists
-EMPTY_SOLVE = ["solve", "--n", "7.720378020741096", "--p", "0.9914664648146816",
-               "--pa", "0.6319540163784259", "--c", "0.12530346880670365"]
+# a case-0 point where the (0, 1) corner is the only equilibrium
+CORNER_SOLVE = ["solve", "--n", "7.720378020741096", "--p", "0.9914664648146816",
+                "--pa", "0.6319540163784259", "--c", "0.12530346880670365"]
 
 
 def run_cli(argv):
@@ -103,13 +105,17 @@ class TestSolveVerb:
         assert len(rows) == 4
 
     def test_empty_result_keeps_header(self):
-        status, text = run_cli(EMPTY_SOLVE + ["--format", "csv"])
+        # every cost has an equilibrium, so no solve prints an empty list
+        header, _ = _csv_schema(Equilibrium)
+        assert header == EQUILIBRIUM_HEADER
+        assert _csv_text(header, []) == ",".join(EQUILIBRIUM_HEADER) + "\n"
+
+    def test_minority_swipe_row(self):
+        status, text = run_cli(CORNER_SOLVE + ["--format", "csv"])
         assert status == EXIT_OK
-        assert text == ",".join(EQUILIBRIUM_HEADER) + "\n"
-        status, text = run_cli(EMPTY_SOLVE)
-        doc = json.loads(text)
-        assert doc["results"] == []
-        assert doc["diagnostics"]["count"] == 0
+        assert text.splitlines()[1:] == ["minority_swipe,0,1,,0,A,"]
+        doc = json.loads(run_cli(CORNER_SOLVE)[1])
+        assert doc["diagnostics"]["count"] == 1
 
 
 class TestClassifyVerb:

@@ -232,12 +232,18 @@ class TestPartialSaturation:
         assert eq.z_root < 3.0
 
     def test_ceiling_endpoint_meets_coin_toss_boundary(self):
+        # on ct_lower the root at z = n(1-p_a) is the coin toss at
+        # alpha_b = 1, which owns it; just inside, saturation finds it
         c = REF_TS.ct_lower
-        eq = solve_partial_saturation(REF, c)
-        assert eq is not None
-        assert eq.z_root == pytest.approx(REF.total_b, rel=1e-9)
         want_alpha = (REF.total_b - REF.x_a) / REF.m_a
+        assert solve_partial_saturation(REF, c) is None
+        eq = solve_coin_toss(REF, c)
+        assert eq.z_root == 2.0 * REF.total_b
         assert eq.strategies.alpha_a == pytest.approx(want_alpha, rel=1e-9)
+        assert eq.notes == ("coincides with partial_saturation solution",)
+        eq = solve_partial_saturation(REF, c * (1.0 - 1e-9))
+        assert eq.z_root == pytest.approx(REF.total_b, rel=1e-6)
+        assert eq.strategies.alpha_a == pytest.approx(want_alpha, rel=1e-6)
 
 
 class TestAllSwipe:
@@ -288,8 +294,8 @@ class TestEnumerate:
             enumerate_equilibria(REF, 0.0)
 
     def test_saturation_floor_coincides_with_all_swipe(self):
-        # at the saturation floor the root sits at alpha_a = 1: one entry,
-        # tagged with the coincidence
+        # at the saturation floor the root sits at alpha_a = 1, which the
+        # all-swipe corner owns: one entry, and saturation returns none
         eqs = enumerate_equilibria(REF, REF_TS.ps_lower)
         swipe_like = [
             eq
@@ -297,7 +303,9 @@ class TestEnumerate:
             if eq.strategies.alpha_a == 1.0 and eq.strategies.alpha_b == 1.0
         ]
         assert len(swipe_like) == 1
-        assert any("coincides" in note for note in swipe_like[0].notes)
+        assert swipe_like[0].kind is EquilibriumKind.ALL_SWIPE
+        assert (swipe_like[0].z_root, swipe_like[0].residual) == (None, 0.0)
+        assert solve_partial_saturation(REF, REF_TS.ps_lower) is None
 
     def test_deterministic_order(self):
         c = 0.5 * (REF_TS.ct_upper + REF_TS.ct_lower)
@@ -338,6 +346,24 @@ class TestCostSide:
     def test_rejects_cost_not_positive(self, c):
         with pytest.raises(DomainError, match="cost must be > 0"):
             eqm.cost_side(c, REF_TS.log_ct_upper)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            solve_partial_absenteeism,
+            no_queue_exists,
+            solve_partial_saturation,
+            all_swipe_exists,
+            classify,
+            enumerate_equilibria,
+        ],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_every_entry_rejects_cost_not_positive(self, fn, c):
+        # the one check in cost_side gives each entry point the same message
+        with pytest.raises(DomainError, match="cost must be > 0"):
+            fn(REF, c)
 
     def test_slack_read_when_called(self, monkeypatch):
         f, log_f = REF_TS.ct_upper, REF_TS.log_ct_upper

@@ -94,6 +94,7 @@ def _win_probabilities(params, s):
 def test_classify_invariants(point):
     params, c = point
     report = classify(params, c)
+    assert report.equilibria
     assert not any(" but solvers returned " in note for note in report.notes), report.notes
     if report.case_index != 0:
         assert report.avoid == (report.case_index == 2)

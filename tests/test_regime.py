@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from residuals import RESIDUAL_BOUND, relative_residual
+from support_scan import scan
 import votecost.regime as regime
 from votecost.equilibria import (
     EquilibriumKind,
@@ -124,11 +125,12 @@ class TestFrontierRegression:
             ("ct_upper", ["coin_toss", "partial_absenteeism", "no_queue"], "partial_absenteeism"),
             ("ct_lower", ["coin_toss", "partial_absenteeism", "no_queue"], "partial_saturation"),
             ("pa_lower", ["no_queue", "partial_saturation"], None),
-            ("ps_lower", ["partial_saturation"], "all_swipe"),
+            ("ps_lower", ["all_swipe"], None),
         ],
     )
     def test_each_strategy_pair_reported_once(self, name, kinds, coincides):
-        # a pair two families share on the frontier is listed once, with a note
+        # a pair two families share on the frontier is listed once, by its
+        # owner; the coin toss notes the family it meets
         eqs = enumerate_equilibria(REF, getattr(REF_TS, name))
         assert [eq.kind.value for eq in eqs] == kinds
         pairs = [(eq.strategies.alpha_a, eq.strategies.alpha_b) for eq in eqs]
@@ -141,7 +143,7 @@ class TestFrontierRegression:
     @pytest.mark.parametrize("name", ["ct_upper", "ps_lower"])
     def test_mismatch_unless_one_case_fits(self, name, monkeypatch):
         # lists that only a mix of the two adjacent cases allows: the coin
-        # toss beside both absenteeism roots, or nothing at all
+        # toss beside two absenteeism roots, or nothing at all
         c = getattr(REF_TS, name)
         eqs = {
             "ct_upper": enumerate_equilibria(REF, c) + solve_partial_absenteeism(REF, c)[-1:],
@@ -183,16 +185,49 @@ class TestFrontierRegression:
         assert not _mismatch(report)
 
     def test_case_zero_residuals_stay_small(self):
-        # the (0, 1) corner is an equilibrium here, outside the five
-        # families; no returned strategy pair may be a clipped stand-in
+        # the (0, 1) corner is an equilibrium here, and no returned
+        # strategy pair may be a clipped stand-in for it
         params = ElectorateParams(
             n=214230.76409670702, p=2.2772341428207655e-09, p_a=0.9999999997425196
         )
         c = 0.4997561916472948
         report = classify(params, c)
         assert report.case_index == 0
+        assert EquilibriumKind.MINORITY_SWIPE in [eq.kind for eq in report.equilibria]
         for eq in report.equilibria:
             assert relative_residual(params, eq, c) <= RESIDUAL_BOUND
+
+    @pytest.mark.parametrize(
+        "n, p, p_a, c, others",
+        [
+            # the corner is the only equilibrium at the first two
+            (7.720378020741096, 0.9914664648146816, 0.6319540163784259,
+             0.12530346880670365, []),
+            (5.914, 0.942, 0.743, 0.0792, []),
+            (63.859, 0.307, 0.91, 0.0034, ["partial_absenteeism", "no_queue"]),
+        ],
+    )
+    def test_minority_swipe_corner_is_listed(self, n, p, p_a, c, others):
+        # A non-partisans abstain, B non-partisans all vote:
+        # r1(0, 1) <= c <= r2(0, 1), possible only where x_a > n (1 - p_a)
+        params = ElectorateParams(n=n, p=p, p_a=p_a)
+        report = classify(params, c)
+        assert report.case_index == 0
+        assert not thresholds(params).ct_admissible
+        assert [eq.kind.value for eq in report.equilibria] == [*others, "minority_swipe"]
+        corner = report.equilibria[-1]
+        assert (corner.strategies.alpha_a, corner.strategies.alpha_b) == (0.0, 1.0)
+        assert corner.winner is Winner.A
+        assert relative_residual(params, corner, c) == 0.0
+        scanned = sorted(kind for kind, _, _ in scan(params, c))
+        assert scanned == sorted([*others, "minority_swipe"])
+
+    @pytest.mark.parametrize("case", [1, 2, 3, 4, 5])
+    def test_grid_scan_finds_the_listed_kinds(self, case):
+        # the independent scan of all nine support types, inside each case
+        c = case_costs(REF_TS)[case]
+        listed = sorted(eq.kind.value for eq in classify(REF, c).equilibria)
+        assert sorted(kind for kind, _, _ in scan(REF, c)) == listed
 
 
 class TestUnderflowRegression:
