@@ -274,14 +274,16 @@ def solve_coin_toss(params: ElectorateParams, c: float) -> Equilibrium | None:
     2 ct_lower; a cost on a bound takes that end, where alpha_a = 0 or
     alpha_b = 1, and notes the absenteeism or saturation family met
     there.  Both alpha values are recovered from the root and the
-    equal-turnout identity.
+    equal-turnout identity.  A cost outside (0, 1/2) raises
+    ``DomainError`` unless ``cost_side`` puts it on a ct_upper within
+    EPS_CMP of 1/2.
     """
-    if not (0.0 < c < 0.5):
+    ts = thresholds(params)
+    if not (0.0 < c < 0.5 or (c >= 0.5 and cost_side(c, ts.log_ct_upper) == 0)):
         raise DomainError(
             f"coin-toss costs must lie in (0, 1/2) since pivot gains never "
             f"exceed 1/2, got {c!r}"
         )
-    ts = thresholds(params)
     if not ts.ct_admissible:
         return None
     target = 2.0 * c
@@ -490,14 +492,16 @@ def enumerate_equilibria(params: ElectorateParams, c: float) -> list[Equilibrium
     families meet is listed by its owner alone (see the module
     docstring).
 
-    Costs of 1/2 and above admit no coin toss (gains never reach 1/2),
-    so the mixed solver is skipped there.  Every solver compares ``c``
-    against the same frontiers, ``thresholds(params)``.
+    The mixed solver is skipped where ``cost_side`` puts ``c`` above
+    ct_upper, which holds for every cost of 1/2 and above except one
+    within EPS_CMP of a ct_upper just below 1/2.  Every solver compares
+    ``c`` against the same frontiers, ``thresholds(params)``.
     """
     if not (c > 0.0):
         raise DomainError(f"cost must be > 0, got {c!r}")
     K = EquilibriumKind
-    found = [] if c >= 0.5 else [solve_coin_toss(params, c)]
+    above_window = cost_side(c, thresholds(params).log_ct_upper) > 0
+    found = [] if above_window else [solve_coin_toss(params, c)]
     found += solve_partial_absenteeism(params, c)
     if no_queue_exists(params, c):
         found.append(_corner_equilibrium(params, K.NO_QUEUE, 0.0, 0.0))

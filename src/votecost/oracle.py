@@ -19,10 +19,10 @@ the truncated probability vectors); this is an exact reorganization of
 the same finitely many terms, not a distributional identity.  K comes
 from the inverse Poisson cdf ``pdtrik`` and the pmfs from ``gammaln``
 (``scipy.special``), by the same formulas as ``scipy.stats.poisson``'s
-``ppf`` and ``pmf``.  Each side's total (one partisan and one voter
-mean) is convolved once and kept, read-only, in a small memo, as are its
-two pmf vectors and the truncation indices, so the sides and grid points
-that share a total or a mean do not rebuild it.
+``ppf`` and ``pmf``.  One call may take sequences of voter means and
+sides: it builds each truncation index, pmf vector and side total once
+and takes every combination's gain from them, so ``verify`` makes one
+call per electorate.  Nothing is kept from one call to the next.
 
 Monte Carlo.  Randomness comes from numpy's ``Generator`` over the
 ``PCG64`` bit generator seeded directly with the configured seed, so a
@@ -37,9 +37,9 @@ consistent estimator of the brute-force pivot gain.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,12 +98,6 @@ CELL_CAP = 1e9
 _SIDES = ("A", "B")
 
 
-# Distinct means per electorate of the verify grid: x_a, x_b and five
-# voter means per side, with room to spare.
-_INDEX_MEMO_SIZE = 32
-
-
-@functools.lru_cache(maxsize=_INDEX_MEMO_SIZE)
 def _upper_index(mean: float, tail_eps: float) -> int:
     """Smallest K with P(Poisson(mean) > K) <= tail_eps."""
     if mean <= 0.0:
@@ -117,119 +111,105 @@ def _upper_index(mean: float, tail_eps: float) -> int:
     return k
 
 
-# Per electorate, verify convolves each partisan pmf with five voter pmfs,
-# so without a memo it builds 20 vectors, 11 of them distinct (x_a, x_b,
-# four voter means per side and the zero mean of alpha = 0).  Twelve hold
-# them all, and the zero-mean vector, which every electorate starts with,
-# stays from one electorate to the next.  Like the totals memo below, it
-# is too small to carry anything else of one verify run into the next.
-_PMF_MEMO_SIZE = 12
-
-
-@functools.lru_cache(maxsize=_PMF_MEMO_SIZE)
 def _pmf_vector(mean: float, k_max: int) -> np.ndarray:
-    """Read-only Poisson(mean) pmf over 0..k_max."""
+    """Poisson(mean) pmf over 0..k_max."""
     if mean <= 0.0:
         out = np.zeros(k_max + 1)
         out[0] = 1.0
-    else:
-        k = np.arange(k_max + 1)
-        out = np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
-    out.flags.writeable = False
-    return out
+        return out
+    k = np.arange(k_max + 1)
+    return np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
+
+
+def _means(name: str, value: float | Sequence[float]) -> list[float]:
+    """``value``, or each mean of a sequence, checked and as plain floats."""
+    means = [value] if np.ndim(value) == 0 else list(value)
+    for mean in means:
+        if not (0.0 <= mean < math.inf):
+            raise DomainError(f"{name} must be a finite mean >= 0, got {mean!r}")
+    return [float(mean) for mean in means]
 
 
 def _total_pmfs(
     x_a: float,
     x_b: float,
-    y_a: float,
-    y_b: float,
+    y_a: float | Sequence[float],
+    y_b: float | Sequence[float],
     cfg: OracleConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated pmf vectors of the two vote totals a+r and b+s.
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Truncated pmf vectors of the vote totals a+r and b+s, one per voter mean.
 
-    Each index is cut at its ``_upper_index`` for ``cfg.tail_eps``, and
-    the four-index box must fit in CELL_CAP.  The returned arrays are
-    read-only.
+    Every check, CELL_CAP's on the largest four-index box included, runs
+    before a pmf is built.
     """
-    for name, mean in (("x_a", x_a), ("x_b", x_b), ("y_a", y_a), ("y_b", y_b)):
-        if not (0.0 <= mean < math.inf):
-            raise DomainError(f"{name} must be a finite mean >= 0, got {mean!r}")
-    # plain floats, so 0-d arrays also make a hashable memo key
-    x_a, x_b, y_a, y_b = float(x_a), float(x_b), float(y_a), float(y_b)
+    (x_a,), (x_b,) = _means("x_a", x_a), _means("x_b", x_b)
+    ys_a, ys_b = _means("y_a", y_a), _means("y_b", y_b)
     tail_eps = cfg.tail_eps
-    k_a = _upper_index(x_a, tail_eps)
-    k_b = _upper_index(x_b, tail_eps)
-    k_r = _upper_index(y_a, tail_eps)
-    k_s = _upper_index(y_b, tail_eps)
+    k_a, k_b = _upper_index(x_a, tail_eps), _upper_index(x_b, tail_eps)
+    ks_r = [_upper_index(y, tail_eps) for y in ys_a]
+    ks_s = [_upper_index(y, tail_eps) for y in ys_b]
+    k_r, k_s = max(ks_r, default=0), max(ks_s, default=0)
     cells = (k_a + 1) * (k_b + 1) * (k_r + 1) * (k_s + 1)
     if cells > CELL_CAP:
         raise TruncationLimitError(
             f"truncation box of {cells:.3g} cells exceeds CELL_CAP={CELL_CAP:.3g}"
         )
-    return _vote_total(x_a, y_a, k_a, k_r), _vote_total(x_b, y_b, k_b, k_s)
-
-
-# Per electorate, verify reuses one side-A total five times in a row (for
-# each alpha_b, both sides) while it cycles through five side-B totals; an
-# LRU memo must hold those six to hit.  The size is fixed and small, so
-# one verify run (360 distinct totals) does not carry its totals into the
-# next.
-_TOTAL_MEMO_SIZE = 8
-
-
-@functools.lru_cache(maxsize=_TOTAL_MEMO_SIZE)
-def _vote_total(
-    partisan_mean: float, voter_mean: float, k_partisan: int, k_voter: int
-) -> np.ndarray:
-    """Read-only pmf vector of one side's vote total, truncated at the indices.
-
-    The domain and cell-cap checks stay in :func:`_total_pmfs`, so they
-    run on every call, before a total is fetched or built.
-    """
-    total = np.convolve(
-        _pmf_vector(partisan_mean, k_partisan), _pmf_vector(voter_mean, k_voter)
+    partisan_a, partisan_b = _pmf_vector(x_a, k_a), _pmf_vector(x_b, k_b)
+    return (
+        [np.convolve(partisan_a, _pmf_vector(y, k)) for y, k in zip(ys_a, ks_r)],
+        [np.convolve(partisan_b, _pmf_vector(y, k)) for y, k in zip(ys_b, ks_s)],
     )
-    total.flags.writeable = False
-    return total
 
 
-@dataclass
-class BruteForceGain:
-    """A truncated-sum pivot gain together with its truncation error bound."""
-
-    # not frozen, like cli.VerifyRow: frozen takes ~0.9 us per verify row, twice as long
-    value: float
-    error_bound: float
-
-
-def pivot_gain_bruteforce(
-    x_a: float,
-    x_b: float,
-    y_a: float,
-    y_b: float,
-    side: str = "A",
-    cfg: OracleConfig | None = None,
-) -> BruteForceGain:
-    """Quadruple-sum pivot gain for ``side`` at the given Poisson means.
-
-    The gain from one extra own-side vote is nonzero exactly when the
-    opponent total minus the own total is 0 or 1, each contributing 1/2.
-    """
-    cfg = cfg or DEFAULT_ORACLE_CONFIG
-    if side not in _SIDES:
-        raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
-    dist_a, dist_b = _total_pmfs(x_a, x_b, y_a, y_b, cfg)
-    own, other = (dist_a, dist_b) if side == "A" else (dist_b, dist_a)
+def _gain(own: np.ndarray, other: np.ndarray) -> float:
+    """Half of P(T_other - T_own = 0) + P(T_other - T_own = 1)."""
     n = len(own)
     if len(other) <= n:
         # zero-pad a short total to n + 1, so both dots run over n terms
         padded = np.zeros(n + 1)
         padded[: len(other)] = other
         other = padded
-    # P(T_other - T_own = 0) + P(T_other - T_own = 1)
-    p_event = float(np.dot(own, other[:n]) + np.dot(own, other[1 : n + 1]))
-    return BruteForceGain(value=0.5 * p_event, error_bound=4.0 * cfg.tail_eps)
+    return 0.5 * float(np.dot(own, other[:n]) + np.dot(own, other[1 : n + 1]))
+
+
+@dataclass
+class BruteForceGain:
+    """Truncated-sum pivot gains (a float, or a list) with their truncation error bound."""
+
+    value: float | list[float]
+    error_bound: float
+
+
+def pivot_gain_bruteforce(
+    x_a: float,
+    x_b: float,
+    y_a: float | Sequence[float],
+    y_b: float | Sequence[float],
+    side: str | Sequence[str] = "A",
+    cfg: OracleConfig | None = None,
+) -> BruteForceGain:
+    """Quadruple-sum pivot gain for ``side`` at the given Poisson means.
+
+    The gain from one extra own-side vote is nonzero exactly when the
+    opponent total minus the own total is 0 or 1, each contributing 1/2.
+
+    Any of ``y_a``, ``y_b`` and ``side`` may be a sequence; ``value`` is
+    then the list of gains of every (y_a, y_b, side) combination in
+    ``itertools.product`` order, from one build of each pmf and total.
+    """
+    cfg = cfg or DEFAULT_ORACLE_CONFIG
+    sides = [side] if np.ndim(side) == 0 else list(side)
+    for one in sides:
+        if one not in _SIDES:
+            raise DomainError(f"side must be one of {_SIDES}, got {one!r}")
+    totals_a, totals_b = _total_pmfs(x_a, x_b, y_a, y_b, cfg)
+    gains = [
+        _gain(dist_a, dist_b) if one == "A" else _gain(dist_b, dist_a)
+        for dist_a in totals_a for dist_b in totals_b for one in sides
+    ]
+    if np.ndim(side) == np.ndim(y_a) == np.ndim(y_b) == 0:
+        gains = gains[0]
+    return BruteForceGain(value=gains, error_bound=4.0 * cfg.tail_eps)
 
 
 @dataclass(frozen=True)

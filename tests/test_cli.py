@@ -26,13 +26,7 @@ from votecost.cli import (
 )
 from votecost.equilibria import Equilibrium
 from votecost.errors import ConvergenceError
-from votecost.oracle import (
-    OracleConfig,
-    _pmf_vector,
-    _upper_index,
-    _vote_total,
-    pivot_gain_bruteforce,
-)
+from votecost.oracle import OracleConfig, pivot_gain_bruteforce
 from votecost.pivot import ElectorateParams, thresholds
 from votecost.regime import classify
 
@@ -263,7 +257,8 @@ class TestVerifyVerb:
         assert all(list(row) == header for row in rows)
 
     def test_brute_force_matches_cold_memo(self):
-        # the memoized grid gives, bit for bit, what each sum gives on its own
+        # one call per electorate gives, bit for bit, what each row's
+        # scalar call gives on its own
         cfg = OracleConfig()
         rows = standard_verify_rows(cfg)
         assert len(rows) == 1800
@@ -271,9 +266,6 @@ class TestVerifyVerb:
             params = ElectorateParams(n=row.n, p=row.p, p_a=row.pa)
             y_a = params.m_a * row.alpha_a
             y_b = params.m_b * row.alpha_b
-            _vote_total.cache_clear()
-            _pmf_vector.cache_clear()
-            _upper_index.cache_clear()
             cold = pivot_gain_bruteforce(params.x_a, params.x_b, y_a, y_b, row.side, cfg)
             assert row.brute_force == cold.value, row
 
@@ -289,28 +281,40 @@ class Shade(Enum):
 
 
 class TestCsvText:
-    HEADER = ["signed_zero", "one", "extreme", "other"]
+    HEADER = ["signed_zero", "one", "extreme", "other", "text"]
     # equal values of other types or signs follow a formatted float in
-    # each column, so a memo keyed on the value alone misprints them
+    # each column, so a memo keyed on the value alone misprints them; the
+    # last column holds every character that needs quotes
     ROWS = [
-        [0.0, 1.0, float("nan"), np.float64(0.1)],
-        [-0.0, True, float("inf"), None],
-        [0.0, 1, float("-inf"), Shade.DARK],
-        [-0.0, 1.0, 5e-324, ("a,b", "c")],
-        [0.0, True, 1e308, np.float64(-0.0)],
-        [-0.0, 1, 5e-324, 0.1],
+        [0.0, 1.0, float("nan"), np.float64(0.1), "a,b"],
+        [-0.0, True, float("inf"), None, 'say "hi"'],
+        [0.0, 1, float("-inf"), Shade.DARK, "two\nlines"],
+        [-0.0, 1.0, 5e-324, ("a,b", "c"), "cr\rhere"],
+        [0.0, True, 1e308, np.float64(-0.0), ""],
+        [-0.0, 1, 5e-324, 0.1, "plain"],
     ]
 
     def test_matches_per_cell_rule(self):
-        # floats as format(x, ".17g") prints them, every other cell as before
+        # floats as format(x, ".17g") prints them, every other cell as
+        # csv.writer quotes it, except a bare \r: csv.writer quotes it from
+        # Python 3.13 on, and the pinned text is its quoted form
         def cell(x):
+            if isinstance(x, str) and "\r" in x:
+                return "<cr>"
             return format(x, ".17g") if isinstance(x, float) else _fmt_cell(x)
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.HEADER)
         writer.writerows([[cell(x) for x in row] for row in self.ROWS])
-        assert _csv_text(self.HEADER, self.ROWS) == buf.getvalue()
+        want = buf.getvalue().replace("<cr>", '"cr\rhere"')
+        assert _csv_text(self.HEADER, self.ROWS) == want
+
+    def test_one_column(self):
+        # a lone empty cell is quoted, so it does not read as an empty row
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([[""], ["x"]])
+        assert _csv_text([""], [["x"]]) == buf.getvalue() == '""\nx\n'
 
     def test_cells(self):
         header, *rows = csv.reader(io.StringIO(_csv_text(self.HEADER, self.ROWS)))
@@ -322,6 +326,7 @@ class TestCsvText:
                               "4.9406564584124654e-324")
         assert columns[3] == ("0.10000000000000001", "", "dark", "a,b;c", "-0",
                               "0.10000000000000001")
+        assert columns[4] == ("a,b", 'say "hi"', "two\nlines", "cr\rhere", "", "plain")
 
 
 class TestOutputFile:

@@ -293,6 +293,26 @@ class TestEnumerate:
         with pytest.raises(DomainError):
             enumerate_equilibria(REF, 0.0)
 
+    def test_half_cost_on_window_edge_is_a_coin_toss(self):
+        # ct_upper is within EPS_CMP of 1/2 here, so cost_side puts c = 1/2
+        # on it, and the coin toss owns the edge as it does at c = ct_upper
+        params = ElectorateParams(n=0.01, p=2e-12, p_a=0.6)
+        ts = thresholds(params)
+        assert ts.ct_upper < 0.5 and eqm.cost_side(0.5, ts.log_ct_upper) == 0
+        for c in (ts.ct_upper, 0.5):
+            eqs = enumerate_equilibria(params, c)
+            assert [eq.kind for eq in eqs] == [
+                EquilibriumKind.COIN_TOSS,
+                EquilibriumKind.NO_QUEUE,
+            ]
+            toss = eqs[0]
+            assert toss.strategies.alpha_a == 0.0
+            assert toss.strategies.alpha_b == pytest.approx(1e-12, rel=1e-6)
+            assert toss.notes == ("coincides with partial_absenteeism solution",)
+        # a cost above the edge is still out of the solver's range
+        with pytest.raises(DomainError, match="^coin-toss costs must lie in"):
+            solve_coin_toss(params, 0.6)
+
     def test_saturation_floor_coincides_with_all_swipe(self):
         # at the saturation floor the root sits at alpha_a = 1, which the
         # all-swipe corner owns: one entry, and saturation returns none

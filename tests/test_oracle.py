@@ -1,5 +1,6 @@
 """Brute-force sums and Monte Carlo simulation against analytic anchors."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,30 +9,21 @@ from reference_fns import tie_rule, utility_bruteforce
 from scipy import stats
 
 from votecost import oracle
-from votecost.cli import standard_verify_rows
+from votecost.cli import VERIFY_GRID_N, VERIFY_GRID_P, VERIFY_GRID_PA
 from votecost.equilibria import solve_coin_toss
 from votecost.errors import DomainError, TruncationLimitError
 from votecost.oracle import (
-    _INDEX_MEMO_SIZE,
-    _TOTAL_MEMO_SIZE,
     OracleConfig,
     _pmf_vector,
     _poisson_pivot,
     _total_pmfs,
     _upper_index,
-    _vote_total,
     class_sizes,
     pivot_gain_bruteforce,
     poisson_environment_pivot,
     simulate_election,
 )
 from votecost.pivot import ElectorateParams, StrategyPair, r1_closed, r2_closed
-
-
-def clear_memos():
-    _vote_total.cache_clear()
-    _pmf_vector.cache_clear()
-    _upper_index.cache_clear()
 
 
 class TestTieRule:
@@ -93,7 +85,7 @@ class TestBruteForce:
     def padded_gain(x_a, x_b, y_a, y_b, side, cfg):
         # the reference: the other total always copied into a zero-padded
         # vector of length n + 1, whatever its length
-        dist_a, dist_b = _total_pmfs(x_a, x_b, y_a, y_b, cfg)
+        (dist_a,), (dist_b,) = _total_pmfs(x_a, x_b, y_a, y_b, cfg)
         own, other = (dist_a, dist_b) if side == "A" else (dist_b, dist_a)
         n = len(own)
         other_pad = np.zeros(n + 1)
@@ -110,7 +102,7 @@ class TestBruteForce:
         # len(other) - len(own): below 0, 0, 1 and above 1 all occur
         seen = set()
         for point in means:
-            dist_a, dist_b = _total_pmfs(*point, cfg)
+            (dist_a,), (dist_b,) = _total_pmfs(*point, cfg)
             for side in ("A", "B"):
                 own, other = (dist_a, dist_b) if side == "A" else (dist_b, dist_a)
                 seen.add(min(max(len(other) - len(own), -1), 2))
@@ -128,6 +120,8 @@ class TestBruteForce:
             pivot_gain_bruteforce(-1.0, 0, 0, 0, "A")
         with pytest.raises(DomainError):
             pivot_gain_bruteforce(1.0, 0, 0, 0, "C")
+        with pytest.raises(DomainError):
+            pivot_gain_bruteforce(1.0, 0, 0, 0, None)
 
     @pytest.mark.parametrize("bad", [-1.0, -math.inf, math.inf, math.nan])
     @pytest.mark.parametrize("slot, name", enumerate(["x_a", "x_b", "y_a", "y_b"]))
@@ -136,6 +130,49 @@ class TestBruteForce:
         means[slot] = bad
         with pytest.raises(DomainError, match=f"^{name} must be a finite mean >= 0, got "):
             pivot_gain_bruteforce(*means, "A")
+
+    @pytest.mark.parametrize("tail_eps", [1e-13, 1e-10, 1e-7])
+    def test_sequences_match_scalar_calls(self, tail_eps, monkeypatch):
+        cfg = OracleConfig(tail_eps=tail_eps)
+        grid = [
+            ElectorateParams(n=n, p=p, p_a=p_a)
+            for n, p, p_a in itertools.product(VERIFY_GRID_N, VERIFY_GRID_P, VERIFY_GRID_PA)
+        ]
+        top = math.log10(max(max(e.x_a, e.x_b, e.m_a, e.m_b) for e in grid))
+        rng = np.random.default_rng(20240717)
+        for trial in range(12):
+            x_a, x_b = 10.0 ** rng.uniform([-300.0, -3.0], top)[rng.permutation(2)]
+            ys_a = [0.0, *10.0 ** rng.uniform(-300.0, top, size=2), 10.0**top]
+            ys_b = [0.0, 1e-300, *10.0 ** rng.uniform(-3.0, top, size=2)]
+            sides = [("A", "B"), ("B", "A"), ["B"], "A"][trial % 4]
+            for y_a, y_b in [(ys_a, ys_b), (ys_a[1], ys_b), (ys_a, ys_b[2])]:
+                got = pivot_gain_bruteforce(x_a, x_b, y_a, y_b, sides, cfg)
+                want = [
+                    pivot_gain_bruteforce(x_a, x_b, one_a, one_b, side, cfg).value
+                    for one_a, one_b, side in itertools.product(
+                        np.atleast_1d(y_a), np.atleast_1d(y_b), sides
+                    )
+                ]
+                assert got.value == want, (x_a, x_b, y_a, y_b, sides)
+                assert got.error_bound == 4.0 * tail_eps
+
+        # every check runs before a pmf is built
+        built = []
+        monkeypatch.setattr(oracle, "_pmf_vector", lambda *args: built.append(args))
+        ys = [0.0, 1.0, 50.0]
+        with pytest.raises(DomainError, match="^side must be one of"):
+            pivot_gain_bruteforce(1.0, 1.0, ys, ys, ("A", "C"), cfg)
+        for bad in (math.nan, -1.0):
+            with pytest.raises(DomainError, match="^y_a must be a finite mean >= 0, got "):
+                pivot_gain_bruteforce(1.0, 1.0, [0.5, bad], ys, ("A", "B"), cfg)
+            with pytest.raises(DomainError, match="^y_b must be a finite mean >= 0, got "):
+                pivot_gain_bruteforce(1.0, 1.0, ys, [bad, 0.5], "B", cfg)
+        # only the largest box, the last y_a with the last y_b, breaks the cap
+        k_one, k_big = _upper_index(1.0, tail_eps), _upper_index(50.0, tail_eps)
+        monkeypatch.setattr(oracle, "CELL_CAP", (k_one + 1) ** 2 * (k_big + 1) ** 2 - 1)
+        with pytest.raises(TruncationLimitError):
+            pivot_gain_bruteforce(1.0, 1.0, ys, ys, ("A", "B"), cfg)
+        assert built == []
 
 
 # means from the smallest subnormal up to 1e5
@@ -172,29 +209,17 @@ class TestPoissonHelpers:
         assert int(stats.poisson.ppf(1.0 - tail_eps, mean)) == want
 
     def test_repeated_upper_index_matches_ppf(self):
-        # hits and evictions of the index memo still give the ppf
-        clear_memos()
-        means = POISSON_MEANS[: 2 * _INDEX_MEMO_SIZE]
+        means = POISSON_MEANS[:64]
         for _ in range(2):
             for tail_eps in (1e-13, 1e-7):
                 for mean in means:
                     want = int(stats.poisson.ppf(1.0 - tail_eps, mean))
                     for _repeat in range(2):
                         assert _upper_index(mean, tail_eps) == want, (mean, tail_eps)
-        info = _upper_index.cache_info()
-        assert info.hits == info.misses == 4 * len(means)
 
 
 class TestTotalsMemo:
     MEANS = (1.8, 1.2, 0.7, 1.3)
-
-    def test_cached_totals_are_read_only(self):
-        dist_a, dist_b = _total_pmfs(*self.MEANS, OracleConfig())
-        for dist in (dist_a, dist_b, _pmf_vector(1.8, 12), _pmf_vector(0.0, 3)):
-            with pytest.raises(ValueError):
-                dist[0] = 1.0
-        again = _total_pmfs(*self.MEANS, OracleConfig())
-        assert again[0] is dist_a and again[1] is dist_b
 
     def run(self):
         return (
@@ -214,34 +239,12 @@ class TestTotalsMemo:
         ids=["means", "config", "utility"],
     )
     def test_interleaved_call_does_not_change_results(self, between):
-        # each result must equal the one computed from an empty memo
-        clear_memos()
+        # no call carries anything over into the next
         fresh_between = between()
-        clear_memos()
         fresh = self.run()
         assert between() == fresh_between
         assert self.run() == fresh
         assert between() == fresh_between
-
-    def test_cycling_past_memo_size_matches_cold(self):
-        # more distinct totals and means than either memo holds, so every
-        # pass runs through evictions
-        points = [
-            (x, 1.0 + 0.1 * x, 0.3 * j + 0.07 * x, 0.2 * j + 0.05 * x)
-            for x in (0.5, 1.5, 2.5, 3.5)
-            for j in range(_TOTAL_MEMO_SIZE + 2)
-        ]
-        assert len(set(np.ravel(points))) > _INDEX_MEMO_SIZE
-        assert len({(x_b, y_b) for _, x_b, _, y_b in points}) > _TOTAL_MEMO_SIZE
-        cold = []
-        for point in points:
-            clear_memos()
-            cold.append(pivot_gain_bruteforce(*point, "A"))
-        clear_memos()
-        for _ in range(2):
-            assert [pivot_gain_bruteforce(*point, "A") for point in points] == cold
-        assert _vote_total.cache_info().currsize == _TOTAL_MEMO_SIZE
-        assert _upper_index.cache_info().currsize == _INDEX_MEMO_SIZE
 
     @pytest.mark.parametrize(
         "cfg",
@@ -251,40 +254,20 @@ class TestTotalsMemo:
     def test_truncation_change_between_calls_matches_cold(self, cfg):
         # compares the vectors: a stale total under another tail_eps
         # can give the same gain to the last bit
-        clear_memos()
-        want = [np.array(dist) for dist in _total_pmfs(*self.MEANS, cfg)]
-        clear_memos()
-        default = [np.array(dist) for dist in _total_pmfs(*self.MEANS, OracleConfig())]
+        def totals(cfg):
+            (dist_a,), (dist_b,) = _total_pmfs(*self.MEANS, cfg)
+            return dist_a, dist_b
+
+        want = totals(cfg)
+        default = totals(OracleConfig())
         for _ in range(2):
-            got = _total_pmfs(*self.MEANS, cfg)
-            for dist, base, wanted in zip(got, default, want):
+            for dist, base, wanted in zip(totals(cfg), default, want):
                 assert len(dist) != len(base)
                 np.testing.assert_array_equal(dist, wanted)
-            for dist, base in zip(_total_pmfs(*self.MEANS, OracleConfig()), default):
+            for dist, base in zip(totals(OracleConfig()), default):
                 np.testing.assert_array_equal(dist, base)
 
-    def test_verify_runs_do_not_carry_work_over(self):
-        # a run that reused the last run's totals or pmfs would look
-        # faster when verify is repeated in one process
-        def builds():
-            return _vote_total.cache_info().misses, _pmf_vector.cache_info().misses
-
-        clear_memos()
-        runs = []
-        for _ in range(3):
-            before = builds()
-            standard_verify_rows(OracleConfig())
-            runs.append([after - start for after, start in zip(builds(), before)])
-        (cold_totals, cold_pmfs), *warm = runs
-        assert cold_totals == 360
-        assert cold_pmfs < 720
-        for totals, pmfs in warm:
-            assert totals == 360
-            # the zero-mean vector of alpha = 0 is the only one shared
-            assert pmfs in (cold_pmfs, cold_pmfs - 1)
-
     def test_exceptions_are_not_cached(self, monkeypatch):
-        clear_memos()
         with monkeypatch.context() as small:
             small.setattr(oracle, "CELL_CAP", 1e3)
             for _ in range(2):
@@ -294,8 +277,6 @@ class TestTotalsMemo:
                     pivot_gain_bruteforce(float("nan"), 0, 0, 0, "A")
                 with pytest.raises(TruncationLimitError):
                     pivot_gain_bruteforce(50, 50, 50, 50, "A")
-        # the cap is checked before any total is built
-        assert _vote_total.cache_info().misses == 0
         # a breach right after the same means were summed under a larger cap
         pivot_gain_bruteforce(50, 50, 50, 50, "A")
         monkeypatch.setattr(oracle, "CELL_CAP", 1e3)
