@@ -30,11 +30,21 @@ strategies:
 
 and the existence of each pure corner is a pair of inequalities.
 The absenteeism kernel z -> h(x_a, z) is strictly decreasing when
-x_a <= sqrt(2) and otherwise rises to a unique interior peak and falls;
-``find_h_peak`` locates the peak from the single sign change of the
-slope probe ``_i_sign_core``, and each monotone branch is solved
-separately with Brent's bracketed method (``_brent``), which is correct
-in every sub-case.
+x_a <= sqrt(2) and otherwise rises to a unique interior peak and falls.
+Where the cost lies strictly between its values at the interval ends,
+or below one end and not above the other, the ends decide: one root on
+the whole interval, or none inside it.  Only where the cost is on or
+above both ends does ``find_h_peak`` locate the peak, from the single
+sign change of the slope probe ``_i_sign_core``, and each monotone
+branch is solved separately.
+
+One root finder, ``_rtsafe``, serves all four roots: Newton's method
+safeguarded by bisection on a bracket (Press et al., Numerical Recipes,
+section 9.4).  The three families are solved on log residuals,
+log g - log 2c and log h - log c, which stay finite where h underflows;
+their slopes come from the kernel's own Bessel values
+(``special_fn._log_g_slope`` and ``_log_h_slope``), and the peak from
+the probe's analytic slope.
 
 The kernel values at the interval ends are the cost frontiers of
 ``pivot.thresholds``, which each ``ElectorateParams`` evaluates once and
@@ -70,6 +80,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 from .errors import ConvergenceError, DomainError
@@ -81,7 +92,9 @@ from .pivot import (
     r2_closed,
     thresholds,
 )
-from .special_fn import SQRT2, g, h, _i_sign_core
+# g is not called here: it stays importable as votecost.equilibria.g, a
+# name bench/tracing.py wraps
+from .special_fn import SQRT2, _i_sign_core, _log_g_slope, _log_h_slope, g, h  # noqa: F401
 
 __all__ = [
     "EquilibriumKind",
@@ -104,6 +117,7 @@ __all__ = [
 Z_REL_TOL = 1e-12
 MAX_ITER = 200
 EPS_CMP = 1e-12
+LOG_2 = math.log(2.0)
 
 
 class EquilibriumKind(str, Enum):
@@ -160,22 +174,29 @@ def _winner_from_margin(margin: float) -> Winner:
     return Winner.A if margin > 0.0 else Winner.TIE_IN_EXPECTATION
 
 
-def _brent(
-    fn: Callable[[float], float],
+def _rtsafe(
+    fn: Callable[[float], tuple[float, float]],
     lo: float,
     hi: float,
     f_lo: float,
     f_hi: float,
+    start: float,
     label: str,
 ) -> float:
-    """Root of ``fn`` on a bracket with f(lo) and f(hi) of opposite (or zero) sign.
+    """Root of f on a bracket with f(lo) and f(hi) of opposite (or zero) sign.
 
-    Brent-Dekker (Brent 1973, ch. 4; the loop of scipy's ``brentq``):
-    secant or inverse quadratic steps while they shrink the bracket fast
-    enough, bisection otherwise.  Every evaluation lies inside the
-    bracket.  Stops when the half-bracket is below
-    Z_REL_TOL/2 * max(1, |x|) at the best point x, or when no float is
-    left between x and the midpoint.
+    ``fn(z)`` returns (f(z), step), the Newton step -f(z)/f'(z).  An end
+    whose sign is known but whose value was not computed may pass +-inf.
+    Safeguarded Newton (rtsafe: Press et al., Numerical Recipes, 3rd ed.,
+    section 9.4) from ``start`` (the midpoint if ``start`` is not inside
+    the bracket): each evaluation narrows the bracket to the sign change,
+    and a Newton step that is not finite, leaves the bracket, or is more
+    than half the step before last becomes bisection, so every
+    evaluation lies inside the bracket.  A step below
+    delta = Z_REL_TOL/2 * max(1, |z|) is lengthened to delta, which
+    closes the bracket across a root that Newton has located.  Stops when
+    the bracket is narrower than 2 delta, or when no float is left
+    inside it, and returns the end with the smaller |f|.
     """
     if f_lo == 0.0:
         return lo
@@ -183,85 +204,115 @@ def _brent(
         return hi
     # compare signs, not the product: products of exponentially small
     # values underflow to 0.0 and would defeat the bracket check
-    if (f_lo > 0.0) == (f_hi > 0.0):
+    lo_positive = f_lo > 0.0
+    if lo_positive == (f_hi > 0.0):
         raise ConvergenceError(f"{label}: endpoints do not bracket a root")
     z_rel_tol, max_iter = Z_REL_TOL, MAX_ITER
-    x_pre, f_pre, x_cur, f_cur = lo, f_lo, hi, f_hi
-    x_blk = f_blk = s_pre = s_cur = 0.0
+    z = start if lo < start < hi else lo + 0.5 * (hi - lo)
+    step_old = step_last = hi - lo
     for _ in range(max_iter):
-        if (f_pre > 0.0) != (f_cur > 0.0):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = 0.5 * z_rel_tol * max(1.0, abs(x_cur))
-        s_bis = 0.5 * (x_blk - x_cur)
-        mid = x_cur + s_bis
-        if abs(s_bis) < delta or mid == x_cur or mid == x_blk:
-            return x_cur
-        s_try = math.nan  # NaN fails the acceptance test below: bisect
-        # |f_cur| < |f_pre| keeps x_pre and x_cur apart, and the bracket
-        # check above keeps x_blk and x_cur apart
-        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
-            if x_pre == x_blk:  # secant
-                num, den = -f_cur * (x_cur - x_pre), f_cur - f_pre
-            else:  # inverse quadratic
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                num = -f_cur * (f_blk * d_blk - f_pre * d_pre)
-                den = d_blk * d_pre * (f_blk - f_pre)
-            # the product underflows to 0.0 for tiny residuals, as at the
-            # costs of ~1e-200 that regime 4 has at n ~ 1e7
-            if den != 0.0:
-                s_try = num / den
-        # take a step toward x_blk that cuts the bracket to 3/4 or less:
-        # every evaluation then stays inside the bracket (Brent's rule)
-        if s_try * s_bis > 0.0 and 2.0 * abs(s_try) < min(
-            abs(s_pre), 3.0 * abs(s_bis) - delta
-        ):
-            s_pre, s_cur = s_cur, s_try
+        f, step = fn(z)
+        if f == 0.0:
+            return z
+        if (f > 0.0) == lo_positive:
+            lo, f_lo = z, f
         else:
-            s_pre = s_cur = s_bis
-        x_pre, f_pre = x_cur, f_cur
-        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
-        f_cur = fn(x_cur)
-        if f_cur == 0.0:
-            return x_cur
+            hi, f_hi = z, f
+        delta = 0.5 * z_rel_tol * max(1.0, abs(z))
+        mid = lo + 0.5 * (hi - lo)
+        if hi - lo < 2.0 * delta or mid == lo or mid == hi:
+            return lo if abs(f_lo) <= abs(f_hi) else hi
+        if abs(step) < delta:
+            step = math.copysign(delta, step)
+        # NaN fails both tests: bisect
+        if lo < z + step < hi and abs(step) <= 0.5 * abs(step_old):
+            step_old, step_last = step_last, step
+            z += step
+        else:
+            step_old, step_last = step_last, mid - z
+            z = mid
     raise ConvergenceError(
         f"{label}: no convergence after {max_iter} iterations "
-        f"(bracket width {abs(x_blk - x_cur):.3e})"
+        f"(bracket width {hi - lo:.3e})"
     )
 
 
-def _kernel_point(x: float, z: float, c: float) -> tuple[float, float, float]:
-    """(z, log h(x, z), h(x, z) - c) for ``_roots``; log -inf where h underflows."""
+def _kernel_point(x: float, z: float) -> tuple[float, float]:
+    """(z, log h(x, z)) for ``_roots``; log -inf where h underflows."""
     value = h(x, z)
-    return z, (math.log(value) if value > 0.0 else -math.inf), value - c
+    return z, (math.log(value) if value > 0.0 else -math.inf)
 
 
 def _roots(
-    fn: Callable[[float], float],
+    kernel: Callable[[float], tuple[float, float]],
     c: float,
-    points: list[tuple[float, float, float]],
+    points: list[tuple[float, float]],
+    start: Callable[[float, float, float, float, float], float],
     label: str,
     closed: bool = False,
 ) -> list[float]:
-    """Sorted roots of fn(z) = kernel(z) - c over consecutive monotone pieces.
+    """Sorted roots of f(z) = c, f = exp(log f), between consecutive points.
 
-    ``points`` are (z, log kernel(z), fn(z)) at the ends of the monotone
-    pieces, in increasing z.  A point whose kernel value ``cost_side``
-    puts the cost on is a root itself, the first and last only if
-    ``closed``; a piece whose two ends it puts on opposite sides holds
-    one root, which ``_brent`` finds.
+    ``kernel(z)`` returns (log f(z), d log f / dz), and ``points`` are
+    (z, log f(z)) in increasing z, chosen so that f crosses c at most
+    once between two of them.  A point whose value ``cost_side`` puts
+    the cost on is a root itself, the first and last only if ``closed``;
+    a piece whose two ends it puts on opposite sides holds one root,
+    which ``_rtsafe`` finds on the log residual log f - log c, starting
+    at ``start(a, log f(a), b, log f(b), log c)`` on the piece [a, b].
     """
-    sides = [cost_side(c, log_f) for _, log_f, _ in points]
+    sides = [cost_side(c, log_f) for _, log_f in points]
     inner = range(len(points)) if closed else range(1, len(points) - 1)
     roots = [points[i][0] for i in inner if sides[i] == 0]
-    for (a, _, f_a), (b, _, f_b), s_a, s_b in zip(points, points[1:], sides, sides[1:]):
+    log_c = math.log(c)  # cost_side has rejected c <= 0
+
+    def residual(z: float) -> tuple[float, float]:
+        log_f, slope = kernel(z)
+        f = log_f - log_c
+        return f, (-f / slope if slope else math.inf)
+
+    for (a, log_a), (b, log_b), s_a, s_b in zip(points, points[1:], sides, sides[1:]):
         if s_a * s_b < 0:
-            roots.append(_brent(fn, a, b, f_a, f_b, label))
+            z0 = start(a, log_a, b, log_b, log_c)
+            roots.append(_rtsafe(residual, a, b, log_a - log_c, log_b - log_c, z0, label))
     return sorted(roots)
+
+
+def _log_log_start(a: float, log_a: float, b: float, log_b: float, log_c: float) -> float:
+    """Where log f reaches log c if it is linear in log z on [a, b].
+
+    For large z, log g = log(2 / (pi z)) / 2 + O(1/z), so the coin-toss
+    root is found within a few per cent of the bracket.
+    """
+    return a * (b / a) ** ((log_c - log_a) / (log_b - log_a))
+
+
+def _gauss_start(x: float) -> Callable[[float, float, float, float, float], float]:
+    """Start points for h(x, z) = c on pieces on one side of z = x.
+
+    log h(x, z) = log S(z) - (sqrt(x) - sqrt(z))^2, where log S varies
+    slowly: take log S from the two ends, weighted by where log c lies
+    between their values, and solve (sqrt(x) - sqrt(z))^2 = log S - log c
+    for z on the side of x that the piece lies on.
+    """
+    root_x = math.sqrt(x)
+
+    def start(a: float, log_a: float, b: float, log_b: float, log_c: float) -> float:
+        s_a = log_a + (root_x - math.sqrt(a)) ** 2
+        s_b = log_b + (root_x - math.sqrt(b)) ** 2
+        depth = s_a + (log_c - log_a) / (log_b - log_a) * (s_b - s_a) - log_c
+        if not depth > 0.0:  # NaN too, where an end underflowed
+            return a  # not inside the piece: _rtsafe starts at its midpoint
+        offset = math.sqrt(depth)
+        return (root_x + offset if a >= x else root_x - offset) ** 2
+
+    return start
+
+
+def _log_half_g(z: float) -> tuple[float, float]:
+    # the coin-toss frontiers are g / 2: log g - log 2c = log(g / 2) - log c
+    log_g, slope = _log_g_slope(z)
+    return log_g - LOG_2, slope
 
 
 def solve_coin_toss(params: ElectorateParams, c: float) -> Equilibrium | None:
@@ -286,14 +337,11 @@ def solve_coin_toss(params: ElectorateParams, c: float) -> Equilibrium | None:
         )
     if not ts.ct_admissible:
         return None
-    target = 2.0 * c
     roots = _roots(
-        lambda t: g(t) - target,
+        _log_half_g,
         c,
-        [
-            (2.0 * params.x_a, ts.log_ct_upper, 2.0 * ts.ct_upper - target),
-            (2.0 * params.total_b, ts.log_ct_lower, 2.0 * ts.ct_lower - target),
-        ],
+        [(2.0 * params.x_a, ts.log_ct_upper), (2.0 * params.total_b, ts.log_ct_lower)],
+        _log_log_start,
         "coin toss",
         closed=True,
     )
@@ -330,26 +378,26 @@ def find_h_peak(x_a: float) -> float:
     """Maximizer of z -> h(x_a, z) on [0, inf).
 
     Returns 0 when x_a <= sqrt(2) (the kernel is then decreasing
-    throughout).  Otherwise the slope probe is positive near 0 and
-    negative at z = x_a, and its unique sign change is solved for.  If no
-    positive probe value is found above z = 1e-13 x_a (possible only
-    for x_a within roundoff of sqrt(2)), the peak is indistinguishable
-    from 0 at double precision and 0 is returned.
+    throughout).  Otherwise the slope probe ``_i_sign_core`` is positive
+    on (0, peak) and negative on (peak, x_a], and ``_rtsafe`` solves for
+    its sign change on (0, x_a) with the probe's analytic slope.  Both
+    signs are known, so neither end is evaluated.  Newton starts at
+    x_a - 1 - 1/(4 x_a), the large-x_a expansion of the peak, and
+    usually needs two steps and one closing evaluation.  A peak within
+    Z_REL_TOL of 0 (x_a within roundoff of sqrt(2)) is returned as some
+    point within that distance of 0.
     """
     if not (x_a > 0.0):
         raise DomainError(f"find_h_peak requires x_a > 0, got {x_a!r}")
     if x_a <= SQRT2:
         return 0.0
-    f_hi = _i_sign_core(x_a, x_a)
-    lo = 0.5 * x_a
-    f_lo = _i_sign_core(x_a, lo)
-    floor = 1e-13 * x_a
-    while f_lo <= 0.0 and lo > floor:
-        lo *= 0.5
-        f_lo = _i_sign_core(x_a, lo)
-    if f_lo <= 0.0:
-        return 0.0
-    return _brent(lambda t: _i_sign_core(x_a, t), lo, x_a, f_lo, f_hi, "h peak")
+
+    def probe(t: float) -> tuple[float, float]:
+        value, slope = _i_sign_core(x_a, t)
+        return value, (-value / slope if slope else math.inf)
+
+    start = x_a - 1.0 - 0.25 / x_a
+    return _rtsafe(probe, 0.0, x_a, math.inf, -math.inf, start, "h peak")
 
 
 def _balance_note(margin: float) -> tuple[str, ...]:
@@ -373,15 +421,18 @@ def solve_partial_absenteeism(params: ElectorateParams, c: float) -> list[Equili
     ts = thresholds(params)
     x_a, z_lo = params.x_a, params.x_b
     if ts.ct_admissible:  # h(x_a, x_a) = g(2 x_a) / 2
-        top = (x_a, ts.log_ct_upper, ts.ct_upper - c)
+        top = (x_a, ts.log_ct_upper)
     else:
-        top = _kernel_point(x_a, params.total_b, c)
-    points = [(z_lo, ts.log_pa_lower, ts.pa_lower - c), top]
-    peak = find_h_peak(x_a)
-    if z_lo < peak < top[0]:
-        points.insert(1, _kernel_point(x_a, peak, c))
+        top = _kernel_point(x_a, params.total_b)
+    points = [(z_lo, ts.log_pa_lower), top]
+    # the kernel is unimodal, so the end values decide unless c is on or
+    # above both: then the peak splits the interval into monotone branches
+    if min(cost_side(c, ts.log_pa_lower), cost_side(c, top[1])) >= 0:
+        peak = find_h_peak(x_a)
+        if z_lo < peak < top[0]:
+            points.insert(1, _kernel_point(x_a, peak))
     out = []
-    for z in _roots(lambda t: h(x_a, t) - c, c, points, "absenteeism"):
+    for z in _roots(partial(_log_h_slope, x_a), c, points, _gauss_start(x_a), "absenteeism"):
         s = StrategyPair(0.0, (z - z_lo) / (params.total_b - z_lo))
         margin = x_a - z
         out.append(
@@ -422,13 +473,14 @@ def solve_partial_saturation(params: ElectorateParams, c: float) -> Equilibrium 
     ts = thresholds(params)
     k, x_a, z_hi = params.total_b, params.x_a, params.total_a
     if ts.ct_admissible:  # h(k, k) = g(2 n (1-p_a)) / 2
-        bottom = (k, ts.log_ct_lower, ts.ct_lower - c)
+        bottom = (k, ts.log_ct_lower)
     else:
-        bottom = _kernel_point(k, x_a, c)
+        bottom = _kernel_point(k, x_a)
     roots = _roots(
-        lambda t: h(k, t) - c,
+        partial(_log_h_slope, k),
         c,
-        [bottom, (z_hi, ts.log_ps_lower, ts.ps_lower - c)],
+        [bottom, (z_hi, ts.log_ps_lower)],
+        _gauss_start(k),
         "saturation",
     )
     if not roots:
@@ -467,7 +519,7 @@ def _minority_swipe_exists(params: ElectorateParams, c: float) -> bool:
     if thresholds(params).ct_admissible:
         return False
     k, x_a = params.total_b, params.x_a
-    r1, r2 = _kernel_point(k, x_a, c)[1], _kernel_point(x_a, k, c)[1]
+    r1, r2 = _kernel_point(k, x_a)[1], _kernel_point(x_a, k)[1]
     return cost_side(c, r1) >= 0 and cost_side(c, r2) <= 0
 
 

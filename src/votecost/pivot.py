@@ -201,8 +201,8 @@ def log_frontiers(n, p: float, p_a: float) -> np.ndarray:
                 "log_frontiers requires x_a, total_b >= 0 and x_b, total_a > 0, "
                 f"got n={n!r}, p={p!r}, p_a={p_a!r}"
             )
-        scaled_a, d_a = _h_parts(x_a, x_b, math.sqrt)
-        scaled_b, d_b = _h_parts(total_b, total_a, math.sqrt)
+        scaled_a, d_a, _, _ = _h_parts(x_a, x_b, math.sqrt)
+        scaled_b, d_b, _, _ = _h_parts(total_b, total_a, math.sqrt)
         logs = np.log([g(2.0 * x_a), g(2.0 * total_b), scaled_a, scaled_b])
         # adding -(d * d) is subtracting d * d, bit for bit
         return logs + [LOG_HALF, LOG_HALF, -(d_a * d_a), -(d_b * d_b)]

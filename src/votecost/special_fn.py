@@ -27,13 +27,21 @@ whose exponent is never positive; the scaled factors e^{-t} I_k(t) are
 scipy's Cephes ``i0e``/``i1e``.  The exponent is computed as
 ((x - z) / (sqrt(x) + sqrt(z)))^2, which does not cancel when x ~ z.
 
-The formula has two entry points:
+The formula has three kinds of entry point:
 
-* ``g`` and ``h`` take and return Python floats, for the root finders.
-  Their values underflow to 0.0 once the exponent passes ~745, at
-  populations of ~1e6 for the exponentially small frontiers.  The
-  solvers' slope probe ``_i_sign_core`` is damped by e^{-t} alone and
-  keeps its sign there.
+* ``g`` and ``h`` take and return Python floats, for one electorate's
+  frontiers, the closed-form pivot gains (``pivot.r1_closed`` and
+  ``r2_closed``), and the solvers' kernel values at interval ends and
+  at the peak.  Their values underflow to 0.0 once the exponent passes ~745,
+  at populations of ~1e6 for the exponentially small frontiers.
+* ``_log_g_slope`` and ``_log_h_slope`` serve the root finder
+  (``equilibria._rtsafe``): each returns the log of the kernel, finite
+  where ``h`` underflows, and its exact z-slope from the same two
+  Bessel values, by the Skellam identity
+  dP(D = k)/dz = P(D = k + 1) - P(D = k).  ``_i_sign_core`` returns the
+  slope probe that ``equilibria.find_h_peak`` solves, with its own
+  z-slope; it is damped by e^{-t} alone and keeps its sign where ``h``
+  underflows.
 * ``log_g`` and ``log_h`` take numpy arrays and return natural logs,
   finite for every positive argument, for the cost frontiers of a sweep.
   One electorate's frontiers (``pivot.log_frontiers``) use ``g`` and
@@ -65,12 +73,14 @@ SQRT2 = math.sqrt(2.0)
 
 
 def _h_parts(x_a, z, sqrt):
-    # h = scaled * exp(-d^2); ``sqrt`` is math.sqrt for floats and
-    # np.sqrt for arrays, so every entry point shares one formula
+    # h = scaled * exp(-d^2) with scaled = (i0 + r_i1) / 2, i0 = i0e(t) and
+    # r_i1 = sqrt(x_a / z) i1e(t), which the slope of log h reuses;
+    # ``sqrt`` is math.sqrt for floats and np.sqrt for arrays, so every
+    # entry point shares one formula
     rx, rz = sqrt(x_a), sqrt(z)
     t = 2.0 * rx * rz
-    scaled = 0.5 * (i0e(t) + (rx / rz) * i1e(t))
-    return scaled, (x_a - z) / (rx + rz)
+    i0, r_i1 = i0e(t), (rx / rz) * i1e(t)
+    return 0.5 * (i0 + r_i1), (x_a - z) / (rx + rz), i0, r_i1
 
 
 def g(z: float) -> float:
@@ -92,20 +102,43 @@ def h(x_a: float, z: float) -> float:
     if z == 0.0:
         # F1(0) = F2(0) = 1
         return 0.5 * (1.0 + x_a) * math.exp(-x_a)
-    scaled, d = _h_parts(x_a, z, math.sqrt)
+    scaled, d, _, _ = _h_parts(x_a, z, math.sqrt)
     # libm pow, not d * d, keeps the last bit of h, solver roots and verify CSV
     return float(scaled) * math.exp(-(d**2))
 
 
-def _i_sign_core(x_a: float, z: float) -> float:
-    # (x_a - z) F1(x_a z) - x_a F2(x_a z), scaled by e^{-t} instead of
-    # e^{-x_a-z}: same sign as dh/dz for z > 0, but free of the
+def _log_g_slope(z: float) -> tuple[float, float]:
+    # (log g(z), d log g / dz) for z > 0, from g'(z) = -e^{-z} I1(z) / z;
+    # log g reads the bits of ``g``
+    i0, i1 = float(i0e(z)), float(i1e(z))
+    total = i0 + i1
+    return math.log(total), -i1 / (z * total)
+
+
+def _log_h_slope(x_a: float, z: float) -> tuple[float, float]:
+    # (log h(x_a, z), d log h / dz) for x_a, z > 0, finite where ``h``
+    # underflows.  dP(D=k)/dz = P(D=k+1) - P(D=k) (Skellam 1946) gives
+    # dh/dz = [P(D=2) - P(D=0)] / 2, and I2 = I0 - (2/t) I1 (A&S 9.6.26)
+    # turns it into d log h / dz = ((x_a - z) I0 - r I1) / (z (I0 + r I1)),
+    # r = sqrt(x_a / z): the Bessel values of h itself, no further calls
+    scaled, d, i0, r_i1 = _h_parts(x_a, z, math.sqrt)
+    scaled, i0, r_i1 = float(scaled), float(i0), float(r_i1)
+    return math.log(scaled) - d * d, ((x_a - z) * i0 - r_i1) / (2.0 * z * scaled)
+
+
+def _i_sign_core(x_a: float, z: float) -> tuple[float, float]:
+    # (S, dS/dz) for S = (x_a - z) F1(x_a z) - x_a F2(x_a z), scaled by
+    # e^{-t} instead of e^{-x_a-z}: S has the sign of dh/dz, free of the
     # catastrophic underflow of the fully damped form when z is far from
-    # x_a.  Requires x_a > 0 and z >= 0, which ``find_h_peak`` ensures.
-    if z == 0.0:
-        return 0.0
+    # x_a.  The slope follows from d i0e/dt = i1e - i0e,
+    # d i1e/dt = i0e - (1 + 1/t) i1e and dt/dz = r = sqrt(x_a / z).
+    # Requires x_a > 0 and z > 0, which ``find_h_peak`` ensures.
     t = 2.0 * math.sqrt(x_a * z)
-    return (x_a - z) * float(i0e(t)) - math.sqrt(x_a / z) * float(i1e(t))
+    r = math.sqrt(x_a / z)
+    i0, i1 = float(i0e(t)), float(i1e(t))
+    value = (x_a - z) * i0 - r * i1
+    slope = (r * r + r / z) * i1 - (1.0 + r * r) * i0 - (x_a - z) * r * (i0 - i1)
+    return value, slope
 
 
 def log_g(z) -> np.ndarray:
@@ -126,5 +159,5 @@ def log_h(x_a, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if not (x_a.min(initial=math.inf) >= 0.0 and z.min(initial=math.inf) > 0.0):
         raise DomainError("log_h requires every x_a >= 0 and z > 0")
-    scaled, d = _h_parts(x_a, z, np.sqrt)
+    scaled, d, _, _ = _h_parts(x_a, z, np.sqrt)
     return np.log(scaled) - d * d

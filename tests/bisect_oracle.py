@@ -1,11 +1,13 @@
 """Reference root finder for the equilibrium solvers: plain bisection.
 
-``bisect`` takes the arguments of ``votecost.equilibria._brent``, so a
+``bisect`` takes the arguments of ``votecost.equilibria._rtsafe``, so a
 test can substitute it for the solvers' root finder and compare the two
-on the same brackets.  It halves the bracket until its width is below
-``equilibria.Z_REL_TOL`` * max(1, |lo|, |hi|) of the initial bracket,
-one evaluation per halving, and raises after ``equilibria.MAX_ITER``
-halvings; both are read when it runs.
+on the same brackets.  It reads only the value of the (value, Newton
+step) pairs ``fn`` returns, and ignores the start point.  It halves the
+bracket until its width is below ``equilibria.Z_REL_TOL`` * max(1,
+|lo|, |hi|) of the initial bracket, one evaluation per halving, and
+raises after ``equilibria.MAX_ITER`` halvings; both are read when it
+runs.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from votecost.errors import ConvergenceError
 
 
 def bisect(
-    fn: Callable[[float], float],
+    fn: Callable[[float], tuple[float, float]],
     lo: float,
     hi: float,
     f_lo: float,
     f_hi: float,
+    start: float,
     label: str,
 ) -> float:
     """Bisection on a bracket with f(lo) and f(hi) of opposite (or zero) sign."""
@@ -37,7 +40,7 @@ def bisect(
         mid = 0.5 * (lo + hi)
         if hi - lo <= width_goal or mid == lo or mid == hi:
             return mid
-        f_mid = fn(mid)
+        f_mid = fn(mid)[0]
         if f_mid == 0.0:
             return mid
         if (f_mid > 0.0) == (f_lo > 0.0):

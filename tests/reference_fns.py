@@ -50,7 +50,9 @@ def i_sign(x_a: float, z: float) -> float:
         raise DomainError(f"i_sign requires x_a > 0, got {x_a!r}")
     if not (z >= 0.0):
         raise DomainError(f"i_sign requires z >= 0, got {z!r}")
-    core = _i_sign_core(x_a, z)
+    if z == 0.0:
+        return 0.0
+    core = _i_sign_core(x_a, z)[0]
     return core * math.exp(-((math.sqrt(x_a) - math.sqrt(z)) ** 2))
 
 

@@ -11,7 +11,7 @@ from reference_fns import h_ray_leading, i_sign
 from votecost.equilibria import (
     EquilibriumKind,
     Winner,
-    _brent,
+    _rtsafe,
     all_swipe_exists,
     enumerate_equilibria,
     find_h_peak,
@@ -182,6 +182,40 @@ class TestPartialAbsenteeism:
     def test_rejects_nonpositive_cost(self):
         with pytest.raises(DomainError):
             solve_partial_absenteeism(REF, 0.0)
+
+    def test_peak_solved_only_where_the_ends_do_not_decide(self, monkeypatch):
+        calls = []
+
+        def counted(x_a):
+            calls.append(x_a)
+            return find_h_peak(x_a)
+
+        monkeypatch.setattr(eqm, "find_h_peak", counted)
+        peak = find_h_peak(REF.x_a)
+        # strictly between the end values pa_lower < ct_upper: one root,
+        # found on the whole interval
+        between = 0.5 * (REF_TS.pa_lower + REF_TS.ct_upper)
+        assert [eq.z_root < peak for eq in solve_partial_absenteeism(REF, between)] == [True]
+        # below both ends, or on pa_lower and below ct_upper: no interior root
+        assert solve_partial_absenteeism(REF, 0.5 * REF_TS.pa_lower) == []
+        assert solve_partial_absenteeism(REF, REF_TS.pa_lower) == []
+        assert calls == []
+        # on ct_upper and above pa_lower: the peak splits off the rising
+        # branch, whose root is listed; the root at z = x_a is the coin toss's
+        eqs = solve_partial_absenteeism(REF, REF_TS.ct_upper)
+        assert calls == [REF.x_a]
+        assert [eq.z_root < peak for eq in eqs] == [True]
+        assert [eq.kind for eq in enumerate_equilibria(REF, REF_TS.ct_upper)] == [
+            EquilibriumKind.COIN_TOSS,
+            EquilibriumKind.PARTIAL_ABSENTEEISM,
+            EquilibriumKind.NO_QUEUE,
+        ]
+        # above both ends and below the peak value: one root on each branch
+        calls.clear()
+        above = 0.5 * (REF_TS.ct_upper + h(REF.x_a, peak))
+        eqs = solve_partial_absenteeism(REF, above)
+        assert calls == [REF.x_a]
+        assert [eq.z_root < peak for eq in eqs] == [True, False]
 
 
 class TestNoQueue:
@@ -393,40 +427,61 @@ class TestCostSide:
 
 
 def _jump(at):
-    return lambda t: -1.0 if t < at else 1.0
+    # no slope: every step is NaN, so the solver bisects
+    return lambda t: (-1.0 if t < at else 1.0, math.nan)
 
 
-class TestBrent:
+def _newton(f, slope):
+    # the (value, step) pairs of f, with the step -f/f' that _roots forms
+    def fn(t):
+        value, df = f(t), slope(t)
+        return value, (-value / df if df else math.inf)
+
+    return fn
+
+
+def _counting(fn, log):
+    def wrapper(t):
+        log.append(t)
+        return fn(t)
+
+    return wrapper
+
+
+class TestRtsafe:
     def test_zero_endpoint_returned_as_is(self):
         def never(t):
             raise AssertionError("evaluated inside the bracket")
 
-        assert _brent(never, 1.0, 2.0, 0.0, 5.0, "t") == 1.0
-        assert _brent(never, 1.0, 2.0, -5.0, 0.0, "t") == 2.0
+        assert _rtsafe(never, 1.0, 2.0, 0.0, 5.0, 1.5, "t") == 1.0
+        assert _rtsafe(never, 1.0, 2.0, -5.0, 0.0, 1.5, "t") == 2.0
 
     def test_same_sign_endpoints_raise(self):
         with pytest.raises(ConvergenceError, match="do not bracket"):
-            _brent(lambda t: t, 1.0, 2.0, 1.0, 2.0, "t")
+            _rtsafe(lambda t: (t, -t), 1.0, 2.0, 1.0, 2.0, 1.5, "t")
         with pytest.raises(ConvergenceError, match="do not bracket"):
-            _brent(lambda t: -t, 1.0, 2.0, -1e-300, -2e-300, "t")
+            _rtsafe(lambda t: (-t, -t), 1.0, 2.0, -1e-300, -2e-300, 1.5, "t")
 
     @pytest.mark.parametrize("scale", [1.0, 1e-200])
     @pytest.mark.parametrize(
         "ramp, root",
-        [(lambda t: max(0.0, t - 0.9), 0.95), (lambda t: max(0.0, 0.1 - t), 0.05)],
+        [
+            (lambda t: (max(0.0, t - 0.9), float(t > 0.9)), 0.95),
+            (lambda t: (max(0.0, 0.1 - t), -float(t < 0.1)), 0.05),
+        ],
     )
     def test_flat_residual(self, scale, ramp, root):
         # -c exactly on most of the bracket, as h - c is where h underflows;
-        # at scale 1e-200 the interpolation denominators can underflow to 0.0
-        def fn(t):
-            return scale * (10.0 * ramp(t) - 0.5)
-
-        z = _brent(fn, 0.0, 1.0, fn(0.0), fn(1.0), "flat")
+        # the slope is 0.0 there, so the Newton step is infinite
+        fn = _newton(
+            lambda t: scale * (10.0 * ramp(t)[0] - 0.5), lambda t: 10.0 * scale * ramp(t)[1]
+        )
+        z = _rtsafe(fn, 0.0, 1.0, fn(0.0)[0], fn(1.0)[0], 0.5, "flat")
         assert abs(z - root) <= eqm.Z_REL_TOL
 
     def test_flat_saturation_residual_at_large_population(self):
         # n = 1e7 in regime 4: h(total_b, .) falls from ~1e-200 to 0.0 over
-        # the bracket, so the residual is -c over most of it
+        # the bracket, so the linear residual is -c over most of it
         params = ElectorateParams(n=1e7, p=0.2, p_a=0.51)
         c = 1e-200
         assert classify(params, c).case_index == 4
@@ -436,29 +491,78 @@ class TestBrent:
         k, z_hi = params.total_b, params.total_a
 
         def fn(t):
-            return h(k, t) - c
+            return h(k, t) - c, math.nan
 
-        want = bisect(fn, k, z_hi, fn(k), fn(z_hi), "saturation")
+        want = bisect(fn, k, z_hi, fn(k)[0], fn(z_hi)[0], k, "saturation")
         assert abs(eq.z_root - want) <= 2.0 * eqm.Z_REL_TOL * z_hi
 
     def test_jump_discontinuity(self):
-        z = _brent(_jump(0.3), 0.0, 1.0, -1.0, 1.0, "jump")
+        z = _rtsafe(_jump(0.3), 0.0, 1.0, -1.0, 1.0, 0.5, "jump")
         assert abs(z - 0.3) <= eqm.Z_REL_TOL
 
     def test_tolerance_below_machine_epsilon(self, monkeypatch):
         monkeypatch.setattr(eqm, "Z_REL_TOL", 1e-30)
-        z = _brent(lambda t: t**3 - 2.0, 0.0, 2.0, -2.0, 6.0, "cube root")
+        cube = _newton(lambda t: t**3 - 2.0, lambda t: 3.0 * t * t)
+        z = _rtsafe(cube, 0.0, 2.0, -2.0, 6.0, 1.0, "cube root")
         assert abs(z - 2.0 ** (1.0 / 3.0)) <= 4.0 * math.ulp(z)
-        z = _brent(_jump(0.3), 0.0, 1.0, -1.0, 1.0, "jump")
+        z = _rtsafe(_jump(0.3), 0.0, 1.0, -1.0, 1.0, 0.5, "jump")
         assert abs(z - 0.3) <= 2.0 * math.ulp(0.3)
 
     def test_small_iteration_budget_raises(self, monkeypatch):
         # locating a jump to 1e-12 in [0, 1e30] takes ~140 halvings
         fn = _jump(0.3)
-        assert abs(_brent(fn, 0.0, 1e30, -1.0, 1.0, "jump") - 0.3) <= 1e-12
+        assert abs(_rtsafe(fn, 0.0, 1e30, -1.0, 1.0, 5e29, "jump") - 0.3) <= 1e-12
         monkeypatch.setattr(eqm, "MAX_ITER", 50)
         with pytest.raises(ConvergenceError, match="after 50 iterations"):
-            _brent(fn, 0.0, 1e30, -1.0, 1.0, "jump")
+            _rtsafe(fn, 0.0, 1e30, -1.0, 1.0, 5e29, "jump")
+
+    def test_newton_converges_in_few_evaluations(self):
+        seen = []
+        cube = _counting(_newton(lambda t: t**3 - 2.0, lambda t: 3.0 * t * t), seen)
+        z = _rtsafe(cube, 0.0, 2.0, -2.0, 6.0, 1.25, "cube root")
+        assert abs(z - 2.0 ** (1.0 / 3.0)) <= eqm.Z_REL_TOL
+        assert len(seen) <= 6
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 5.0, -5.0])
+    def test_unusable_step_bisects(self, bad):
+        # a step that is not finite or leaves [0, 2] from 0.5 is replaced
+        # by the midpoint of the bracket left after the first evaluation
+        seen = []
+        fn = _counting(lambda t: (t - 1.7, bad), seen)
+        z = _rtsafe(fn, 0.0, 2.0, -1.7, 0.3, 0.5, "bad step")
+        assert seen[:3] == [0.5, 1.25, 1.625]
+        assert abs(z - 1.7) <= eqm.Z_REL_TOL * 1.7
+
+    def test_slow_newton_steps_bisect(self):
+        # steps a thousandth of the distance to the root shrink by 0.1% a
+        # time, not by half in two steps: the solver bisects instead of
+        # crawling through the ~3e4 steps they would take
+        def crawl(t):
+            return t - 1.7, 1e-3 * (1.7 - t)
+
+        z = _rtsafe(crawl, 0.0, 2.0, -1.7, 0.3, 0.5, "slow")
+        assert abs(z - 1.7) <= eqm.Z_REL_TOL * 1.7
+
+    def test_sub_ulp_step_closes_the_bracket(self):
+        # the step is far below one ulp of z: taken as it is, z + step == z
+        # and the solver would bisect from [0, z]; lengthened to delta, it
+        # crosses the root and closes the bracket
+        root = 1.0 + 2.0**-45
+        start = root + 0.25 * eqm.Z_REL_TOL
+        seen = []
+        fn = _counting(lambda t: (t - root, math.copysign(1e-30, root - t)), seen)
+        z = _rtsafe(fn, 0.0, 2.0, -root, 2.0 - root, start, "sub-ulp")
+        assert abs(z - root) <= 2.0 * eqm.Z_REL_TOL
+        assert len(seen) == 2
+
+    def test_best_end_returned(self):
+        # Newton lands within an ulp of sqrt(2); the evaluation that closes
+        # the bracket lies delta past it, where |f| is 1e4 times larger
+        seen = []
+        square = _counting(_newton(lambda t: t * t - 2.0, lambda t: 2.0 * t), seen)
+        z = _rtsafe(square, 1.0, 2.0, -1.0, 2.0, 1.5, "square root")
+        assert z != seen[-1]
+        assert abs(z - math.sqrt(2.0)) <= 2.0 * math.ulp(z)
 
 
 def _regime_costs(params, rng):
@@ -501,7 +605,8 @@ def _classify_with(finder, grid):
     """Classify the grid with ``finder`` as the solvers' root finder.
 
     Returns the reports, each root-finder call as (label, lo, hi, root),
-    and the number of g/h/_i_sign_core calls the solvers made.
+    and the number of kernel calls the solvers made: g, h and their
+    value-and-slope forms, and the peak probe _i_sign_core.
     """
     calls = []
     roots = []
@@ -513,15 +618,15 @@ def _classify_with(finder, grid):
 
         return wrapper
 
-    def recorded(fn, lo, hi, f_lo, f_hi, label):
-        z = finder(fn, lo, hi, f_lo, f_hi, label)
+    def recorded(fn, lo, hi, f_lo, f_hi, start, label):
+        z = finder(fn, lo, hi, f_lo, f_hi, start, label)
         roots.append((label, lo, hi, z))
         return z
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("g", "h", "_i_sign_core"):
+        for name in ("g", "h", "_log_g_slope", "_log_h_slope", "_i_sign_core"):
             mp.setattr(eqm, name, counted(getattr(eqm, name)))
-        mp.setattr(eqm, "_brent", recorded)
+        mp.setattr(eqm, "_rtsafe", recorded)
         reports = [classify(params, c) for params, c in grid]
     return reports, roots, len(calls)
 
@@ -529,11 +634,11 @@ def _classify_with(finder, grid):
 @pytest.fixture(scope="module")
 def against_bisection():
     grid = _oracle_grid()
-    return _classify_with(bisect, grid), _classify_with(_brent, grid)
+    return _classify_with(bisect, grid), _classify_with(_rtsafe, grid)
 
 
 class TestAgainstBisection:
-    """Brent against the reference bisection on a seeded grid of every regime."""
+    """The Newton solver against the reference bisection on a seeded grid of every regime."""
 
     def test_grid_reaches_every_family_and_case(self, against_bisection):
         (reports, _, _), _ = against_bisection
@@ -567,7 +672,7 @@ class TestAgainstBisection:
     def test_kernel_calls_per_root(self, against_bisection):
         (_, ref_roots, ref_calls), (_, roots, calls) = against_bisection
         assert ref_calls / len(ref_roots) >= 35.0  # bisection: ~40 per root
-        assert calls / len(roots) <= 20.0
+        assert calls / len(roots) <= 6.0  # safeguarded Newton: 5.6 per root
 
 
 def _costs_on_and_between_frontiers(params):

@@ -157,7 +157,7 @@ class TestFrontierRegression:
         [
             # the absenteeism root has alpha_b = 7.4e-13
             (14933.674366311781, 0.31393409655949434, 0.6574212364786887),
-            # Brent lands on z = x_b itself
+            # the root lies within Z_REL_TOL * z of z = x_b (1.2e-8 above it)
             (971221.5309695947, 0.11537433109490168, 0.5411730581385497),
         ],
     )

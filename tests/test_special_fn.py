@@ -15,7 +15,7 @@ from series_oracle import (
 )
 
 from votecost.errors import DomainError
-from votecost.special_fn import _i_sign_core, g, h, log_g, log_h
+from votecost.special_fn import _i_sign_core, _log_g_slope, _log_h_slope, g, h, log_g, log_h
 
 # Frozen from a 40-digit series summation (mpmath).
 F1_AT_1 = 2.2795853023360672674
@@ -34,8 +34,8 @@ def central_diff(fn, z, rel_step=3e-6):
 
 
 def scaled_i1(t):
-    # e^{-t} I1(t) from the package kernel: _i_sign_core(x, x) = -e^{-2x} I1(2x)
-    return -_i_sign_core(0.5 * t, 0.5 * t)
+    # e^{-t} I1(t) from the package kernel: _i_sign_core(x, x)[0] = -e^{-2x} I1(2x)
+    return -_i_sign_core(0.5 * t, 0.5 * t)[0]
 
 
 class TestSeries:
@@ -310,3 +310,49 @@ class TestLogKernels:
             log_h(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
         with pytest.raises(DomainError):
             log_g(float("nan"))
+
+
+def _mp_log_g_exact(z):
+    # mp_log_g without the float() rounding of z, for mpmath.diff
+    return mpmath.log(mpmath.besseli(0, z) + mpmath.besseli(1, z)) - z
+
+
+def _mp_log_h_exact(x, z):
+    t = 2 * mpmath.sqrt(x * z)
+    return mpmath.log((mpmath.besseli(0, t) + mpmath.sqrt(x / z) * mpmath.besseli(1, t)) / 2) - x - z
+
+
+def _mp_i_sign_core(x, z):
+    t = 2 * mpmath.sqrt(x * z)
+    return ((x - z) * mpmath.besseli(0, t) - mpmath.sqrt(x / z) * mpmath.besseli(1, t)) * mpmath.exp(-t)
+
+
+class TestSolverSlopes:
+    """The value-and-slope entries of the root finders against mpmath."""
+
+    @pytest.fixture(autouse=True)
+    def _precision(self):
+        with mpmath.workdps(40):
+            yield
+
+    @pytest.mark.parametrize("z", [1e-3, 0.5, 2.0, 80.0, 2e6])
+    def test_log_g_slope(self, z):
+        log_value, slope = _log_g_slope(z)
+        assert log_value == math.log(g(z))
+        assert slope == pytest.approx(float(mpmath.diff(_mp_log_g_exact, z)), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "x, z", [(3.0, 1.0), (1e-3, 5.0), (10.0, 9.0), (200.0, 150.0), *UNDERFLOW_POINTS]
+    )
+    def test_log_h_slope(self, x, z):
+        log_value, slope = _log_h_slope(x, z)
+        assert_log_close(log_value, float(mp_log_h(x, z)))
+        want = mpmath.diff(lambda t: _mp_log_h_exact(mpmath.mpf(x), t), z)
+        assert slope == pytest.approx(float(want), rel=1e-10)
+
+    @pytest.mark.parametrize("x, z", [(2.0, 0.01), (6.0, 3.0), (10.0, 9.0), (1e5, 9.9e4)])
+    def test_i_sign_core_slope(self, x, z):
+        value, slope = _i_sign_core(x, z)
+        assert value == pytest.approx(float(_mp_i_sign_core(x, z)), rel=1e-12)
+        want = mpmath.diff(lambda t: _mp_i_sign_core(mpmath.mpf(x), t), z)
+        assert slope == pytest.approx(float(want), rel=1e-9)
