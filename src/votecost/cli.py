@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -246,6 +247,8 @@ def _run_sweep(args: argparse.Namespace, params: None) -> _Output:
         raise DomainError(f"--points must be >= 1, got {args.points}")
     if not (0 < args.n_min <= args.n_max):
         raise DomainError("need 0 < --n-min <= --n-max")
+    if not math.isfinite(args.n_max):
+        raise DomainError(f"--n-max must be finite, got {args.n_max!r}")
     if args.points == 1:
         grid = (float(args.n_min),)
     else:
@@ -264,6 +267,8 @@ def _run_sweep(args: argparse.Namespace, params: None) -> _Output:
 
 
 def _run_verify(args: argparse.Namespace, params: None) -> _Output:
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise DomainError(f"--tol must be finite and > 0, got {args.tol!r}")
     rows = standard_verify_rows(OracleConfig(tail_eps=args.tail_eps))
     max_err = max(r.abs_error for r in rows)
     ok = max_err < args.tol

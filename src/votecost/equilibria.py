@@ -53,7 +53,7 @@ compare the cost against the same numbers and no frontier is evaluated
 twice.
 Where ``ct_admissible`` is false (x_a > n (1 - p_a), ``classify`` case
 0), the strategy bound replaces x_a or n (1 - p_a) as an interval end,
-and one kernel call gives its value.
+and ``_kernel_point`` reads its log value, as it reads the peak's.
 
 Boundary conventions.  One rule, ``cost_side``, decides whether a cost
 lies below, on or above a kernel value f: on means
@@ -92,8 +92,8 @@ from .pivot import (
     r2_closed,
     thresholds,
 )
-# g is not called here: it stays importable as votecost.equilibria.g, a
-# name bench/tracing.py wraps
+# g and h are not called here: they stay importable as
+# votecost.equilibria.g and .h only because bench/tracing.py wraps them
 from .special_fn import SQRT2, _i_sign_core, _log_g_slope, _log_h_slope, g, h  # noqa: F401
 
 __all__ = [
@@ -238,9 +238,8 @@ def _rtsafe(
 
 
 def _kernel_point(x: float, z: float) -> tuple[float, float]:
-    """(z, log h(x, z)) for ``_roots``; log -inf where h underflows."""
-    value = h(x, z)
-    return z, (math.log(value) if value > 0.0 else -math.inf)
+    """(z, log h(x, z)) for ``_roots``, by ``_log_h_slope``: finite where h underflows."""
+    return z, _log_h_slope(x, z)[0]
 
 
 def _roots(

@@ -29,15 +29,17 @@ scipy's Cephes ``i0e``/``i1e``.  The exponent is computed as
 
 The formula has three kinds of entry point:
 
-* ``g`` and ``h`` take and return Python floats, for one electorate's
-  frontiers, the closed-form pivot gains (``pivot.r1_closed`` and
-  ``r2_closed``), and the solvers' kernel values at interval ends and
-  at the peak.  Their values underflow to 0.0 once the exponent passes ~745,
-  at populations of ~1e6 for the exponentially small frontiers.
-* ``_log_g_slope`` and ``_log_h_slope`` serve the root finder
-  (``equilibria._rtsafe``): each returns the log of the kernel, finite
-  where ``h`` underflows, and its exact z-slope from the same two
-  Bessel values, by the Skellam identity
+* ``g`` and ``h`` take and return Python floats: ``g`` for one
+  electorate's frontiers, ``h`` for the closed-form pivot gains
+  (``pivot.r1_closed`` and ``r2_closed``, hence the printed
+  ``residual`` and the ``verify`` CSV).  Their values underflow to 0.0
+  once the exponent passes ~745, at populations of ~1e6 for the
+  exponentially small frontiers.
+* ``_log_g_slope`` and ``_log_h_slope`` serve the solvers: every kernel
+  value they do not take from the frontiers (a case-0 interval end, the
+  peak, each step of ``equilibria._rtsafe``) is read from them.  Each
+  returns the log of the kernel, finite where ``h`` underflows, and its
+  exact z-slope from the same two Bessel values, by the Skellam identity
   dP(D = k)/dz = P(D = k + 1) - P(D = k).  ``_i_sign_core`` returns the
   slope probe that ``equilibria.find_h_peak`` solves, with its own
   z-slope; it is damped by e^{-t} alone and keeps its sign where ``h``
@@ -103,7 +105,7 @@ def h(x_a: float, z: float) -> float:
         # F1(0) = F2(0) = 1
         return 0.5 * (1.0 + x_a) * math.exp(-x_a)
     scaled, d, _, _ = _h_parts(x_a, z, math.sqrt)
-    # libm pow, not d * d, keeps the last bit of h, solver roots and verify CSV
+    # libm pow, not d * d, keeps the last bit of h, residuals and verify CSV
     return float(scaled) * math.exp(-(d**2))
 
 

@@ -169,6 +169,15 @@ class TestSweepVerb:
         assert "nope" in doc["error"]["message"]
         assert doc["params"] is None
 
+    @pytest.mark.parametrize("n_min, n_max", [("nan", "100"), ("10", "inf"), ("100", "10")])
+    def test_bad_population_range_is_validation_error(self, n_min, n_max):
+        status, text = run_cli(
+            ["sweep", "--p", "0.2", "--pa", "0.6", "--n-min", n_min,
+             "--n-max", n_max, "--points", "3", "--format", "json"]
+        )
+        assert status == EXIT_VALIDATION
+        assert "--n-max" in json.loads(text)["error"]["message"]
+
     def test_deterministic_bytes(self):
         argv = ["sweep", "--p", "0.2", "--pa", "0.6", "--n-min", "100",
                 "--n-max", "1000", "--points", "7"]
@@ -274,6 +283,14 @@ class TestVerifyVerb:
         assert status == EXIT_TOLERANCE
         doc = json.loads(text)
         assert doc["results"]["pass"] is False
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_not_finite_positive_is_validation_error(self, tol):
+        status, text = run_cli(["verify", "--tol", tol, "--format", "json"])
+        assert status == EXIT_VALIDATION
+        doc = json.loads(text, parse_constant=lambda name: pytest.fail(f"not JSON: {name}"))
+        assert doc["error"]["type"] == "DomainError"
+        assert "--tol" in doc["error"]["message"]
 
 
 class Shade(Enum):

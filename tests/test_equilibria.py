@@ -703,8 +703,11 @@ class TestSharedFrontiers:
 
             return wrapper
 
-        monkeypatch.setattr(eqm, "g", recording(eqm.g, g_args))
-        monkeypatch.setattr(eqm, "h", recording(eqm.h, h_args))
+        # every kernel value the solvers read goes through these two;
+        # _rtsafe evaluates strictly inside a bracket, so a frontier
+        # argument here would be a frontier evaluated again
+        monkeypatch.setattr(eqm, "_log_g_slope", recording(eqm._log_g_slope, g_args))
+        monkeypatch.setattr(eqm, "_log_h_slope", recording(eqm._log_h_slope, h_args))
         for c in _costs_on_and_between_frontiers(params):
             classify(params, c)
         x_a, x_b = params.x_a, params.x_b

@@ -260,6 +260,24 @@ class TestUnderflowRegression:
         assert ts.log_ct_upper > ts.log_ct_lower > ts.log_pa_lower > ts.log_ps_lower
         assert ts.log_ps_lower > -1e7
 
+    @pytest.mark.parametrize(
+        "n, p, p_a, c",
+        [
+            # linear h reads 2e-323 at the (0, 1) corner's upper bound, but
+            # log h is -743.147 < log c = -743.054: no minority swipe
+            (1912.734010748012, 0.7881350525483917, 0.9424227945303161, 2e-323),
+            (28686.43919509227, 0.6806715740680964, 0.712327833808324, 4.84e-322),
+            (33105.54336892432, 0.6522393282448935, 0.7146333018274015, 1.542e-320),
+        ],
+    )
+    def test_subnormal_strategy_bound_lists_the_scanned_kinds(self, n, p, p_a, c):
+        # case 0 at a cost near a subnormal h(x_a, n(1-p_a)) or
+        # h(n(1-p_a), x_a): the list is read from log h, not from h
+        params = ElectorateParams(n=n, p=p, p_a=p_a)
+        assert not thresholds(params).ct_admissible
+        listed = sorted(eq.kind.value for eq in classify(params, c).equilibria)
+        assert listed == sorted(kind for kind, _, _ in scan(params, c))
+
 
 class TestCoinTossInterval:
     def test_absent_when_partisans_outnumber(self):
