@@ -117,11 +117,11 @@ def _csv_schema(cls: type) -> tuple[list[str], Callable[[Any], tuple]]:
 
 
 def _fmt_cell(x: Any) -> str:
+    if isinstance(x, float):
+        # the same text as format(x, ".17g"), and faster; bool is not a float
+        return "%.17g" % x
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, float):
-        # the same text as format(x, ".17g"), and faster
-        return "%.17g" % x
     if x is None:
         return ""
     if isinstance(x, Enum):
@@ -138,28 +138,29 @@ def _csv_field(text: str) -> str:
     return text
 
 
+def _csv_column(cells: tuple) -> list[str]:
+    """The CSV text of one column's cells, by the per-cell rule."""
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        # verify's float columns hold about 4,000 distinct values in 16,200
+        # cells: format each once.  0.0 and -0.0 are equal and would share a
+        # key, so zeros are formatted per cell; float text needs no quotes.
+        memo = {x: _fmt_cell(x) for x in set(cells) if x}
+        return [memo[x] if x else _fmt_cell(x) for x in cells]
+    if kinds == {str}:
+        return list(map(_csv_field, cells))
+    return [_csv_field(_fmt_cell(x)) for x in cells]
+
+
 def _csv_text(header: list[str], rows: list[list[Any]]) -> str:
-    # cells joined by hand, an eighth of csv.writer's time per row, with its
-    # minimal quoting; unlike csv.writer before Python 3.13, a bare \r is
-    # quoted too (RFC 4180).  verify's 16,200 float cells hold about 4,000
-    # distinct values: format each once per call.  Only non-zero plain
-    # floats are kept, because 0.0 == -0.0 and 1.0 == True == 1 would share
-    # a key; their text never needs quotes.
-    memo: dict[float, str] = {}
-    lines = []
-    for row in (header, *rows):
-        cells = []
-        for x in row:
-            if type(x) is float and x:
-                text = memo.get(x)
-                if text is None:
-                    text = memo[x] = _fmt_cell(x)
-            else:
-                text = _csv_field(_fmt_cell(x))
-            cells.append(text)
-        line = ",".join(cells)
+    # cells joined by hand, column by column, with csv.writer's minimal
+    # quoting; unlike csv.writer before Python 3.13, a bare \r is quoted
+    # too (RFC 4180).  Every row has the header's length.
+    columns = map(_csv_column, zip(*rows))
+    lines = [",".join(_csv_column(tuple(header))), *map(",".join, zip(*columns))]
+    if len(header) == 1:
         # one empty cell prints "", as csv.writer does, so it is not an empty row
-        lines.append(line if line or not cells else '""')
+        lines = [line or '""' for line in lines]
     return "\n".join(lines) + "\n"
 
 
@@ -196,17 +197,20 @@ class VerifyRow:
 
 def standard_verify_rows(cfg: OracleConfig) -> list[VerifyRow]:
     """Closed-form vs brute-force residuals over the standard grid."""
+    alphas = list(product(VERIFY_GRID_ALPHA, repeat=2))
+    pairs = [StrategyPair(alpha_a, alpha_b) for alpha_a, alpha_b in alphas]
     rows = []
     for n, p, p_a in product(VERIFY_GRID_N, VERIFY_GRID_P, VERIFY_GRID_PA):
         params = ElectorateParams(n=n, p=p, p_a=p_a)
         y_a = [params.m_a * alpha_a for alpha_a in VERIFY_GRID_ALPHA]
         y_b = [params.m_b * alpha_b for alpha_b in VERIFY_GRID_ALPHA]
-        # one call per electorate; its gains come in the order of the loops below
+        # one brute-force call and one closed-form call per side for each
+        # electorate; the brute-force gains come in the order of the loops below
         brute = pivot_gain_bruteforce(params.x_a, params.x_b, y_a, y_b, ("A", "B"), cfg)
         gains, bound = iter(brute.value), brute.error_bound
-        for alpha_a, alpha_b in product(VERIFY_GRID_ALPHA, repeat=2):
-            s = StrategyPair(alpha_a, alpha_b)
-            for side, closed in (("A", r1_closed(params, s)), ("B", r2_closed(params, s))):
+        per_pair = zip(alphas, r1_closed(params, pairs), r2_closed(params, pairs))
+        for (alpha_a, alpha_b), closed_a, closed_b in per_pair:
+            for side, closed in (("A", closed_a), ("B", closed_b)):
                 gain = next(gains)
                 err = abs(closed - gain)
                 rows.append(VerifyRow(n, p, p_a, alpha_a, alpha_b, side, closed, gain, err, bound))

@@ -20,9 +20,13 @@ the same finitely many terms, not a distributional identity.  K comes
 from the inverse Poisson cdf ``pdtrik`` and the pmfs from ``gammaln``
 (``scipy.special``), by the same formulas as ``scipy.stats.poisson``'s
 ``ppf`` and ``pmf``.  One call may take sequences of voter means and
-sides: it builds each truncation index, pmf vector and side total once
-and takes every combination's gain from them, so ``verify`` makes one
-call per electorate.  Nothing is kept from one call to the next.
+sides, so ``verify`` makes one call per electorate.  It evaluates every
+truncation index in one ``pdtrik``/``pdtr`` pass and every pmf vector
+in one ``xlogy - gammaln - mean`` pass over each mean's own range 0..K,
+builds each side total once and copies it once into a zero-padded row
+that every combination's gain slices.  An index that is not finite
+(``pdtrik`` past means of ~1e11) raises ``TruncationLimitError``.
+Nothing is kept from one call to the next.
 
 Monte Carlo.  Randomness comes from numpy's ``Generator`` over the
 ``PCG64`` bit generator seeded directly with the configured seed, so a
@@ -60,6 +64,11 @@ __all__ = [
 ]
 
 
+# The smallest tail_eps whose 1 - tail_eps is below 1.0: at or below 2**-54
+# it rounds to 1.0, where the inverse Poisson cdf has no finite index.
+TAIL_EPS_MIN = math.nextafter(2.0**-54, 1.0)
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Truncation and sampling knobs for the oracle routines.
@@ -79,6 +88,11 @@ class OracleConfig:
     def __post_init__(self):
         if not (0.0 < self.tail_eps < 1e-6):
             raise DomainError(f"tail_eps must be in (0, 1e-6), got {self.tail_eps!r}")
+        if self.tail_eps < TAIL_EPS_MIN:
+            raise DomainError(
+                f"tail_eps must be at least {TAIL_EPS_MIN!r}, below which 1 - tail_eps "
+                f"rounds to 1, got {self.tail_eps!r}"
+            )
         for name in ("trials", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -98,27 +112,39 @@ CELL_CAP = 1e9
 _SIDES = ("A", "B")
 
 
-def _upper_index(mean: float, tail_eps: float) -> int:
-    """Smallest K with P(Poisson(mean) > K) <= tail_eps."""
-    if mean <= 0.0:
-        return 0
+def _upper_index(means: Sequence[float], tail_eps: float) -> np.ndarray:
+    """Smallest K with P(Poisson(mean) > K) <= tail_eps, for each of ``means``."""
+    means = np.asarray(means, dtype=float)
     q = 1.0 - tail_eps
-    k = math.ceil(special.pdtrik(q, mean))
+    k = np.ceil(special.pdtrik(q, means))
+    finite = np.isfinite(k)
+    if not finite.all():
+        # pdtrik gives NaN past means of ~1e11, which an int cast would hide
+        raise TruncationLimitError(
+            f"no finite truncation index for the Poisson mean {float(means[~finite][0])!r} "
+            f"at tail_eps={tail_eps!r}"
+        )
     # pdtrik inverts the cdf over continuous k, so its ceiling can land one
     # above the smallest K; the same check as scipy.stats.poisson.ppf
-    if k > 0 and special.pdtr(k - 1, mean) >= q:
-        return k - 1
-    return k
+    k -= (k > 0) & (special.pdtr(np.maximum(k - 1.0, 0.0), means) >= q)
+    return k.astype(np.int64)
 
 
-def _pmf_vector(mean: float, k_max: int) -> np.ndarray:
-    """Poisson(mean) pmf over 0..k_max."""
-    if mean <= 0.0:
-        out = np.zeros(k_max + 1)
-        out[0] = 1.0
-        return out
-    k = np.arange(k_max + 1)
-    return np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
+def _pmf_vector(means: Sequence[float], k_max: Sequence[int]) -> list[np.ndarray]:
+    """The Poisson(mean) pmf over 0..K for each mean and its K in ``k_max``.
+
+    One evaluation runs over the concatenated ranges, each mean's own (a
+    table over 0..max(k_max) for every mean could be far larger).  A zero
+    mean gets 1.0 at 0 and 0.0 above, as xlogy(k, 0) is -inf for k > 0.
+    """
+    lengths = np.asarray(k_max) + 1
+    ends = np.cumsum(lengths)
+    # k counts from 0 within each mean's range; each range repeats its mean
+    k = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
+    means = np.repeat(np.asarray(means, dtype=float), lengths)
+    flat = np.exp(special.xlogy(k, means) - special.gammaln(k + 1) - means)
+    bounds = ends.tolist()
+    return [flat[start:end] for start, end in zip([0, *bounds], bounds)]
 
 
 def _means(name: str, value: float | Sequence[float]) -> list[float]:
@@ -144,31 +170,29 @@ def _total_pmfs(
     """
     (x_a,), (x_b,) = _means("x_a", x_a), _means("x_b", x_b)
     ys_a, ys_b = _means("y_a", y_a), _means("y_b", y_b)
-    tail_eps = cfg.tail_eps
-    k_a, k_b = _upper_index(x_a, tail_eps), _upper_index(x_b, tail_eps)
-    ks_r = [_upper_index(y, tail_eps) for y in ys_a]
-    ks_s = [_upper_index(y, tail_eps) for y in ys_b]
-    k_r, k_s = max(ks_r, default=0), max(ks_s, default=0)
+    means = [x_a, x_b, *ys_a, *ys_b]
+    ks = _upper_index(means, cfg.tail_eps).tolist()
+    k_a, k_b, *ks_y = ks
+    k_r, k_s = max(ks_y[: len(ys_a)], default=0), max(ks_y[len(ys_a) :], default=0)
     cells = (k_a + 1) * (k_b + 1) * (k_r + 1) * (k_s + 1)
     if cells > CELL_CAP:
         raise TruncationLimitError(
             f"truncation box of {cells:.3g} cells exceeds CELL_CAP={CELL_CAP:.3g}"
         )
-    partisan_a, partisan_b = _pmf_vector(x_a, k_a), _pmf_vector(x_b, k_b)
+    partisan_a, partisan_b, *pmfs = _pmf_vector(means, ks)
     return (
-        [np.convolve(partisan_a, _pmf_vector(y, k)) for y, k in zip(ys_a, ks_r)],
-        [np.convolve(partisan_b, _pmf_vector(y, k)) for y, k in zip(ys_b, ks_s)],
+        [np.convolve(partisan_a, pmf) for pmf in pmfs[: len(ys_a)]],
+        [np.convolve(partisan_b, pmf) for pmf in pmfs[len(ys_a) :]],
     )
 
 
 def _gain(own: np.ndarray, other: np.ndarray) -> float:
-    """Half of P(T_other - T_own = 0) + P(T_other - T_own = 1)."""
+    """Half of P(T_other - T_own = 0) + P(T_other - T_own = 1).
+
+    ``other`` is zero-padded to at least len(own) + 1 entries, so both
+    dots run over the len(own) terms of ``own``.
+    """
     n = len(own)
-    if len(other) <= n:
-        # zero-pad a short total to n + 1, so both dots run over n terms
-        padded = np.zeros(n + 1)
-        padded[: len(other)] = other
-        other = padded
     return 0.5 * float(np.dot(own, other[:n]) + np.dot(own, other[1 : n + 1]))
 
 
@@ -203,9 +227,17 @@ def pivot_gain_bruteforce(
         if one not in _SIDES:
             raise DomainError(f"side must be one of {_SIDES}, got {one!r}")
     totals_a, totals_b = _total_pmfs(x_a, x_b, y_a, y_b, cfg)
+    # each total copied once into a zero-padded row one longer than the
+    # longest total, which every gain can slice
+    totals = totals_a + totals_b
+    padded = np.zeros((len(totals), 1 + max(map(len, totals), default=0)))
+    for row, total in zip(padded, totals):
+        row[: len(total)] = total
+    pairs_a = list(zip(totals_a, padded))
+    pairs_b = list(zip(totals_b, padded[len(totals_a) :]))
     gains = [
-        _gain(dist_a, dist_b) if one == "A" else _gain(dist_b, dist_a)
-        for dist_a in totals_a for dist_b in totals_b for one in sides
+        _gain(dist_a, pad_b) if one == "A" else _gain(dist_b, pad_a)
+        for dist_a, pad_a in pairs_a for dist_b, pad_b in pairs_b for one in sides
     ]
     if np.ndim(side) == np.ndim(y_a) == np.ndim(y_b) == 0:
         gains = gains[0]

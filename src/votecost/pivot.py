@@ -29,12 +29,13 @@ underflow to 0.0 from n ~ 1e6, while their logs stay finite.  Each
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .special_fn import _h_parts, g, h, log_g, log_h
+from .special_fn import _h_parts, _h_tail, g, h, log_g, log_h
 
 __all__ = [
     "ElectorateParams",
@@ -136,16 +137,46 @@ def turnout_means(params: ElectorateParams, s: StrategyPair) -> tuple[float, flo
     return u, v
 
 
-def r1_closed(params: ElectorateParams, s: StrategyPair) -> float:
-    """Expected tie-rule gain from one extra A vote at strategies ``s``."""
-    u, v = turnout_means(params, s)
-    return h(v, u)
+def _h_per_pair(
+    params: ElectorateParams, pairs: Sequence[StrategyPair], side: str
+) -> list[float]:
+    # h at every pair's turnout means in one array pass: the same products
+    # and sums as ``turnout_means``, then ``h``'s own float tail per value,
+    # so each gain has the bits of the scalar call
+    alphas = np.array([(s.alpha_a, s.alpha_b) for s in pairs], dtype=float).reshape(-1, 2)
+    u = params.x_a + params.m_a * alphas[:, 0]
+    v = params.x_b + params.m_b * alphas[:, 1]
+    # u >= x_a > 0 and v >= x_b > 0, so h's z = 0 branch never applies
+    scaled, d, _, _ = _h_parts(*((v, u) if side == "A" else (u, v)), np.sqrt)
+    return list(map(_h_tail, scaled.tolist(), d.tolist()))
 
 
-def r2_closed(params: ElectorateParams, s: StrategyPair) -> float:
-    """Expected tie-rule gain from one extra B vote at strategies ``s``."""
-    u, v = turnout_means(params, s)
-    return h(u, v)
+def r1_closed(
+    params: ElectorateParams, s: StrategyPair | Sequence[StrategyPair]
+) -> float | list[float]:
+    """Expected tie-rule gain from one extra A vote at strategies ``s``.
+
+    For a sequence of strategy pairs, the list of their gains, each equal
+    to the single-pair call bit for bit.
+    """
+    if isinstance(s, StrategyPair):
+        u, v = turnout_means(params, s)
+        return h(v, u)
+    return _h_per_pair(params, s, "A")
+
+
+def r2_closed(
+    params: ElectorateParams, s: StrategyPair | Sequence[StrategyPair]
+) -> float | list[float]:
+    """Expected tie-rule gain from one extra B vote at strategies ``s``.
+
+    For a sequence of strategy pairs, the list of their gains, each equal
+    to the single-pair call bit for bit.
+    """
+    if isinstance(s, StrategyPair):
+        u, v = turnout_means(params, s)
+        return h(u, v)
+    return _h_per_pair(params, s, "B")
 
 
 def expected_margin(params: ElectorateParams, s: StrategyPair) -> float:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -27,7 +28,7 @@ from votecost.cli import (
 from votecost.equilibria import Equilibrium
 from votecost.errors import ConvergenceError
 from votecost.oracle import OracleConfig, pivot_gain_bruteforce
-from votecost.pivot import ElectorateParams, thresholds
+from votecost.pivot import ElectorateParams, StrategyPair, r1_closed, r2_closed, thresholds
 from votecost.regime import classify
 
 
@@ -278,6 +279,22 @@ class TestVerifyVerb:
             cold = pivot_gain_bruteforce(params.x_a, params.x_b, y_a, y_b, row.side, cfg)
             assert row.brute_force == cold.value, row
 
+    def test_closed_forms_match_scalar_calls(self):
+        # the per-electorate sequence calls give each row's scalar gain
+        for row in standard_verify_rows(OracleConfig()):
+            params = ElectorateParams(n=row.n, p=row.p, p_a=row.pa)
+            s = StrategyPair(row.alpha_a, row.alpha_b)
+            closed = r1_closed if row.side == "A" else r2_closed
+            assert row.closed_form == closed(params, s), row
+
+    def test_tail_eps_where_one_minus_it_is_one(self):
+        # 1 - 1e-17 rounds to 1.0, which has no finite Poisson index
+        status, text = run_cli(["verify", "--tail-eps", "1e-17", "--format", "json"])
+        assert status == EXIT_VALIDATION
+        doc = json.loads(text)
+        assert doc["error"]["type"] == "DomainError"
+        assert doc["error"]["message"].startswith("tail_eps must be at least ")
+
     def test_tolerance_breach_exit(self):
         status, text = run_cli(["verify", "--tol", "1e-30", "--format", "json"])
         assert status == EXIT_TOLERANCE
@@ -311,21 +328,60 @@ class TestCsvText:
         [-0.0, 1, 5e-324, 0.1, "plain"],
     ]
 
-    def test_matches_per_cell_rule(self):
+    # one type per column, so each column takes its own path through the
+    # writer: plain floats (0.0 before -0.0, one NaN object twice and
+    # another NaN, both infinities), str, bool, None and np.float64
+    NAN = float("nan")
+    TYPED_HEADER = ["float", "text", "flag", "none", "np_float"]
+    TYPED_ROWS = [
+        [0.0, "a,b", True, None, np.float64(0.1)],
+        [-0.0, 'say "hi"', False, None, np.float64(-0.0)],
+        [NAN, "two\nlines", True, None, np.float64(0.0)],
+        [math.inf, "cr\rhere", False, None, np.float64("nan")],
+        [NAN, "", True, None, np.float64(0.1)],
+        [-math.inf, "plain", False, None, np.float64(-np.inf)],
+        [float("nan"), "plain", True, None, np.float64(5e-324)],
+        [0.1, ",", False, None, np.float64(0.1)],
+        [5e-324, '"', True, None, np.float64(1e308)],
+        [0.1, "\r", False, None, np.float64(0.0)],
+        [-0.0, "a,b", True, None, np.float64(-0.0)],
+    ]
+
+    @staticmethod
+    def per_cell(header, rows):
         # floats as format(x, ".17g") prints them, every other cell as
         # csv.writer quotes it, except a bare \r: csv.writer quotes it from
         # Python 3.13 on, and the pinned text is its quoted form
+        crs = []
+
         def cell(x):
             if isinstance(x, str) and "\r" in x:
-                return "<cr>"
+                crs.append(x)
+                return f"<cr{len(crs)}>"
             return format(x, ".17g") if isinstance(x, float) else _fmt_cell(x)
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.HEADER)
-        writer.writerows([[cell(x) for x in row] for row in self.ROWS])
-        want = buf.getvalue().replace("<cr>", '"cr\rhere"')
-        assert _csv_text(self.HEADER, self.ROWS) == want
+        writer.writerow(header)
+        writer.writerows([[cell(x) for x in row] for row in rows])
+        text = buf.getvalue()
+        for k, cr in enumerate(crs, 1):
+            text = text.replace(f"<cr{k}>", '"' + cr.replace('"', '""') + '"', 1)
+        return text
+
+    def test_matches_per_cell_rule(self):
+        assert _csv_text(self.HEADER, self.ROWS) == self.per_cell(self.HEADER, self.ROWS)
+
+    def test_typed_columns_match_per_cell_rule(self):
+        want = self.per_cell(self.TYPED_HEADER, self.TYPED_ROWS)
+        assert _csv_text(self.TYPED_HEADER, self.TYPED_ROWS) == want
+        columns = list(zip(*csv.reader(io.StringIO(want))))
+        assert columns[0][1:4] == ("0", "-0", "nan")
+        assert columns[1][4] == "cr\rhere"
+
+    @pytest.mark.parametrize("header", [TYPED_HEADER, HEADER, [""]])
+    def test_zero_rows(self, header):
+        assert _csv_text(header, []) == self.per_cell(header, [])
 
     def test_one_column(self):
         # a lone empty cell is quoted, so it does not read as an empty row

@@ -115,6 +115,20 @@ class TestBruteForce:
         with pytest.raises(TruncationLimitError):
             pivot_gain_bruteforce(50, 50, 50, 50, "A")
 
+    @pytest.mark.parametrize("slot", range(4))
+    def test_no_finite_index_is_truncation_error(self, slot):
+        # pdtrik gives NaN past means of ~1e11; cast to int, NaN would read
+        # as -2**63 and pass the cell cap
+        means = [1.0, 1.0, [0.5, 1.0], 1.0]
+        means[slot] = 1e14
+        with pytest.raises(TruncationLimitError, match="Poisson mean 100000000000000.0 "):
+            pivot_gain_bruteforce(*means, ("A", "B"))
+        with pytest.raises(TruncationLimitError, match="Poisson mean 100000000000000.0 "):
+            _upper_index([1.0, 1e14], 1e-13)
+        # below that, the cell cap still decides
+        with pytest.raises(TruncationLimitError, match="exceeds CELL_CAP"):
+            pivot_gain_bruteforce(1e10, 1, 1, 1)
+
     def test_rejects_bad_args(self):
         with pytest.raises(DomainError):
             pivot_gain_bruteforce(-1.0, 0, 0, 0, "A")
@@ -157,8 +171,10 @@ class TestBruteForce:
                 assert got.error_bound == 4.0 * tail_eps
 
         # every check runs before a pmf is built
-        built = []
-        monkeypatch.setattr(oracle, "_pmf_vector", lambda *args: built.append(args))
+        built, build = [], oracle._pmf_vector
+        monkeypatch.setattr(
+            oracle, "_pmf_vector", lambda *args: built.append(args) or build(*args)
+        )
         ys = [0.0, 1.0, 50.0]
         with pytest.raises(DomainError, match="^side must be one of"):
             pivot_gain_bruteforce(1.0, 1.0, ys, ys, ("A", "C"), cfg)
@@ -168,11 +184,14 @@ class TestBruteForce:
             with pytest.raises(DomainError, match="^y_b must be a finite mean >= 0, got "):
                 pivot_gain_bruteforce(1.0, 1.0, ys, [bad, 0.5], "B", cfg)
         # only the largest box, the last y_a with the last y_b, breaks the cap
-        k_one, k_big = _upper_index(1.0, tail_eps), _upper_index(50.0, tail_eps)
+        k_one, k_big = _upper_index([1.0, 50.0], tail_eps).tolist()
         monkeypatch.setattr(oracle, "CELL_CAP", (k_one + 1) ** 2 * (k_big + 1) ** 2 - 1)
         with pytest.raises(TruncationLimitError):
             pivot_gain_bruteforce(1.0, 1.0, ys, ys, ("A", "B"), cfg)
         assert built == []
+        # the patched function is the one that builds them: one call per sum
+        pivot_gain_bruteforce(1.0, 1.0, ys[:2], ys, ("A", "B"), cfg)
+        assert len(built) == 1
 
 
 # means from the smallest subnormal up to 1e5
@@ -186,14 +205,15 @@ class TestPoissonHelpers:
     def test_upper_index_matches_ppf(self, tail_eps):
         for mean in POISSON_MEANS:
             want = int(stats.poisson.ppf(1.0 - tail_eps, mean))
-            assert _upper_index(mean, tail_eps) == want, mean
+            assert _upper_index([mean], tail_eps).tolist() == [want], mean
 
     @pytest.mark.parametrize("tail_eps", [1e-13, 1e-10, 1e-7])
     def test_pmf_vector_matches_pmf(self, tail_eps):
         for mean in POISSON_MEANS:
-            k_max = _upper_index(mean, tail_eps)
+            (k_max,) = _upper_index([mean], tail_eps).tolist()
             want = stats.poisson.pmf(np.arange(k_max + 1), mean)
-            np.testing.assert_array_equal(_pmf_vector(mean, k_max), want)
+            (pmf,) = _pmf_vector([mean], [k_max])
+            np.testing.assert_array_equal(pmf, want)
 
     @pytest.mark.parametrize(
         "mean, tail_eps, want",
@@ -205,8 +225,27 @@ class TestPoissonHelpers:
     )
     def test_upper_index_steps_back(self, mean, tail_eps, want):
         # here ceil(pdtrik) lands one above the ppf, whose cdf check steps back
-        assert _upper_index(mean, tail_eps) == want
+        assert _upper_index([mean], tail_eps).tolist() == [want]
         assert int(stats.poisson.ppf(1.0 - tail_eps, mean)) == want
+
+    @pytest.mark.parametrize("tail_eps", [1e-13, 1e-10, 1e-7])
+    def test_batched_calls_match_scipy(self, tail_eps):
+        # one call of each helper over every mean
+        want = [int(stats.poisson.ppf(1.0 - tail_eps, mean)) for mean in POISSON_MEANS]
+        ks = _upper_index(POISSON_MEANS, tail_eps)
+        assert ks.tolist() == want
+        pmfs = _pmf_vector(POISSON_MEANS, ks)
+        assert len(pmfs) == len(POISSON_MEANS)
+        for mean, k_max, pmf in zip(POISSON_MEANS, want, pmfs):
+            np.testing.assert_array_equal(pmf, stats.poisson.pmf(np.arange(k_max + 1), mean))
+
+    def test_zero_mean(self):
+        k_one = int(stats.poisson.ppf(1.0 - 1e-13, 1.0))
+        assert _upper_index([0.0, 1.0, 0.0], 1e-13).tolist() == [0, k_one, 0]
+        pmfs = _pmf_vector([0.0, 2.0, 0.0], [3, 0, 0])
+        np.testing.assert_array_equal(pmfs[0], [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(pmfs[1], stats.poisson.pmf([0], 2.0))
+        np.testing.assert_array_equal(pmfs[2], [1.0])
 
     def test_repeated_upper_index_matches_ppf(self):
         means = POISSON_MEANS[:64]
@@ -215,7 +254,7 @@ class TestPoissonHelpers:
                 for mean in means:
                     want = int(stats.poisson.ppf(1.0 - tail_eps, mean))
                     for _repeat in range(2):
-                        assert _upper_index(mean, tail_eps) == want, (mean, tail_eps)
+                        assert _upper_index([mean], tail_eps).tolist() == [want], (mean, tail_eps)
 
 
 class TestTotalsMemo:
@@ -406,11 +445,25 @@ class TestOracleConfig:
         with pytest.raises(DomainError):
             OracleConfig(tail_eps=0.0)
         with pytest.raises(DomainError):
+            OracleConfig(tail_eps=math.nan)
+        with pytest.raises(DomainError):
             OracleConfig(tail_eps=1e-3)
         with pytest.raises(DomainError):
             OracleConfig(trials=0)
         with pytest.raises(DomainError):
             OracleConfig(seed=-1)
+
+    @pytest.mark.parametrize("tail_eps", [1e-17, 2.0**-54, 5e-324])
+    def test_rejects_tail_eps_where_one_minus_it_is_one(self, tail_eps):
+        assert 1.0 - tail_eps == 1.0
+        with pytest.raises(DomainError, match="^tail_eps must be at least 5.551115123125784e-17"):
+            OracleConfig(tail_eps=tail_eps)
+
+    def test_smallest_tail_eps(self):
+        cfg = OracleConfig(tail_eps=oracle.TAIL_EPS_MIN)
+        assert 1.0 - cfg.tail_eps < 1.0
+        gain = pivot_gain_bruteforce(1.8, 1.2, [0.0, 0.7], 1.3, ("A", "B"), cfg)
+        assert len(gain.value) == 4
 
     @pytest.mark.parametrize(
         "kwargs",
