@@ -164,17 +164,10 @@ def _csv_text(header: list[str], rows: list[list[Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_text(
-    verb: str, params: ElectorateParams | None, results: Any, diagnostics: dict[str, Any]
-) -> str:
-    envelope = {
-        "command": verb,
-        "params": _jsonable(params),
-        "results": _jsonable(results),
-        "diagnostics": _jsonable(diagnostics),
-        "version": __version__,
-    }
-    return json.dumps(envelope, indent=2) + "\n"
+def _json_text(verb: str, params: ElectorateParams | None, **body: Any) -> str:
+    """The JSON frame of every output: command, params, ``body``'s keys, version."""
+    frame = {"command": verb, "params": params, **body, "version": __version__}
+    return json.dumps(_jsonable(frame), indent=2) + "\n"
 
 
 @dataclass
@@ -253,18 +246,12 @@ def _run_sweep(args: argparse.Namespace, params: None) -> _Output:
         raise DomainError("need 0 < --n-min <= --n-max")
     if not math.isfinite(args.n_max):
         raise DomainError(f"--n-max must be finite, got {args.n_max!r}")
-    if args.points == 1:
-        grid = (float(args.n_min),)
-    else:
-        grid = tuple(float(x) for x in np.geomspace(args.n_min, args.n_max, args.points))
+    grid = tuple(np.geomspace(args.n_min, args.n_max, args.points).tolist())
     quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
     spec = SweepSpec(p=args.p, p_a=args.pa, n_grid=grid, quantities=quantities)
     table = sweep_bounds(spec)
     header = ["n", *quantities]
-    rows = [
-        [float(table.n[i])] + [float(table.columns[q][i]) for q in quantities]
-        for i in range(len(table.n))
-    ]
+    rows = list(zip(table.n.tolist(), *(table.columns[q].tolist() for q in quantities)))
     results = {"n": table.n, "columns": table.columns, "onset": table.onset}
     diag = {"p": spec.p, "pa": spec.p_a, "points": len(table.n)}
     return EXIT_OK, results, diag, header, rows
@@ -386,7 +373,7 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
     if args.format == "csv":
         text = _csv_text(header, rows)
     else:
-        text = _json_text(args.verb, params, results, diag)
+        text = _json_text(args.verb, params, results=results, diagnostics=diag)
     if args.out:
         try:
             _write_atomic(args.out, text)
@@ -401,13 +388,8 @@ def _error_output(
     args: argparse.Namespace, params: ElectorateParams | None, exc: Exception, status: int
 ) -> tuple[int, str]:
     if args.format == "json":
-        payload = {
-            "command": args.verb,
-            "params": _jsonable(params),
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-            "version": __version__,
-        }
-        return status, json.dumps(payload, indent=2) + "\n"
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        return status, _json_text(args.verb, params, error=error)
     return status, f"error: {type(exc).__name__}: {exc}\n"
 
 

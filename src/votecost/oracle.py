@@ -111,6 +111,10 @@ CELL_CAP = 1e9
 
 _SIDES = ("A", "B")
 
+# Below this expected vote count per side, no Poisson or binomial count,
+# vote total or margin leaves int64, and numpy accepts every mean and size
+COUNT_LIMIT = 2**62
+
 
 def _upper_index(means: Sequence[float], tail_eps: float) -> np.ndarray:
     """Smallest K with P(Poisson(mean) > K) <= tail_eps, for each of ``means``."""
@@ -147,9 +151,23 @@ def _pmf_vector(means: Sequence[float], k_max: Sequence[int]) -> list[np.ndarray
     return [flat[start:end] for start, end in zip([0, *bounds], bounds)]
 
 
+def _as_list(value) -> tuple[list, bool]:
+    """``value``'s items as a list, and whether ``value`` is one item.
+
+    One item is a ``str`` or anything not iterable (a number, a 0-d
+    array); no array is built to tell.
+    """
+    if isinstance(value, str):
+        return [value], True
+    try:
+        return list(value), False
+    except TypeError:
+        return [value], True
+
+
 def _means(name: str, value: float | Sequence[float]) -> list[float]:
     """``value``, or each mean of a sequence, checked and as plain floats."""
-    means = [value] if np.ndim(value) == 0 else list(value)
+    means, _ = _as_list(value)
     for mean in means:
         if not (0.0 <= mean < math.inf):
             raise DomainError(f"{name} must be a finite mean >= 0, got {mean!r}")
@@ -222,11 +240,12 @@ def pivot_gain_bruteforce(
     ``itertools.product`` order, from one build of each pmf and total.
     """
     cfg = cfg or DEFAULT_ORACLE_CONFIG
-    sides = [side] if np.ndim(side) == 0 else list(side)
+    sides, one_side = _as_list(side)
     for one in sides:
         if one not in _SIDES:
             raise DomainError(f"side must be one of {_SIDES}, got {one!r}")
-    totals_a, totals_b = _total_pmfs(x_a, x_b, y_a, y_b, cfg)
+    (ys_a, one_a), (ys_b, one_b) = _as_list(y_a), _as_list(y_b)
+    totals_a, totals_b = _total_pmfs(x_a, x_b, ys_a, ys_b, cfg)
     # each total copied once into a zero-padded row one longer than the
     # longest total, which every gain can slice
     totals = totals_a + totals_b
@@ -239,7 +258,7 @@ def pivot_gain_bruteforce(
         _gain(dist_a, pad_b) if one == "A" else _gain(dist_b, pad_a)
         for dist_a, pad_a in pairs_a for dist_b, pad_b in pairs_b for one in sides
     ]
-    if np.ndim(side) == np.ndim(y_a) == np.ndim(y_b) == 0:
+    if one_side and one_a and one_b:
         gains = gains[0]
     return BruteForceGain(value=gains, error_bound=4.0 * cfg.tail_eps)
 
@@ -279,6 +298,13 @@ class WinStats:
     n_b_wins: int
 
 
+def _check_count_limit(side: str, count: float) -> None:
+    if not count < COUNT_LIMIT:
+        raise DomainError(
+            f"side {side}'s expected vote count {count!r} reaches the simulation limit 2**62"
+        )
+
+
 def _rng(cfg: OracleConfig) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(cfg.seed)))
 
@@ -297,12 +323,15 @@ def simulate_election(
     counts are Binomial(round(m_a), alpha_a) and Binomial(round(m_b),
     alpha_b).  Non-integer class sizes are rounded to the nearest integer
     (Python ``round``, ties to even); this discretization is a convention
-    of this simulator, surfaced via :func:`class_sizes`.
+    of this simulator, surfaced via :func:`class_sizes`.  A side whose
+    partisan mean plus class size reaches 2**62 raises ``DomainError``.
     """
     cfg = cfg or DEFAULT_ORACLE_CONFIG
+    size_a, size_b = class_sizes(params)
+    _check_count_limit("A", params.x_a + size_a)
+    _check_count_limit("B", params.x_b + size_b)
     rng = _rng(cfg)
     trials = cfg.trials
-    size_a, size_b = class_sizes(params)
     part_a = rng.poisson(params.x_a, trials)
     part_b = rng.poisson(params.x_b, trials)
     vote_a = rng.binomial(size_a, s.alpha_a, trials)
@@ -343,6 +372,8 @@ def _poisson_pivot(
 ) -> MonteCarloEstimate:
     if side not in _SIDES:
         raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
+    _check_count_limit("A", x_a + y_a)
+    _check_count_limit("B", x_b + y_b)
     rng = _rng(cfg)
     trials = cfg.trials
     t_a = rng.poisson(x_a, trials) + rng.poisson(y_a, trials)
@@ -366,7 +397,8 @@ def poisson_environment_pivot(
 
     This matches the environment a voter conditions on (every group's
     count is Poisson with its mean), so the estimate is consistent for
-    the brute-force pivot gain and for the closed forms.
+    the brute-force pivot gain and for the closed forms.  A side whose
+    x + y reaches 2**62 raises ``DomainError``.
     """
     cfg = cfg or DEFAULT_ORACLE_CONFIG
     y_a = params.m_a * s.alpha_a

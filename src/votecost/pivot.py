@@ -147,8 +147,8 @@ def _h_per_pair(
     u = params.x_a + params.m_a * alphas[:, 0]
     v = params.x_b + params.m_b * alphas[:, 1]
     # u >= x_a > 0 and v >= x_b > 0, so h's z = 0 branch never applies
-    scaled, d, _, _ = _h_parts(*((v, u) if side == "A" else (u, v)), np.sqrt)
-    return list(map(_h_tail, scaled.tolist(), d.tolist()))
+    scaled, dd, _, _ = _h_parts(*((v, u) if side == "A" else (u, v)), np.sqrt)
+    return list(map(_h_tail, scaled.tolist(), dd.tolist()))
 
 
 def r1_closed(
@@ -232,11 +232,11 @@ def log_frontiers(n, p: float, p_a: float) -> np.ndarray:
                 "log_frontiers requires x_a, total_b >= 0 and x_b, total_a > 0, "
                 f"got n={n!r}, p={p!r}, p_a={p_a!r}"
             )
-        scaled_a, d_a, _, _ = _h_parts(x_a, x_b, math.sqrt)
-        scaled_b, d_b, _, _ = _h_parts(total_b, total_a, math.sqrt)
+        scaled_a, dd_a, _, _ = _h_parts(x_a, x_b, math.sqrt)
+        scaled_b, dd_b, _, _ = _h_parts(total_b, total_a, math.sqrt)
         logs = np.log([g(2.0 * x_a), g(2.0 * total_b), scaled_a, scaled_b])
-        # adding -(d * d) is subtracting d * d, bit for bit
-        return logs + [LOG_HALF, LOG_HALF, -(d_a * d_a), -(d_b * d_b)]
+        # adding -dd is subtracting dd, as log_h does, bit for bit
+        return logs + [LOG_HALF, LOG_HALF, -dd_a, -dd_b]
     # ct_upper and ct_lower are g/2 at twice the first arguments of the
     # two h frontiers
     first = np.array([x_a, total_b])

@@ -24,8 +24,9 @@ Every kernel is therefore evaluated in the factorized form
     e^{-x-z} I_k(t) = e^{-(sqrt(x)-sqrt(z))^2} [e^{-t} I_k(t)],
 
 whose exponent is never positive; the scaled factors e^{-t} I_k(t) are
-scipy's Cephes ``i0e``/``i1e``.  The exponent is computed as
-((x - z) / (sqrt(x) + sqrt(z)))^2, which does not cancel when x ~ z.
+scipy's Cephes ``i0e``/``i1e``.  The exponent is d * d with
+d = (x - z) / (sqrt(x) + sqrt(z)), which does not cancel when x ~ z;
+``_h_parts`` squares d once for every entry point of ``h`` or its log.
 
 The formula has three kinds of entry point:
 
@@ -49,10 +50,7 @@ The formula has three kinds of entry point:
 * ``log_g`` and ``log_h`` take numpy arrays and return natural logs,
   finite for every positive argument, for the cost frontiers of a sweep.
   One electorate's frontiers (``pivot.log_frontiers``) use ``g`` and
-  ``_h_parts`` on floats, with the same bits: both square the exponent's
-  root d as ``d * d``, as numpy's array ``** 2`` does.  ``h`` keeps
-  ``d ** 2`` (libm ``pow``), which differs in the last bit at ~0.1% of
-  arguments.
+  ``_h_parts`` on floats, with the same bits.
 
 All functions are pure; concurrent use is unrestricted.
 """
@@ -77,14 +75,15 @@ SQRT2 = math.sqrt(2.0)
 
 
 def _h_parts(x_a, z, sqrt):
-    # h = scaled * exp(-d^2) with scaled = (i0 + r_i1) / 2, i0 = i0e(t) and
-    # r_i1 = sqrt(x_a / z) i1e(t), which the slope of log h reuses;
-    # ``sqrt`` is math.sqrt for floats and np.sqrt for arrays, so every
-    # entry point shares one formula
+    # h = scaled * exp(-dd) with scaled = (i0 + r_i1) / 2, i0 = i0e(t),
+    # r_i1 = sqrt(x_a / z) i1e(t), which the slope of log h reuses, and
+    # dd = d * d; ``sqrt`` is math.sqrt for floats and np.sqrt for arrays,
+    # so every entry point shares one formula
     rx, rz = sqrt(x_a), sqrt(z)
     t = 2.0 * rx * rz
     i0, r_i1 = i0e(t), (rx / rz) * i1e(t)
-    return 0.5 * (i0 + r_i1), (x_a - z) / (rx + rz), i0, r_i1
+    d = (x_a - z) / (rx + rz)
+    return 0.5 * (i0 + r_i1), d * d, i0, r_i1
 
 
 def g(z: float) -> float:
@@ -106,16 +105,16 @@ def h(x_a: float, z: float) -> float:
     if z == 0.0:
         # F1(0) = F2(0) = 1
         return 0.5 * (1.0 + x_a) * math.exp(-x_a)
-    scaled, d, _, _ = _h_parts(x_a, z, math.sqrt)
-    return _h_tail(scaled, d)
+    scaled, dd, _, _ = _h_parts(x_a, z, math.sqrt)
+    return _h_tail(scaled, dd)
 
 
-def _h_tail(scaled, d) -> float:
-    # h from the scaled Bessel sum and the exponent's root of ``_h_parts``,
-    # one value at a time: libm pow and exp, not d * d or numpy's exp (which
-    # differs from math.exp in the last bit at a few percent of arguments),
-    # keep the last bit of h, residuals and the verify CSV
-    return float(scaled) * math.exp(-(d**2))
+def _h_tail(scaled, dd) -> float:
+    # h from the scaled Bessel sum and the exponent of ``_h_parts``, one
+    # value at a time: math.exp, not numpy's exp (which differs from it in
+    # the last bit at a few percent of arguments), keeps the last bit of h,
+    # residuals and the verify CSV
+    return float(scaled) * math.exp(-dd)
 
 
 def _log_g_slope(z: float) -> tuple[float, float]:
@@ -132,9 +131,9 @@ def _log_h_slope(x_a: float, z: float) -> tuple[float, float]:
     # dh/dz = [P(D=2) - P(D=0)] / 2, and I2 = I0 - (2/t) I1 (A&S 9.6.26)
     # turns it into d log h / dz = ((x_a - z) I0 - r I1) / (z (I0 + r I1)),
     # r = sqrt(x_a / z): the Bessel values of h itself, no further calls
-    scaled, d, i0, r_i1 = _h_parts(x_a, z, math.sqrt)
+    scaled, dd, i0, r_i1 = _h_parts(x_a, z, math.sqrt)
     scaled, i0, r_i1 = float(scaled), float(i0), float(r_i1)
-    return math.log(scaled) - d * d, ((x_a - z) * i0 - r_i1) / (2.0 * z * scaled)
+    return math.log(scaled) - dd, ((x_a - z) * i0 - r_i1) / (2.0 * z * scaled)
 
 
 def _i_sign_core(x_a: float, z: float) -> tuple[float, float]:
@@ -170,5 +169,5 @@ def log_h(x_a, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if not (x_a.min(initial=math.inf) >= 0.0 and z.min(initial=math.inf) > 0.0):
         raise DomainError("log_h requires every x_a >= 0 and z > 0")
-    scaled, d, _, _ = _h_parts(x_a, z, np.sqrt)
-    return np.log(scaled) - d * d
+    scaled, dd, _, _ = _h_parts(x_a, z, np.sqrt)
+    return np.log(scaled) - dd

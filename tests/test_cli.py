@@ -235,6 +235,30 @@ class TestSimulateVerb:
         argv = self.BASE + ["--alpha-a", "0.3", "--alpha-b", "0.7"]
         assert run_cli(argv) == run_cli(argv)
 
+    @pytest.mark.parametrize(
+        "electorate",
+        [
+            ["--n", "1.5e19", "--p", "0.5", "--pa", "0.9", "--alpha-a", "1", "--alpha-b", "1"],
+            ["--n", "1e20", "--p", "1e-15", "--pa", "0.6", "--alpha-a", "0.5", "--alpha-b", "0.5"],
+            ["--n", "1e30", "--p", "0.5", "--pa", "0.6", "--alpha-a", "0.5", "--alpha-b", "0.5"],
+        ],
+    )
+    def test_counts_past_the_int64_limit_are_validation_errors(self, electorate):
+        status, text = run_cli(["simulate", *electorate, "--trials", "10"])
+        assert status == EXIT_VALIDATION
+        error = json.loads(text)["error"]
+        assert error["type"] == "DomainError"
+        assert error["message"].endswith("reaches the simulation limit 2**62")
+
+    def test_counts_below_the_int64_limit(self):
+        argv = ["simulate", "--n", "1e18", "--p", "0.5", "--pa", "0.9", "--alpha-a", "1",
+                "--alpha-b", "1", "--trials", "10", "--format", "csv"]
+        assert run_cli(argv) == (EXIT_OK, (
+            "trials,seed,alpha_a,alpha_b,p_a_wins,se_a_wins,p_tie,p_b_wins,pivot_a,"
+            "se_pivot_a,pivot_b,se_pivot_b,n_a_wins,n_tie,n_b_wins\n"
+            "10,20240717,1,1,1,0,0,0,0,0,0,0,10,0,0\n"
+        ))
+
     def test_csv_schema(self):
         argv = self.BASE + ["--alpha-a", "0.3", "--alpha-b", "0.7", "--format", "csv"]
         rows = list(csv.reader(io.StringIO(run_cli(argv)[1])))
@@ -266,7 +290,7 @@ class TestVerifyVerb:
         assert len(rows) == 1800
         assert all(list(row) == header for row in rows)
 
-    def test_brute_force_matches_cold_memo(self):
+    def test_brute_force_matches_scalar_calls(self):
         # one call per electorate gives, bit for bit, what each row's
         # scalar call gives on its own
         cfg = OracleConfig()

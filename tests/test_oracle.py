@@ -81,6 +81,26 @@ class TestBruteForce:
         fast = pivot_gain_bruteforce(*means, "A")
         assert abs(total - fast.value) < 1e-12
 
+    def test_one_item_or_a_sequence(self):
+        # each of y_a, y_b and side is one item (a number, a 0-d array or a
+        # str) or a sequence; the value is a float only when all three are
+        # single items, and each gain has the same bits either way (frozen
+        # at x_a, x_b, y_a, y_b = 1.3, 0.8, 2, 1.1)
+        gain_a, gain_b = 0.12698273960497453, 0.16478932816911307
+        for y_a in (2.0, 2, np.float64(2.0), np.array(2.0)):
+            for y_b in (1.1, np.float64(1.1)):
+                for side, want in (("A", gain_a), ("B", gain_b)):
+                    value = pivot_gain_bruteforce(1.3, 0.8, y_a, y_b, side).value
+                    assert type(value) is float and value == want
+        for y_a in ([2.0], (2.0,), np.array([2.0])):
+            value = pivot_gain_bruteforce(1.3, 0.8, y_a, 1.1, "A").value
+            assert type(value) is list and value == [gain_a]
+        for side in (("A",), ("A", "B"), ["B"]):
+            value = pivot_gain_bruteforce(1.3, 0.8, 2.0, 1.1, side).value
+            want = [gain_a if one == "A" else gain_b for one in side]
+            assert type(value) is list and value == want
+            assert all(type(gain) is float for gain in value)
+
     @staticmethod
     def padded_gain(x_a, x_b, y_a, y_b, side, cfg):
         # the reference: the other total always copied into a zero-padded
@@ -411,6 +431,23 @@ class TestSimulate:
         assert abs(w.pivot_a - c) < 3.0 * w.se_pivot_a
         assert abs(w.pivot_b - c) < 3.0 * w.se_pivot_b
 
+    @pytest.mark.parametrize(
+        "n, p, p_a", [(1.5e19, 0.5, 0.9), (1e20, 1e-15, 0.6), (1e30, 0.5, 0.6)]
+    )
+    def test_counts_past_the_int64_limit_are_a_domain_error(self, n, p, p_a):
+        # past 2**62 a side's vote total can wrap in int64, or numpy refuses
+        # the mean or the class size
+        params = ElectorateParams(n=n, p=p, p_a=p_a)
+        with pytest.raises(DomainError, match="^side A's expected vote count"):
+            simulate_election(params, StrategyPair(1.0, 1.0), OracleConfig(trials=10))
+        with pytest.raises(DomainError, match="^side A's expected vote count"):
+            poisson_environment_pivot(params, StrategyPair(1.0, 1.0), "A", OracleConfig(trials=10))
+
+    def test_counts_below_the_int64_limit(self):
+        params = ElectorateParams(n=1e18, p=0.5, p_a=0.9)
+        w = simulate_election(params, StrategyPair(1.0, 1.0), OracleConfig(trials=10))
+        assert (w.n_a_wins, w.n_tie, w.n_b_wins) == (10, 0, 0)
+
 
 class TestPoissonEnvironmentPivot:
     def test_zero_means_exact_half(self):
@@ -429,6 +466,12 @@ class TestPoissonEnvironmentPivot:
             est = poisson_environment_pivot(params, s, side, cfg)
             brute = pivot_gain_bruteforce(2.0, 1.0, 1.0, 2.0, side)
             assert abs(est.value - brute.value) < 3.0 * est.se
+
+    def test_side_b_past_the_int64_limit(self):
+        # side A's x_a + y_a stays below 2**62 here; side B's reaches it
+        params = ElectorateParams(n=2e19, p=0.01, p_a=0.55)
+        with pytest.raises(DomainError, match="^side B's expected vote count"):
+            poisson_environment_pivot(params, StrategyPair(0.0, 1.0), "A", OracleConfig(trials=10))
 
     def test_matches_closed_form(self):
         params = ElectorateParams(n=50, p=0.2, p_a=0.6)

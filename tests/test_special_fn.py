@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from reference_fns import g_leading, h_ray_leading, i_sign
+from scipy.special import i0e, i1e
 from series_oracle import (
     bessel_i0,
     bessel_i1,
@@ -169,6 +170,25 @@ class TestH:
         # the larger first argument dominates along swapped rays
         assert h(5.0, 2.0) >= h(2.0, 5.0)
         assert h(30.0, 10.0) >= h(10.0, 30.0)
+
+    def test_squares_the_exponent_as_d_times_d(self):
+        # h = scaled * exp(-d * d), as log_h and the frontiers square d;
+        # recomputed here from scipy's i0e/i1e at the points where squaring
+        # with libm pow, d ** 2, would move the last bit of h
+        rng = np.random.default_rng(18)
+        xs = np.exp(rng.uniform(math.log(1e-2), math.log(1e7), 40_000))
+        zs = xs * 10.0 ** rng.uniform(-1.0, 1.0, xs.size)
+        rx, rz = np.sqrt(xs), np.sqrt(zs)
+        t = 2.0 * rx * rz
+        scaled = 0.5 * (i0e(t) + (rx / rz) * i1e(t))
+        d = (xs - zs) / (rx + rz)
+        moved = 0
+        for x, z, sc, di in zip(xs.tolist(), zs.tolist(), scaled.tolist(), d.tolist()):
+            want = sc * math.exp(-(di * di))
+            if want != sc * math.exp(-(di**2)):
+                moved += 1
+                assert h(x, z) == want, (x, z)
+        assert moved >= 5
 
     def test_no_overflow_at_huge_means(self):
         val = h(7e6, 2e6)
