@@ -23,8 +23,10 @@ from the inverse Poisson cdf ``pdtrik`` and the pmfs from ``gammaln``
 sides, so ``verify`` makes one call per electorate.  It evaluates every
 truncation index in one ``pdtrik``/``pdtr`` pass and every pmf vector
 in one ``xlogy - gammaln - mean`` pass over each mean's own range 0..K,
-builds each side total once and copies it once into a zero-padded row
-that every combination's gain slices.  An index that is not finite
+builds each side total once and copies it once into a zero-padded row.
+Each own-side total then takes its gains against every other-side row,
+at shifts 0 and 1, in one stacked (1, n) @ (n, 1) matmul, which keeps
+``np.dot``'s bits.  An index that is not finite
 (``pdtrik`` past means of ~1e11) raises ``TruncationLimitError``.
 Nothing is kept from one call to the next.
 
@@ -204,14 +206,21 @@ def _total_pmfs(
     )
 
 
-def _gain(own: np.ndarray, other: np.ndarray) -> float:
-    """Half of P(T_other - T_own = 0) + P(T_other - T_own = 1).
+def _window_gains(owns: list[np.ndarray], windows: np.ndarray) -> np.ndarray:
+    """Gains of each own total (rows) against each other total (columns).
 
-    ``other`` is zero-padded to at least len(own) + 1 entries, so both
-    dots run over the len(own) terms of ``own``.
+    A gain is half of P(T_other - T_own = 0) + P(T_other - T_own = 1).
+    ``windows[j, shift]`` is the other total j, zero-padded to at least
+    len(own) + 1 entries, from index ``shift`` (0 or 1) on, with unit
+    stride.  Each own total makes one stacked (1, n) @ (n, 1) matmul over
+    every window's first n = len(own) entries.  numpy sends that shape to
+    the dot kernel that ``np.dot`` of two vectors uses, so each dot has
+    ``np.dot``'s bits; a matrix-vector product (gemv) rounds differently.
     """
-    n = len(own)
-    return 0.5 * float(np.dot(own, other[:n]) + np.dot(own, other[1 : n + 1]))
+    dots = np.empty((len(owns), len(windows), 2))
+    for own_dots, own in zip(dots, owns):
+        np.matmul(own[None, :], windows[..., : len(own), None], out=own_dots[..., None, None])
+    return 0.5 * (dots[..., 0] + dots[..., 1])
 
 
 @dataclass
@@ -238,6 +247,8 @@ def pivot_gain_bruteforce(
     Any of ``y_a``, ``y_b`` and ``side`` may be a sequence; ``value`` is
     then the list of gains of every (y_a, y_b, side) combination in
     ``itertools.product`` order, from one build of each pmf and total.
+    Each own-side total takes its gains against every other-side total in
+    one stacked matmul (``_window_gains``), with the bits of ``np.dot``.
     """
     cfg = cfg or DEFAULT_ORACLE_CONFIG
     sides, one_side = _as_list(side)
@@ -247,17 +258,23 @@ def pivot_gain_bruteforce(
     (ys_a, one_a), (ys_b, one_b) = _as_list(y_a), _as_list(y_b)
     totals_a, totals_b = _total_pmfs(x_a, x_b, ys_a, ys_b, cfg)
     # each total copied once into a zero-padded row one longer than the
-    # longest total, which every gain can slice
+    # longest total
     totals = totals_a + totals_b
     padded = np.zeros((len(totals), 1 + max(map(len, totals), default=0)))
     for row, total in zip(padded, totals):
         row[: len(total)] = total
-    pairs_a = list(zip(totals_a, padded))
-    pairs_b = list(zip(totals_b, padded[len(totals_a) :]))
-    gains = [
-        _gain(dist_a, pad_b) if one == "A" else _gain(dist_b, pad_a)
-        for dist_a, pad_a in pairs_a for dist_b, pad_b in pairs_b for one in sides
-    ]
+    # every row at shifts 0 and 1, as views: windows[j, shift]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, padded.shape[1] - 1, axis=1)
+    windows_a, windows_b = windows[: len(totals_a)], windows[len(totals_a) :]
+    # table[i, j, k]: the gain of the k-th side at the i-th y_a and j-th y_b
+    table = np.empty((len(totals_a), len(totals_b), len(sides)))
+    for k, one in enumerate(sides):
+        if one == "A":
+            table[..., k] = _window_gains(totals_a, windows_b)
+        else:
+            # side B's own totals index the rows, so its gains are transposed
+            table[..., k] = _window_gains(totals_b, windows_a).T
+    gains = table.ravel().tolist()
     if one_side and one_a and one_b:
         gains = gains[0]
     return BruteForceGain(value=gains, error_bound=4.0 * cfg.tail_eps)

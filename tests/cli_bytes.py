@@ -70,6 +70,9 @@ INVOCATIONS = [
     ("verify csv", ["verify"], None),
     ("verify json", ["verify", "--format", "json"], None),
     ("verify tolerance breach", ["verify", "--tol", "1e-30", "--format", "json"], None),
+    # the longest totals (CSV) and the shortest, past the tolerance (exit 4)
+    ("verify tail-eps 2e-16", ["verify", "--tail-eps", "2e-16"], None),
+    ("verify tail-eps 1e-7 json", ["verify", "--tail-eps", "1e-7", "--format", "json"], None),
     ("verify bad tail-eps", ["verify", "--tail-eps", "0"], None),
     ("verify bad tail-eps json", ["verify", "--tail-eps", "0", "--format", "json"], None),
     ("verify out", ["verify"], "v.csv"),

@@ -396,12 +396,35 @@ class TestCsvText:
     def test_matches_per_cell_rule(self):
         assert _csv_text(self.HEADER, self.ROWS) == self.per_cell(self.HEADER, self.ROWS)
 
+    @staticmethod
+    def long_floats():
+        # a float column at verify's scale: 2,400 cells of about 600
+        # distinct values, each repeated, with 0.0 before -0.0, two
+        # distinct NaN objects, both infinities and subnormals
+        rng = np.random.default_rng(20240717)
+        magnitudes = 10.0 ** rng.uniform(-320.0, 308.0, size=590)
+        values = (magnitudes * rng.choice([-1.0, 1.0], size=590)).tolist()
+        values += [0.0, -0.0, float("nan"), float("nan"), math.inf, -math.inf,
+                   5e-324, -5e-324, 2.5e-310, 1e-300]
+        cells = [values[k] for k in rng.integers(0, len(values), size=2390).tolist()]
+        return [0.0, -0.0, *values[-8:], *cells]
+
     def test_typed_columns_match_per_cell_rule(self):
         want = self.per_cell(self.TYPED_HEADER, self.TYPED_ROWS)
         assert _csv_text(self.TYPED_HEADER, self.TYPED_ROWS) == want
         columns = list(zip(*csv.reader(io.StringIO(want))))
         assert columns[0][1:4] == ("0", "-0", "nan")
         assert columns[1][4] == "cr\rhere"
+
+        cells = self.long_floats()
+        assert len(cells) >= 2000 and len(set(cells)) < len(cells) / 2
+        rows = [[x, k] for k, x in enumerate(cells)]
+        want = self.per_cell(["float", "index"], rows)
+        assert _csv_text(["float", "index"], rows) == want
+        column = [line.split(",")[0] for line in want.splitlines()[1:]]
+        assert column[:10] == ["0", "-0", "nan", "nan", "inf", "-inf",
+                               "4.9406564584124654e-324", "-4.9406564584124654e-324",
+                               "2.5000000000000171e-310", "1e-300"]
 
     @pytest.mark.parametrize("header", [TYPED_HEADER, HEADER, [""]])
     def test_zero_rows(self, header):

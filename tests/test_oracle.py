@@ -130,6 +130,30 @@ class TestBruteForce:
                 assert got == self.padded_gain(*point, side, cfg), (point, side)
         assert seen == {-1, 0, 1, 2}
 
+    def test_stacked_matmul_keeps_dot_bits(self):
+        # the gains' kernel: one (1, n) @ (n, 1) matmul per own total over
+        # a batch of shift-0 and shift-1 windows must give np.dot's bits,
+        # as numpy sends that shape to the same dot kernel.  If a numpy
+        # routes it elsewhere (a gemv rounds differently), this fails first.
+        rng = np.random.default_rng(20240717)
+        lengths = rng.integers(1, 301, size=200)
+        assert set((lengths % 32).tolist()) == set(range(32))
+        for n in lengths.tolist():
+            rows = int(rng.integers(1, 11))
+            padded = np.zeros((rows, n + 1 + int(rng.integers(0, 4))))
+            for row in padded:
+                used = int(rng.integers(1, padded.shape[1]))
+                row[:used] = 10.0 ** rng.uniform(-300.0, 10.0, size=used)
+            own = 10.0 ** rng.uniform(-300.0, 10.0, size=n)
+            windows = np.lib.stride_tricks.sliding_window_view(
+                padded, padded.shape[1] - 1, axis=1
+            )
+            dots = np.matmul(own[None, :], windows[..., :n, None])[..., 0, 0]
+            want = [[np.dot(own, row[shift : shift + n]) for shift in (0, 1)] for row in padded]
+            assert dots.tolist() == want, n
+            gains = oracle._window_gains([own], windows)
+            assert gains.tolist() == [[0.5 * (d0 + d1) for d0, d1 in want]], n
+
     def test_cell_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "CELL_CAP", 1e3)
         with pytest.raises(TruncationLimitError):
