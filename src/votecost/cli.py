@@ -73,7 +73,14 @@ CLASSIFY_PREFIX = ("case_index", "avoid")
 _COLUMN_RENAMES = {"p_a": "pa"}
 
 
+# the types json.dumps takes as they are; tested by exact type, so the
+# str-based EquilibriumKind and Winner still reach the Enum branch
+_JSON_SCALARS = frozenset({float, int, str, bool, type(None)})
+
+
 def _jsonable(obj: Any) -> Any:
+    if type(obj) in _JSON_SCALARS:  # most cells: 18,000 in a verify frame
+        return obj
     if is_dataclass(obj) and not isinstance(obj, type):
         # fields hidden from repr (ThresholdSet's logs) stay out of the output too
         return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj) if f.repr}

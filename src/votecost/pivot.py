@@ -235,8 +235,10 @@ def log_frontiers(n, p: float, p_a: float) -> np.ndarray:
         scaled_a, dd_a, _, _ = _h_parts(x_a, x_b, math.sqrt)
         scaled_b, dd_b, _, _ = _h_parts(total_b, total_a, math.sqrt)
         logs = np.log([g(2.0 * x_a), g(2.0 * total_b), scaled_a, scaled_b])
-        # adding -dd is subtracting dd, as log_h does, bit for bit
-        return logs + [LOG_HALF, LOG_HALF, -dd_a, -dd_b]
+        # adding -dd is subtracting dd, as log_h does, bit for bit; in
+        # place, so no second array is allocated
+        logs += [LOG_HALF, LOG_HALF, -dd_a, -dd_b]
+        return logs
     # ct_upper and ct_lower are g/2 at twice the first arguments of the
     # two h frontiers
     first = np.array([x_a, total_b])

@@ -31,7 +31,6 @@ equilibrium list and no case prediction.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,16 +84,9 @@ class RegimeReport:
     notes: tuple[str, ...]
 
 
-def predicted_kinds(
-    case_index: int, on_pa_lower: bool = False
-) -> dict[EquilibriumKind, tuple[int, int]]:
-    """Kind -> (min count, max count) promised by the regime table.
-
-    On pa_lower, case 3's absenteeism root is the no-queue corner,
-    which the solvers list once.
-    """
+def _regime_table(on_pa_lower: bool) -> dict[int, dict[EquilibriumKind, tuple[int, int]]]:
     K = EquilibriumKind
-    table = {
+    return {
         1: {K.PARTIAL_ABSENTEEISM: (0, 2), K.NO_QUEUE: (1, 1)},
         2: {K.COIN_TOSS: (1, 1), K.PARTIAL_ABSENTEEISM: (1, 1), K.NO_QUEUE: (1, 1)},
         3: {
@@ -105,17 +97,42 @@ def predicted_kinds(
         4: {K.PARTIAL_SATURATION: (1, 1)},
         5: {K.ALL_SWIPE: (1, 1)},
     }
-    return table[case_index]
+
+
+# (case, on_pa_lower) -> kind -> (min count, max count), built once:
+# ``classify`` reads these and never changes them
+_PREDICTIONS = {
+    (k, on): t for on in (False, True) for k, t in _regime_table(on).items()
+}
+
+
+def predicted_kinds(
+    case_index: int, on_pa_lower: bool = False
+) -> dict[EquilibriumKind, tuple[int, int]]:
+    """Kind -> (min count, max count) promised by the regime table.
+
+    On pa_lower, case 3's absenteeism root is the no-queue corner,
+    which the solvers list once.  Returns a new dict on every call; a
+    case outside 1-5 raises ``DomainError``.
+    """
+    table = _PREDICTIONS.get((case_index, bool(on_pa_lower)))
+    if table is None:
+        raise DomainError(f"case_index must be one of 1, 2, 3, 4, 5, got {case_index!r}")
+    return dict(table)
 
 
 def _check_prediction(
     case_index: int, tables: list[dict], eqs: tuple[Equilibrium, ...]
 ) -> str | None:
-    # the realized counts must fit one of the tables on its own
-    realized = Counter(eq.kind for eq in eqs)
+    # the realized counts must fit one of the tables on its own; a plain
+    # dict counts them faster than a Counter, in the same first-seen order
+    realized: dict[EquilibriumKind, int] = {}
+    for eq in eqs:
+        realized[eq.kind] = realized.get(eq.kind, 0) + 1
     for t in tables:
-        within = all(lo <= realized[k] <= hi for k, (lo, hi) in t.items())
-        if within and realized.keys() <= t.keys():
+        if realized.keys() <= t.keys() and all(
+            lo <= realized.get(k, 0) <= hi for k, (lo, hi) in t.items()
+        ):
             return None
     promised_str = " or ".join(
         "["
@@ -151,18 +168,21 @@ def classify(params: ElectorateParams, c: float) -> RegimeReport:
             (k for k, side in enumerate(sides[1:], start=2) if side >= 0), 5
         )
         cases = {case}
-        for k, (name, side) in enumerate(zip(THRESHOLD_NAMES, sides), start=1):
-            if side == 0:
-                notes.append(
-                    f"cost on the {name} frontier (within the relative slack "
-                    f"EPS_CMP): the solution set of case {k} or {k + 1} applies"
-                )
-                cases |= {k, k + 1}
-        tables = [predicted_kinds(k, on_pa_lower=sides[2] == 0) for k in sorted(cases)]
+        if 0 in sides:
+            for k, (name, side) in enumerate(zip(THRESHOLD_NAMES, sides), start=1):
+                if side == 0:
+                    notes.append(
+                        f"cost on the {name} frontier (within the relative slack "
+                        f"EPS_CMP): the solution set of case {k} or {k + 1} applies"
+                    )
+                    cases |= {k, k + 1}
+        on_pa_lower = sides[2] == 0
+        tables = [_PREDICTIONS[k, on_pa_lower] for k in sorted(cases)]
         mismatch = _check_prediction(case, tables, eqs)
         if mismatch is not None:
             notes.append(mismatch)
-    avoid = any(eq.winner is not Winner.A for eq in eqs)
+    a_wins = Winner.A  # one member lookup, not one per equilibrium
+    avoid = any(eq.winner is not a_wins for eq in eqs)
     return RegimeReport(
         case_index=case,
         thresholds=ts,

@@ -54,6 +54,15 @@ INVOCATIONS = [
     ("classify bad pa", ["classify", "--n", "500", "--p", "0.2", "--pa", "0.4",
                          "--c", "0.1"], None),
     ("classify out csv", ["classify", *ELECTORATE, "--c", "0.028", "--format", "csv"], "c.csv"),
+    # a cost on ct_lower (a note, and the cases 2 and 3 both fit), one on
+    # pa_lower (case 3 without its absenteeism root), and a case 0 whose
+    # only equilibrium is the (0, 1) corner
+    ("classify on ct_lower", ["classify", *ELECTORATE, "--c", "0.01994087762042176"], None),
+    ("classify on pa_lower", ["classify", *ELECTORATE, "--c", "0.005935692821050649"], None),
+    ("classify case 0 minority swipe", ["classify", "--n", "7.720378020741096",
+                                        "--p", "0.9914664648146816",
+                                        "--pa", "0.6319540163784259",
+                                        "--c", "0.12530346880670365"], None),
     ("sweep csv", [*SWEEP, "--points", "7"], None),
     ("sweep json", [*SWEEP, "--points", "7", "--format", "json"], None),
     ("sweep one point", [*SWEEP, "--points", "1"], None),

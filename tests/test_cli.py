@@ -25,7 +25,7 @@ from votecost.cli import (
     execute,
     standard_verify_rows,
 )
-from votecost.equilibria import Equilibrium
+from votecost.equilibria import Equilibrium, EquilibriumKind, Winner
 from votecost.errors import ConvergenceError
 from votecost.oracle import OracleConfig, pivot_gain_bruteforce
 from votecost.pivot import ElectorateParams, StrategyPair, r1_closed, r2_closed, thresholds
@@ -334,6 +334,18 @@ class TestVerifyVerb:
         assert "--tol" in doc["error"]["message"]
 
 
+class TestJsonable:
+    def test_scalars_pass_and_str_enums_unwrap(self):
+        # exact-type scalars come back as they are; a str-based Enum is a
+        # str but not of type str, so it still becomes its plain value
+        for x in (1.5, -0.0, 3, "A", True, None):
+            assert _jsonable(x) is x
+        for member in (Winner.A, EquilibriumKind.COIN_TOSS):
+            assert type(_jsonable(member)) is str
+            assert _jsonable(member) == member.value
+        assert _jsonable([np.float64(0.25), (Winner.A,)]) == [0.25, ["A"]]
+
+
 class Shade(Enum):
     DARK = "dark"
 
@@ -529,13 +541,26 @@ class TestEntryPoint:
         )
         assert proc.returncode == EXIT_VALIDATION
 
-    def test_import_does_not_load_scipy_stats(self):
-        # scipy.stats costs most of a cold import; the package needs only
-        # scipy.special
+    @pytest.fixture(scope="class")
+    def loaded_by_import(self):
+        # the modules a cold import of the package and its CLI loads, in
+        # one fresh interpreter
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, votecost, votecost.cli; print('scipy.stats' in sys.modules)"],
+             "import sys, votecost, votecost.cli; print(*sys.modules, sep='\\n')"],
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        return set(proc.stdout.split())
+
+    def test_import_does_not_load_scipy_stats(self, loaded_by_import):
+        # scipy.stats costs most of a cold import; the package needs only
+        # scipy.special
+        assert "votecost.cli" in loaded_by_import
+        assert "scipy.stats" not in loaded_by_import
+
+    def test_import_does_not_load_scipy_optimize(self, loaded_by_import):
+        # scipy.optimize would add ~0.3 s to every CLI call, which is why
+        # equilibria._rtsafe is written out rather than taken from it
+        assert "votecost.cli" in loaded_by_import
+        assert "scipy.optimize" not in loaded_by_import
