@@ -38,41 +38,11 @@ above both ends does ``find_h_peak`` locate the peak, from the single
 sign change of the slope probe ``_i_sign_core``, and each monotone
 branch is solved separately.
 
-One root finder, ``_rtsafe``, serves all four roots: Newton's method
-safeguarded by bisection on a bracket (Press et al., Numerical Recipes,
-section 9.4).  The three families are solved on log residuals,
-log g - log 2c and log h - log c, which stay finite where h underflows;
-their slopes come from the kernel's own Bessel values
-(``special_fn._log_g_slope`` and ``_log_h_slope``), and the peak from
-the probe's analytic slope.
-
-The kernel values at the interval ends are the cost frontiers of
-``pivot.thresholds``, which each ``ElectorateParams`` evaluates once and
-keeps.  The solvers read them from there, so solvers and classifier
-compare the cost against the same numbers and no frontier is evaluated
-twice.
-Where ``ct_admissible`` is false (x_a > n (1 - p_a), ``classify`` case
-0), the strategy bound replaces x_a or n (1 - p_a) as an interval end,
-and ``_kernel_point`` reads its log value, as it reads the peak's.
-
-Boundary conventions.  One rule, ``cost_side``, decides whether a cost
-lies below, on or above a kernel value f: on means
-|c - f| <= EPS_CMP * max(c, f), compared in log space so that it holds
-where f underflows.  The solvers, the existence tests and ``classify``
-all decide with it, and never by comparing solved z or alpha values.
-Every strategy pair where two families meet has one owner, which lists
-it once:
-
-* the coin toss owns both edges of its closed window [ct_lower,
-  ct_upper], and notes the family it meets there;
-* each pure corner owns its own point: (0, 0), (0, 1) and (1, 1);
-* the absenteeism and saturation solvers return only roots strictly
-  inside their edge: an end that ``cost_side`` puts the cost on is
-  left to its owner.
-
-EPS_CMP is relative: the frontiers range from ~1/2 down to
-exponentially small values, where any fixed absolute slack would
-swallow whole regimes.
+One root finder, ``_rtsafe``, serves all four roots, and one rule,
+``cost_side``, decides whether a cost is below, on or above a kernel
+value.  README, "Numerical notes", sets out both: how roots are
+bracketed, started and stopped, which kernel values the solvers read,
+and which family owns each strategy pair where two families meet.
 """
 
 from __future__ import annotations
@@ -561,10 +531,9 @@ def enumerate_equilibria(params: ElectorateParams, c: float) -> list[Equilibrium
     The mixed solver is skipped where ``cost_side`` puts ``c`` above
     ct_upper, which holds for every cost of 1/2 and above except one
     within EPS_CMP of a ct_upper just below 1/2.  Every solver compares
-    ``c`` against the same frontiers, ``thresholds(params)``.
+    ``c`` against the same frontiers, ``thresholds(params)``.  A cost that
+    is not > 0 raises ``DomainError`` from the first ``cost_side`` call.
     """
-    if not (c > 0.0):
-        raise DomainError(f"cost must be > 0, got {c!r}")
     K = EquilibriumKind
     above_window = cost_side(c, thresholds(params).log_ct_upper) > 0
     found = [] if above_window else [solve_coin_toss(params, c)]

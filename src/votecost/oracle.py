@@ -167,11 +167,24 @@ def _as_list(value) -> tuple[list, bool]:
         return [value], True
 
 
-def _means(name: str, value: float | Sequence[float]) -> list[float]:
-    """``value``, or each mean of a sequence, checked and as plain floats."""
-    means, _ = _as_list(value)
+def _means(name: str, value: float | Sequence[float], one: bool = False) -> list[float]:
+    """``value``, or each mean of a sequence, checked and as plain floats.
+
+    With ``one``, ``value`` must be a single mean.  A mean that does not
+    compare with floats (a str, a complex, None) is rejected like a
+    negative one.
+    """
+    means, is_one = _as_list(value)
+    if one and not is_one:
+        raise DomainError(f"{name} must be one mean, got {value!r}")
     for mean in means:
-        if not (0.0 <= mean < math.inf):
+        # not isinstance(mean, numbers.Real), which takes ~1 us per float on
+        # CPython 3.11 with numpy loaded
+        try:
+            valid = 0.0 <= mean < math.inf
+        except TypeError:
+            valid = False
+        if not valid:
             raise DomainError(f"{name} must be a finite mean >= 0, got {mean!r}")
     return [float(mean) for mean in means]
 
@@ -188,7 +201,7 @@ def _total_pmfs(
     Every check, CELL_CAP's on the largest four-index box included, runs
     before a pmf is built.
     """
-    (x_a,), (x_b,) = _means("x_a", x_a), _means("x_b", x_b)
+    (x_a,), (x_b,) = _means("x_a", x_a, one=True), _means("x_b", x_b, one=True)
     ys_a, ys_b = _means("y_a", y_a), _means("y_b", y_b)
     means = [x_a, x_b, *ys_a, *ys_b]
     ks = _upper_index(means, cfg.tail_eps).tolist()

@@ -21,9 +21,9 @@ equilibrium landscape for a given electorate:
 The frontiers are computed in log form by ``log_frontiers``, which
 also takes an array of populations for sweeps.  The linear values are
 their exponentials: pa_lower and ps_lower decay exponentially in n and
-underflow to 0.0 from n ~ 1e6, while their logs stay finite.  Each
-``ElectorateParams`` evaluates its frontiers once, on the first call of
-``thresholds``, and every later call returns the same ``ThresholdSet``.
+underflow to 0.0 from n ~ 1e6, while their logs stay finite.  What an
+``ElectorateParams`` computes, when, and keeps: README, "Numerical
+notes".
 """
 
 from __future__ import annotations
@@ -60,15 +60,16 @@ class ElectorateParams:
     ``p_a`` in (1/2, 1) so that A is the ex-ante majority side.  The
     four partisan and non-partisan means must come out positive, and
     x_a above x_b, in floating point; shares near 0 can underflow them.
-    The four cost frontiers are computed on first use and kept on the
-    instance (``thresholds``); they take no part in ``==``, ``hash`` or
-    ``repr``.
+    The six means of ``_group_means`` are plain attributes, and
+    ``thresholds`` keeps the frontiers on the instance; README,
+    "Numerical notes", says when each is computed.
     """
 
     n: float
     p: float
     p_a: float
-    # not a field (no annotation): the first call of thresholds() sets it
+    # not fields (no annotation): __post_init__ sets the six means, and the
+    # first call of thresholds() sets _thresholds
     _thresholds = None
 
     def __post_init__(self):
@@ -78,42 +79,30 @@ class ElectorateParams:
             raise DomainError(f"p must lie in (0, 1), got {self.p!r}")
         if not (0.5 < self.p_a < 1.0):
             raise DomainError(f"p_a must lie in (1/2, 1), got {self.p_a!r}")
-        if not (min(self.x_a, self.x_b, self.m_a, self.m_b) > 0.0 and self.x_a > self.x_b):
+        means = _group_means(self.n, self.p, self.p_a)
+        for name, value in zip(_MEAN_NAMES, means):
+            object.__setattr__(self, name, value)
+        x_a, x_b, m_a, m_b = means[:4]
+        if not (min(x_a, x_b, m_a, m_b) > 0.0 and x_a > x_b):
             raise DomainError(
                 f"the means at n={self.n!r}, p={self.p!r}, p_a={self.p_a!r} "
-                f"underflow: need x_a > x_b > 0 and m_a, m_b > 0, got x_a={self.x_a!r}, "
-                f"x_b={self.x_b!r}, m_a={self.m_a!r}, m_b={self.m_b!r}"
+                f"underflow: need x_a > x_b > 0 and m_a, m_b > 0, got x_a={x_a!r}, "
+                f"x_b={x_b!r}, m_a={m_a!r}, m_b={m_b!r}"
             )
 
-    @property
-    def x_a(self) -> float:
-        """Mean number of A partisans: n * p * p_a."""
-        return self.n * self.p * self.p_a
 
-    @property
-    def x_b(self) -> float:
-        """Mean number of B partisans: n * p * (1 - p_a)."""
-        return self.n * self.p * (1.0 - self.p_a)
+_MEAN_NAMES = ("x_a", "x_b", "m_a", "m_b", "total_a", "total_b")
 
-    @property
-    def m_a(self) -> float:
-        """Mean number of non-partisan A supporters: n * (1 - p) * p_a."""
-        return self.n * (1.0 - self.p) * self.p_a
 
-    @property
-    def m_b(self) -> float:
-        """Mean number of non-partisan B supporters: n * (1 - p) * (1 - p_a)."""
-        return self.n * (1.0 - self.p) * (1.0 - self.p_a)
+def _group_means(n, p: float, p_a: float) -> tuple:
+    """The means named in ``_MEAN_NAMES`` at a float or an array ``n``.
 
-    @property
-    def total_a(self) -> float:
-        """Mean number of all A supporters: n * p_a."""
-        return self.n * self.p_a
-
-    @property
-    def total_b(self) -> float:
-        """Mean number of all B supporters: n * (1 - p_a)."""
-        return self.n * (1.0 - self.p_a)
+    A and B partisans n p p_a and n p (1 - p_a), A and B non-partisans
+    n (1 - p) p_a and n (1 - p) (1 - p_a), all A and all B supporters
+    n p_a and n (1 - p_a).
+    """
+    partisans, others, q_a = n * p, n * (1.0 - p), 1.0 - p_a
+    return partisans * p_a, partisans * q_a, others * p_a, others * q_a, n * p_a, n * q_a
 
 
 @dataclass(frozen=True)
@@ -130,22 +119,23 @@ class StrategyPair:
             raise DomainError(f"alpha_b must lie in [0, 1], got {self.alpha_b!r}")
 
 
+def _turnouts(params: ElectorateParams, alpha_a, alpha_b) -> tuple:
+    """(u, v) at float or array voting probabilities."""
+    return params.x_a + params.m_a * alpha_a, params.x_b + params.m_b * alpha_b
+
+
 def turnout_means(params: ElectorateParams, s: StrategyPair) -> tuple[float, float]:
     """Expected vote totals (u, v) for sides A and B."""
-    u = params.x_a + params.m_a * s.alpha_a
-    v = params.x_b + params.m_b * s.alpha_b
-    return u, v
+    return _turnouts(params, s.alpha_a, s.alpha_b)
 
 
 def _h_per_pair(
     params: ElectorateParams, pairs: Sequence[StrategyPair], side: str
 ) -> list[float]:
-    # h at every pair's turnout means in one array pass: the same products
-    # and sums as ``turnout_means``, then ``h``'s own float tail per value,
-    # so each gain has the bits of the scalar call
+    # h at every pair's turnout means in one array pass, then ``h``'s own
+    # float tail per value, so each gain has the bits of the scalar call
     alphas = np.array([(s.alpha_a, s.alpha_b) for s in pairs], dtype=float).reshape(-1, 2)
-    u = params.x_a + params.m_a * alphas[:, 0]
-    v = params.x_b + params.m_b * alphas[:, 1]
+    u, v = _turnouts(params, alphas[:, 0], alphas[:, 1])
     # u >= x_a > 0 and v >= x_b > 0, so h's z = 0 branch never applies
     scaled, dd, _, _ = _h_parts(*((v, u) if side == "A" else (u, v)), np.sqrt)
     return list(map(_h_tail, scaled.tolist(), dd.tolist()))
@@ -216,16 +206,13 @@ class ThresholdSet:
 def log_frontiers(n, p: float, p_a: float) -> np.ndarray:
     """Logs of (ct_upper, ct_lower, pa_lower, ps_lower), stacked on axis 0.
 
-    ``n`` may be a scalar or an array of populations; the products are
-    formed in the same order as the ``ElectorateParams`` properties, so
-    the arguments match those the solvers see bit for bit.  A scalar
-    ``n`` (one electorate) runs on Python floats and an array ``n`` (a
-    sweep) on stacked arrays; both give the same bits (README,
-    "Numerical notes").
+    ``n`` may be a scalar or an array of populations.  A scalar ``n``
+    (one electorate) runs on Python floats and an array ``n`` (a sweep)
+    on stacked arrays; both give the same bits (README, "Numerical
+    notes").
     """
     n = float(n) if isinstance(n, (float, int)) else np.asarray(n, dtype=float)
-    x_a, x_b = n * p * p_a, n * p * (1.0 - p_a)
-    total_a, total_b = n * p_a, n * (1.0 - p_a)
+    x_a, x_b, _, _, total_a, total_b = _group_means(n, p, p_a)
     if isinstance(n, float):
         if not (x_a >= 0.0 and total_b >= 0.0 and x_b > 0.0 and total_a > 0.0):
             raise DomainError(

@@ -22,7 +22,7 @@ in the table includes a cost on the frontier and "<" excludes it, so
 the coin-toss window is closed.  A cost on frontier k (k = 1 for
 ct_upper through 4 for ps_lower) is flagged in the notes, and the
 solvers' list must fit the prediction of case k or of case k + 1 on
-its own (``predicted_kinds``).  When the frontiers are not strictly
+its own (``_PREDICTIONS``).  When the frontiers are not strictly
 ordered at the given parameters (small populations, or x_a above the
 admissibility bound), the classifier reports case 0 with the realized
 equilibrium list and no case prediction.
@@ -99,26 +99,13 @@ def _regime_table(on_pa_lower: bool) -> dict[int, dict[EquilibriumKind, tuple[in
     }
 
 
-# (case, on_pa_lower) -> kind -> (min count, max count), built once:
-# ``classify`` reads these and never changes them
+# (case, on_pa_lower) -> kind -> (min count, max count) promised by the
+# regime table, built once: ``classify`` reads these and never changes
+# them.  On pa_lower, case 3's absenteeism root is the no-queue corner,
+# which the solvers list once.
 _PREDICTIONS = {
     (k, on): t for on in (False, True) for k, t in _regime_table(on).items()
 }
-
-
-def predicted_kinds(
-    case_index: int, on_pa_lower: bool = False
-) -> dict[EquilibriumKind, tuple[int, int]]:
-    """Kind -> (min count, max count) promised by the regime table.
-
-    On pa_lower, case 3's absenteeism root is the no-queue corner,
-    which the solvers list once.  Returns a new dict on every call; a
-    case outside 1-5 raises ``DomainError``.
-    """
-    table = _PREDICTIONS.get((case_index, bool(on_pa_lower)))
-    if table is None:
-        raise DomainError(f"case_index must be one of 1, 2, 3, 4, 5, got {case_index!r}")
-    return dict(table)
 
 
 def _check_prediction(

@@ -39,6 +39,12 @@ INVOCATIONS = [
     ("thresholds bad p csv", ["thresholds", "--n", "500", "--p", "1.5", "--pa", "0.6",
                               "--format", "csv"], None),
     ("thresholds bad n", ["thresholds", "--n", "-1", "--p", "0.2", "--pa", "0.6"], None),
+    # ElectorateParams' message prints the four means: x_b underflows to
+    # 0.0 (JSON), and x_a and x_b round to the same subnormal (CSV)
+    ("thresholds means underflow", ["thresholds", "--n", "1", "--p", "5e-324",
+                                    "--pa", "0.9"], None),
+    ("thresholds means tie csv", ["thresholds", "--n", "10", "--p", "5e-324",
+                                  "--pa", "0.53125", "--format", "csv"], None),
     ("thresholds out", ["thresholds", *ELECTORATE], "t.json"),
     ("solve json", ["solve", "--n", "1000", "--p", "0.2", "--pa", "0.6", "--c", "0.02"], None),
     ("solve csv", ["solve", "--n", "1000", "--p", "0.2", "--pa", "0.6", "--c", "0.02",

@@ -181,12 +181,23 @@ class TestBruteForce:
         with pytest.raises(DomainError):
             pivot_gain_bruteforce(1.0, 0, 0, 0, None)
 
-    @pytest.mark.parametrize("bad", [-1.0, -math.inf, math.inf, math.nan])
+    # the last five are not real numbers
+    @pytest.mark.parametrize(
+        "bad", [-1.0, -math.inf, math.inf, math.nan, "x", "1.5", 1j, None, np.array("x")]
+    )
     @pytest.mark.parametrize("slot, name", enumerate(["x_a", "x_b", "y_a", "y_b"]))
     def test_names_the_bad_mean(self, slot, name, bad):
         means = [1.0, 2.0, 3.0, 4.0]
         means[slot] = bad
         with pytest.raises(DomainError, match=f"^{name} must be a finite mean >= 0, got "):
+            pivot_gain_bruteforce(*means, "A")
+
+    @pytest.mark.parametrize("bad", [[1.0, 2.0], [], (3.0,), np.array([1.0])])
+    @pytest.mark.parametrize("slot, name", enumerate(["x_a", "x_b"]))
+    def test_partisan_means_take_one_value(self, slot, name, bad):
+        means = [1.0, 2.0, 3.0, 4.0]
+        means[slot] = bad
+        with pytest.raises(DomainError, match=f"^{name} must be one mean, got "):
             pivot_gain_bruteforce(*means, "A")
 
     @pytest.mark.parametrize("tail_eps", [1e-13, 1e-10, 1e-7])
@@ -222,7 +233,7 @@ class TestBruteForce:
         ys = [0.0, 1.0, 50.0]
         with pytest.raises(DomainError, match="^side must be one of"):
             pivot_gain_bruteforce(1.0, 1.0, ys, ys, ("A", "C"), cfg)
-        for bad in (math.nan, -1.0):
+        for bad in (math.nan, -1.0, "x"):
             with pytest.raises(DomainError, match="^y_a must be a finite mean >= 0, got "):
                 pivot_gain_bruteforce(1.0, 1.0, [0.5, bad], ys, ("A", "B"), cfg)
             with pytest.raises(DomainError, match="^y_b must be a finite mean >= 0, got "):

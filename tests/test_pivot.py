@@ -1,13 +1,16 @@
 """Closed-form pivot gains, margins, and threshold frontiers."""
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import sys
 
 import numpy as np
 import pytest
 
-from votecost.cli import _jsonable
+from votecost.cli import _csv_schema, _jsonable
 from votecost.errors import DomainError
 from votecost.oracle import pivot_gain_bruteforce
 from votecost.pivot import (
@@ -70,6 +73,34 @@ class TestElectorateParams:
         assert f"n={n!r}" in message
         assert f"p={p!r}" in message
         assert f"p_a={p_a!r}" in message
+
+
+MEAN_NAMES = ("x_a", "x_b", "m_a", "m_b", "total_a", "total_b")
+
+
+def means_of(params):
+    return tuple(getattr(params, name) for name in MEAN_NAMES)
+
+
+class TestStoredMeans:
+    """The six means are set when the electorate is built, and nowhere else."""
+
+    def test_copies_carry_their_electorates_means(self):
+        params = ElectorateParams(n=1000, p=0.2, p_a=0.6)
+        other = ElectorateParams(n=37.5, p=0.2, p_a=0.6)
+        replaced = dataclasses.replace(params, n=37.5)
+        assert means_of(replaced) == means_of(other)
+        assert means_of(replaced) != means_of(params)
+        for twin in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+            assert twin == params
+            assert means_of(twin) == means_of(ElectorateParams(n=1000, p=0.2, p_a=0.6))
+
+    def test_means_are_read_only(self):
+        params = ElectorateParams(n=1000, p=0.2, p_a=0.6)
+        for name in MEAN_NAMES:
+            with pytest.raises(AttributeError):
+                setattr(params, name, 1.0)
+        assert means_of(params) == means_of(ElectorateParams(n=1000, p=0.2, p_a=0.6))
 
 
 class TestStrategyPair:
@@ -203,15 +234,20 @@ class TestThresholds:
         assert ts.ct_upper == pytest.approx(h(params.x_a, params.x_a), rel=1e-12)
 
     def test_cached_frontiers_leave_params_unchanged(self):
+        # neither the kept frontiers nor the stored means show in ==, hash,
+        # repr, JSON or the CSV header
         params = ElectorateParams(n=500, p=0.2, p_a=0.6)
         fresh = ElectorateParams(n=500, p=0.2, p_a=0.6)
         before = (repr(params), hash(params), json.dumps(_jsonable(params)))
+        assert before[0] == "ElectorateParams(n=500, p=0.2, p_a=0.6)"
+        assert _csv_schema(ElectorateParams)[0] == ["n", "p", "pa"]
         ts = thresholds(params)
         assert thresholds(params) is ts
         assert thresholds(fresh) == ts
         assert params == fresh and fresh == params
         assert (repr(params), hash(params), json.dumps(_jsonable(params))) == before
         assert before == (repr(fresh), hash(fresh), json.dumps(_jsonable(fresh)))
+        assert means_of(params) == means_of(fresh)
 
     @pytest.mark.parametrize(
         "n, p, p_a",

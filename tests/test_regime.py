@@ -108,35 +108,16 @@ class TestPredictions:
     def test_tables_built_at_import_match_predicted_kinds(self):
         keys = [(k, on) for k in range(1, 6) for on in (False, True)]
         assert sorted(regime._PREDICTIONS) == sorted(keys)
-        for k, on in keys:
-            assert regime._PREDICTIONS[k, on] == regime.predicted_kinds(k, on_pa_lower=on)
-
-    def test_on_pa_lower_drops_case_three_absenteeism(self):
-        K = EquilibriumKind
-        assert regime.predicted_kinds(3)[K.PARTIAL_ABSENTEEISM] == (1, 1)
-        assert regime.predicted_kinds(3, on_pa_lower=True)[K.PARTIAL_ABSENTEEISM] == (0, 0)
-
-    @pytest.mark.parametrize("case_index", [0, 6])
-    def test_unknown_case_is_domain_error(self, case_index):
-        with pytest.raises(DomainError, match=r"one of 1, 2, 3, 4, 5, got " + str(case_index)):
-            regime.predicted_kinds(case_index)
-
-    def test_returned_tables_are_copies(self):
-        costs = {"case 2": case_costs(REF_TS)[2], "pa_lower": REF_TS.pa_lower}
-        before = {name: classify(REF, c) for name, c in costs.items()}
-        for on in (False, True):
-            for k in range(1, 6):
-                table = regime.predicted_kinds(k, on_pa_lower=on)
-                table.clear()
-                table[EquilibriumKind.ALL_SWIPE] = (9, 9)
-        for name, c in costs.items():
-            assert classify(REF, c) == before[name]
-            assert not _mismatch(before[name])
-        assert regime.predicted_kinds(2) == {
+        assert regime._PREDICTIONS[2, False] == {
             EquilibriumKind.COIN_TOSS: (1, 1),
             EquilibriumKind.PARTIAL_ABSENTEEISM: (1, 1),
             EquilibriumKind.NO_QUEUE: (1, 1),
         }
+
+    def test_on_pa_lower_drops_case_three_absenteeism(self):
+        K = EquilibriumKind
+        assert regime._PREDICTIONS[3, False][K.PARTIAL_ABSENTEEISM] == (1, 1)
+        assert regime._PREDICTIONS[3, True][K.PARTIAL_ABSENTEEISM] == (0, 0)
 
     def test_mismatch_message(self):
         K = EquilibriumKind
@@ -147,13 +128,13 @@ class TestPredictions:
         # the realized kinds in the order first seen, the promised ones in
         # table order, and a count range where min and max differ
         eqs = (eq(K.ALL_SWIPE), eq(K.NO_QUEUE), eq(K.ALL_SWIPE))
-        tables = [regime.predicted_kinds(1), regime.predicted_kinds(2)]
+        tables = [regime._PREDICTIONS[1, False], regime._PREDICTIONS[2, False]]
         assert regime._check_prediction(1, tables, eqs) == (
             "case 1 predicts [partial_absenteeismx0-2, no_queuex1] or "
             "[coin_tossx1, partial_absenteeismx1, no_queuex1] "
             "but solvers returned [all_swipex2, no_queuex1]"
         )
-        assert regime._check_prediction(5, [regime.predicted_kinds(5)], ()) == (
+        assert regime._check_prediction(5, [regime._PREDICTIONS[5, False]], ()) == (
             "case 5 predicts [all_swipex1] but solvers returned [none]"
         )
         assert regime._check_prediction(1, tables, (eq(K.NO_QUEUE),)) is None
