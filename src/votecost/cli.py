@@ -73,26 +73,20 @@ CLASSIFY_PREFIX = ("case_index", "avoid")
 _COLUMN_RENAMES = {"p_a": "pa"}
 
 
-# the types json.dumps takes as they are; tested by exact type, so the
-# str-based EquilibriumKind and Winner still reach the Enum branch
-_JSON_SCALARS = frozenset({float, int, str, bool, type(None)})
+@functools.cache
+def _repr_fields(cls: type) -> tuple[str, ...]:
+    """The fields of dataclass ``cls`` that JSON and CSV print: those its repr shows."""
+    return tuple(f.name for f in fields(cls) if f.repr)
 
 
-def _jsonable(obj: Any) -> Any:
-    if type(obj) in _JSON_SCALARS:  # most cells: 18,000 in a verify frame
-        return obj
-    if is_dataclass(obj) and not isinstance(obj, type):
-        # fields hidden from repr (ThresholdSet's logs) stay out of the output too
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj) if f.repr}
-    if isinstance(obj, Enum):
-        return obj.value
+def _json_default(obj: Any) -> Any:
+    """The ``json.dumps`` hook: a dataclass's repr fields, an array's list.
+
+    Any other object that ``json`` cannot print raises ``TypeError``.
+    """
     if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    return obj
+        return obj.tolist()
+    return {name: getattr(obj, name) for name in _repr_fields(type(obj))}
 
 
 def _flat_fields(cls: type, prefix: str = "") -> list[tuple[str, str]]:
@@ -100,19 +94,16 @@ def _flat_fields(cls: type, prefix: str = "") -> list[tuple[str, str]]:
 
     Fields come in declaration order; a field holding a dataclass
     expands in place into its own fields (``Equilibrium.strategies``
-    becomes ``alpha_a, alpha_b``).  Fields hidden from repr stay out, as
-    they do from ``_jsonable``.  The field types come from
+    becomes ``alpha_a, alpha_b``).  The field types come from
     ``get_type_hints`` because the modules postpone annotations.
     """
     hints = get_type_hints(cls)
     flat = []
-    for f in fields(cls):
-        if not f.repr:
-            continue
-        if is_dataclass(hints[f.name]):
-            flat += _flat_fields(hints[f.name], f"{prefix}{f.name}.")
+    for name in _repr_fields(cls):
+        if is_dataclass(hints[name]):
+            flat += _flat_fields(hints[name], f"{prefix}{name}.")
         else:
-            flat.append((_COLUMN_RENAMES.get(f.name, f.name), prefix + f.name))
+            flat.append((_COLUMN_RENAMES.get(name, name), prefix + name))
     return flat
 
 
@@ -180,7 +171,7 @@ def _csv_text(header: list[str], rows: list[list[Any]]) -> str:
 def _json_text(verb: str, params: ElectorateParams | None, **body: Any) -> str:
     """The JSON frame of every output: command, params, ``body``'s keys, version."""
     frame = {"command": verb, "params": params, **body, "version": __version__}
-    return json.dumps(_jsonable(frame), indent=2) + "\n"
+    return json.dumps(frame, indent=2, default=_json_default) + "\n"
 
 
 @dataclass

@@ -129,11 +129,17 @@ def cost_side(c: float, log_f: float) -> int:
     On means |c - f| <= EPS_CMP * max(c, f), which is
     |log c - log f| <= -log1p(-EPS_CMP).  ``log_f`` may be -inf (a
     kernel value that underflowed); every positive cost is above it.
-    A cost that is not > 0 (NaN included) raises ``DomainError``.
+    A cost that is not > 0 (NaN included), or that does not compare as
+    one real number (a str, None, an array), raises ``DomainError``.
     """
-    if not (c > 0.0):
+    # math.log needs one float: it raises for a str or None, and for an
+    # array of one element wherever numpy refuses to convert one
+    try:
+        gap = math.log(c) - log_f if c > 0.0 else None
+    except (TypeError, ValueError):
+        gap = None
+    if gap is None:
         raise DomainError(f"cost must be > 0, got {c!r}")
-    gap = math.log(c) - log_f
     slack = -math.log1p(-EPS_CMP)
     if gap > slack:
         return 1
@@ -301,19 +307,13 @@ def solve_coin_toss(params: ElectorateParams, c: float) -> Equilibrium | None:
     2 ct_lower; a cost on a bound takes that end, where alpha_a = 0 or
     alpha_b = 1, and notes the absenteeism or saturation family met
     there.  Both alpha values are recovered from the root and the
-    equal-turnout identity.  A cost outside (0, 1/2) raises
-    ``DomainError`` unless ``cost_side`` puts it on a ct_upper within
-    EPS_CMP of 1/2.
+    equal-turnout identity.  Any other positive cost gets None.
     """
     ts = thresholds(params)
-    if not (0.0 < c < 0.5 or (c >= 0.5 and cost_side(c, ts.log_ct_upper) == 0)):
-        raise DomainError(
-            f"coin-toss costs must lie in (0, 1/2) since pivot gains never "
-            f"exceed 1/2, got {c!r}"
-        )
-    if not ts.ct_admissible:
+    upper = cost_side(c, ts.log_ct_upper)
+    if upper > 0 or not ts.ct_admissible:
         return None
-    sides = [cost_side(c, ts.log_ct_upper), cost_side(c, ts.log_ct_lower)]
+    sides = [upper, cost_side(c, ts.log_ct_lower)]
     roots = _roots(
         _log_half_g,
         c,
@@ -528,15 +528,12 @@ def enumerate_equilibria(params: ElectorateParams, c: float) -> list[Equilibrium
     families meet is listed by its owner alone (see the module
     docstring).
 
-    The mixed solver is skipped where ``cost_side`` puts ``c`` above
-    ct_upper, which holds for every cost of 1/2 and above except one
-    within EPS_CMP of a ct_upper just below 1/2.  Every solver compares
-    ``c`` against the same frontiers, ``thresholds(params)``.  A cost that
-    is not > 0 raises ``DomainError`` from the first ``cost_side`` call.
+    Every solver compares ``c`` against the same frontiers,
+    ``thresholds(params)``.  A cost that is not > 0 raises
+    ``DomainError`` from the first ``cost_side`` call.
     """
     K = EquilibriumKind
-    above_window = cost_side(c, thresholds(params).log_ct_upper) > 0
-    found = [] if above_window else [solve_coin_toss(params, c)]
+    found = [solve_coin_toss(params, c)]
     found += solve_partial_absenteeism(params, c)
     if no_queue_exists(params, c):
         found.append(_corner_equilibrium(params, K.NO_QUEUE, 0.0, 0.0))

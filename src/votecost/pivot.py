@@ -73,12 +73,21 @@ class ElectorateParams:
     _thresholds = None
 
     def __post_init__(self):
-        if not (self.n > 0.0 and math.isfinite(self.n)):
-            raise DomainError(f"n must be a finite positive real, got {self.n!r}")
-        if not (0.0 < self.p < 1.0):
-            raise DomainError(f"p must lie in (0, 1), got {self.p!r}")
-        if not (0.5 < self.p_a < 1.0):
-            raise DomainError(f"p_a must lie in (1/2, 1), got {self.p_a!r}")
+        for name, value, lo, hi, rule in (
+            ("n", self.n, 0.0, math.inf, "be a finite positive real"),
+            ("p", self.p, 0.0, 1.0, "lie in (0, 1)"),
+            ("p_a", self.p_a, 0.5, 1.0, "lie in (1/2, 1)"),
+        ):
+            # a value that is not one real fails too (README, "Numerical
+            # notes"); math.isfinite needs one float, so it also keeps out an
+            # array of one element, which the comparisons pass, wherever
+            # numpy refuses to convert one
+            try:
+                bad = not (lo < value < hi and math.isfinite(value))
+            except (TypeError, ValueError, OverflowError):  # no float holds 10**400
+                bad = True
+            if bad:
+                raise DomainError(f"{name} must {rule}, got {value!r}")
         means = _group_means(self.n, self.p, self.p_a)
         for name, value in zip(_MEAN_NAMES, means):
             object.__setattr__(self, name, value)
@@ -113,10 +122,13 @@ class StrategyPair:
     alpha_b: float
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha_a <= 1.0):
-            raise DomainError(f"alpha_a must lie in [0, 1], got {self.alpha_a!r}")
-        if not (0.0 <= self.alpha_b <= 1.0):
-            raise DomainError(f"alpha_b must lie in [0, 1], got {self.alpha_b!r}")
+        for name, value in (("alpha_a", self.alpha_a), ("alpha_b", self.alpha_b)):
+            try:
+                bad = not (0.0 <= value <= 1.0 and math.isfinite(value))
+            except (TypeError, ValueError):
+                bad = True
+            if bad:
+                raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def _turnouts(params: ElectorateParams, alpha_a, alpha_b) -> tuple:

@@ -199,12 +199,10 @@ def recommend_cost(params: ElectorateParams, c_min: float) -> float:
     doubling steps to the first cost that ``cost_side`` puts above it,
     at most about twice as far above the bound as the smallest such.
     """
-    if not (c_min > 0.0):
-        raise DomainError(f"c_min must be > 0, got {c_min!r}")
     ts = thresholds(params)
-    if not ts.ct_admissible:
-        return c_min
-    if cost_side(c_min, ts.log_ct_upper) > 0 or cost_side(c_min, ts.log_ct_lower) < 0:
+    # read first, so that cost_side rejects a c_min that is not > 0
+    upper = cost_side(c_min, ts.log_ct_upper)
+    if upper > 0 or not ts.ct_admissible or cost_side(c_min, ts.log_ct_lower) < 0:
         return c_min
     c = math.exp(ts.log_ct_upper)
     step = math.ulp(c)

@@ -51,6 +51,8 @@ INVOCATIONS = [
                    "--format", "csv"], None),
     ("solve corner only", ["solve", "--n", "7.720378020741096", "--p", "0.9914664648146816",
                            "--pa", "0.6319540163784259", "--c", "0.12530346880670365"], None),
+    # above 1/2 the coin toss has no window, and no solver raises
+    ("solve cost above one half", ["solve", *ELECTORATE, "--c", "0.75"], None),
     ("solve bad c", ["solve", *ELECTORATE, "--c", "-0.1"], None),
     ("solve bad c csv", ["solve", *ELECTORATE, "--c", "-0.1", "--format", "csv"], None),
     ("classify json", ["classify", *ELECTORATE, "--c", "0.028"], None),
@@ -69,6 +71,9 @@ INVOCATIONS = [
                                         "--p", "0.9914664648146816",
                                         "--pa", "0.6319540163784259",
                                         "--c", "0.12530346880670365"], None),
+    # ct_upper within EPS_CMP of 1/2: a cost of 1/2 is on it, a coin toss
+    ("classify half cost on window edge", ["classify", "--n", "0.01", "--p", "2e-12",
+                                           "--pa", "0.6", "--c", "0.5"], None),
     ("sweep csv", [*SWEEP, "--points", "7"], None),
     ("sweep json", [*SWEEP, "--points", "7", "--format", "json"], None),
     ("sweep one point", [*SWEEP, "--points", "1"], None),

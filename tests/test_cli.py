@@ -21,7 +21,8 @@ from votecost.cli import (
     _csv_schema,
     _csv_text,
     _fmt_cell,
-    _jsonable,
+    _json_default,
+    _json_text,
     execute,
     standard_verify_rows,
 )
@@ -53,7 +54,7 @@ class TestThresholdsVerb:
         assert doc["command"] == "thresholds"
         assert doc["version"]
         want = thresholds(ElectorateParams(n=500, p=0.2, p_a=0.6))
-        assert doc["results"] == _jsonable(want)
+        assert doc["results"] == json.loads(json.dumps(want, default=_json_default))
         # the log frontiers stay out of the default output
         assert list(doc["results"]) == [
             "ct_upper", "ct_lower", "pa_lower", "ps_lower", "ct_admissible"
@@ -121,7 +122,7 @@ class TestClassifyVerb:
         assert status == EXIT_OK
         doc = json.loads(text)
         want = classify(ElectorateParams(n=500, p=0.2, p_a=0.6), 0.028)
-        assert doc["results"] == _jsonable(want)
+        assert doc["results"] == json.loads(json.dumps(want, default=_json_default))
         assert doc["results"]["case_index"] == 2
         assert doc["results"]["avoid"] is True
         # dict equality ignores order; the key order is part of the output
@@ -336,14 +337,30 @@ class TestVerifyVerb:
 
 class TestJsonable:
     def test_scalars_pass_and_str_enums_unwrap(self):
-        # exact-type scalars come back as they are; a str-based Enum is a
-        # str but not of type str, so it still becomes its plain value
-        for x in (1.5, -0.0, 3, "A", True, None):
-            assert _jsonable(x) is x
-        for member in (Winner.A, EquilibriumKind.COIN_TOSS):
-            assert type(_jsonable(member)) is str
-            assert _jsonable(member) == member.value
-        assert _jsonable([np.float64(0.25), (Winner.A,)]) == [0.25, ["A"]]
+        # json prints these itself, without the hook: scalars as they are,
+        # a str-based Enum as its plain value, np.float64 as a number and a
+        # tuple as a list
+        values = [1.5, -0.0, 3, "A", True, None, Winner.A, EquilibriumKind.COIN_TOSS,
+                  np.float64(0.25), (Winner.A,)]
+        hooked = []
+        json.dumps(values, default=hooked.append)
+        assert hooked == []
+        text = _json_text("solve", None, results=values)
+        assert '"results": [\n    1.5,\n    -0.0,\n    3,\n    "A",' in text
+        assert json.loads(text)["results"] == [
+            1.5, -0.0, 3, "A", True, None, "A", "coin_toss", 0.25, ["A"]
+        ]
+
+    def test_hook_takes_dataclasses_and_arrays_only(self):
+        params = ElectorateParams(n=500, p=0.2, p_a=0.6)
+        assert _json_default(params) == {"n": 500, "p": 0.2, "p_a": 0.6}
+        # the logs, hidden from repr, stay out
+        assert list(_json_default(thresholds(params))) == [
+            "ct_upper", "ct_lower", "pa_lower", "ps_lower", "ct_admissible"
+        ]
+        assert _json_default(np.array([0.5, 2.0])) == [0.5, 2.0]
+        with pytest.raises(TypeError):
+            _json_default(object())
 
 
 class Shade(Enum):

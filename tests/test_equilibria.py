@@ -37,10 +37,12 @@ REF_TS = thresholds(REF)
 
 class TestCoinToss:
     def test_rejects_out_of_range_cost(self):
-        with pytest.raises(DomainError):
-            solve_coin_toss(REF, 0.5)
-        with pytest.raises(DomainError):
+        # cost_side rejects a cost that is not > 0; a cost of 1/2 or more
+        # above the window is a positive cost with no coin toss
+        with pytest.raises(DomainError, match="cost must be > 0"):
             solve_coin_toss(REF, 0.0)
+        for c in (0.5, 0.75, math.inf):
+            assert solve_coin_toss(REF, c) is None
 
     def test_absent_above_window(self):
         assert solve_coin_toss(REF, REF_TS.ct_upper * 1.1) is None
@@ -343,9 +345,8 @@ class TestEnumerate:
             assert toss.strategies.alpha_a == 0.0
             assert toss.strategies.alpha_b == pytest.approx(1e-12, rel=1e-6)
             assert toss.notes == ("coincides with partial_absenteeism solution",)
-        # a cost above the edge is still out of the solver's range
-        with pytest.raises(DomainError, match="^coin-toss costs must lie in"):
-            solve_coin_toss(params, 0.6)
+        # a cost above the edge has no coin toss
+        assert solve_coin_toss(params, 0.6) is None
 
     def test_saturation_floor_coincides_with_all_swipe(self):
         # at the saturation floor the root sits at alpha_a = 1, which the
@@ -405,12 +406,14 @@ class TestCostSide:
     @pytest.mark.parametrize(
         "fn",
         [
+            solve_coin_toss,
             solve_partial_absenteeism,
             no_queue_exists,
             solve_partial_saturation,
             all_swipe_exists,
             classify,
             enumerate_equilibria,
+            recommend_cost,
         ],
         ids=lambda fn: fn.__name__,
     )
@@ -418,6 +421,47 @@ class TestCostSide:
         # the one check in cost_side gives each entry point the same message
         with pytest.raises(DomainError, match="cost must be > 0"):
             fn(REF, c)
+
+    @pytest.mark.parametrize(
+        "c",
+        ["0.1", 1j, None, np.array([0.1, 0.2]), np.array("x")],
+        ids=["str", "complex", "None", "array", "str array"],
+    )
+    def test_rejects_cost_not_real(self, c):
+        # a value that does not compare as one real gets the message of a
+        # cost that is not > 0, from cost_side and every entry through it
+        message = f"cost must be > 0, got {c!r}"
+        with pytest.raises(DomainError) as err:
+            eqm.cost_side(c, REF_TS.log_ct_upper)
+        assert str(err.value) == message
+        for fn in (solve_coin_toss, enumerate_equilibria, classify, recommend_cost):
+            with pytest.raises(DomainError) as err:
+                fn(REF, c)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "params",
+        [REF, ElectorateParams(n=0.01, p=2e-12, p_a=0.6)],
+        ids=["reference", "window edge at one half"],
+    )
+    def test_coin_toss_solver_agrees_with_enumeration(self, params):
+        # cost_side alone decides the window: on and between the frontiers,
+        # at 1/2 and above, the solver and the list hold the same coin toss
+        ts = thresholds(params)
+        frontiers = [ts.ct_upper, ts.ct_lower, ts.pa_lower, ts.ps_lower]
+        costs = frontiers + [math.sqrt(a * b) for a, b in zip(frontiers, frontiers[1:])]
+        found = 0
+        for c in costs + [0.5, 0.75]:
+            toss = solve_coin_toss(params, c)
+            listed = [
+                eq for eq in enumerate_equilibria(params, c)
+                if eq.kind is EquilibriumKind.COIN_TOSS
+            ]
+            assert listed == ([] if toss is None else [toss]), c
+            found += toss is not None
+        assert found >= 2  # at least the two window edges
+        on_edge = eqm.cost_side(0.5, ts.log_ct_upper) == 0
+        assert (solve_coin_toss(params, 0.5) is not None) == on_edge
 
     def test_slack_read_when_called(self, monkeypatch):
         f, log_f = REF_TS.ct_upper, REF_TS.log_ct_upper

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from votecost.cli import _csv_schema, _jsonable
+from votecost.cli import _csv_schema, _json_default
 from votecost.errors import DomainError
 from votecost.oracle import pivot_gain_bruteforce
 from votecost.pivot import (
@@ -53,6 +53,24 @@ class TestElectorateParams:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(DomainError):
             ElectorateParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["5", None, 1j, np.array([1.0, 2.0]), np.array("x"), 10**400],
+        ids=["str", "None", "complex", "array", "str array", "int past floats"],
+    )
+    @pytest.mark.parametrize(
+        "name, rule",
+        [("n", "be a finite positive real"), ("p", "lie in (0, 1)"), ("p_a", "lie in (1/2, 1)")],
+        ids=["n", "p", "p_a"],
+    )
+    def test_rejects_value_not_real(self, name, rule, bad):
+        # the message of a value out of range, not a TypeError or ValueError
+        # from the comparison
+        kwargs = {"n": 10.0, "p": 0.2, "p_a": 0.6, name: bad}
+        with pytest.raises(DomainError) as err:
+            ElectorateParams(**kwargs)
+        assert str(err.value) == f"{name} must {rule}, got {bad!r}"
 
     @pytest.mark.parametrize(
         "n, p, p_a",
@@ -110,6 +128,17 @@ class TestStrategyPair:
             StrategyPair(-0.1, 0.5)
         with pytest.raises(DomainError):
             StrategyPair(0.5, 1.1)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["x", None, 1j, np.array([0.1, 0.2]), math.nan],
+        ids=["str", "None", "complex", "array", "nan"],
+    )
+    def test_rejects_value_not_real(self, bad):
+        for pair, name in (((bad, 0.5), "alpha_a"), ((0.5, bad), "alpha_b")):
+            with pytest.raises(DomainError) as err:
+                StrategyPair(*pair)
+            assert str(err.value) == f"{name} must lie in [0, 1], got {bad!r}"
 
 
 class TestClosedForms:
@@ -238,15 +267,16 @@ class TestThresholds:
         # repr, JSON or the CSV header
         params = ElectorateParams(n=500, p=0.2, p_a=0.6)
         fresh = ElectorateParams(n=500, p=0.2, p_a=0.6)
-        before = (repr(params), hash(params), json.dumps(_jsonable(params)))
+        before = (repr(params), hash(params), json.dumps(params, default=_json_default))
         assert before[0] == "ElectorateParams(n=500, p=0.2, p_a=0.6)"
+        assert before[2] == '{"n": 500, "p": 0.2, "p_a": 0.6}'
         assert _csv_schema(ElectorateParams)[0] == ["n", "p", "pa"]
         ts = thresholds(params)
         assert thresholds(params) is ts
         assert thresholds(fresh) == ts
         assert params == fresh and fresh == params
-        assert (repr(params), hash(params), json.dumps(_jsonable(params))) == before
-        assert before == (repr(fresh), hash(fresh), json.dumps(_jsonable(fresh)))
+        assert (repr(params), hash(params), json.dumps(params, default=_json_default)) == before
+        assert before == (repr(fresh), hash(fresh), json.dumps(fresh, default=_json_default))
         assert means_of(params) == means_of(fresh)
 
     @pytest.mark.parametrize(

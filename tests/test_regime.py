@@ -105,7 +105,7 @@ class TestClassify:
 class TestPredictions:
     """The regime table that ``classify`` checks the solvers' lists against."""
 
-    def test_tables_built_at_import_match_predicted_kinds(self):
+    def test_ten_tables_built_at_import(self):
         keys = [(k, on) for k in range(1, 6) for on in (False, True)]
         assert sorted(regime._PREDICTIONS) == sorted(keys)
         assert regime._PREDICTIONS[2, False] == {
