@@ -30,33 +30,33 @@ strategies:
 
 and the existence of each pure corner is a pair of inequalities.
 The absenteeism kernel z -> h(x_a, z) is strictly decreasing when
-x_a <= sqrt(2) and otherwise rises to a unique interior peak and falls.
-Where the cost lies strictly between its values at the interval ends,
-or below one end and not above the other, the ends decide: one root on
-the whole interval, or none inside it.  Only where the cost is on or
-above both ends does ``find_h_peak`` locate the peak, from the single
-sign change of the slope probe ``_i_sign_core``, and each monotone
-branch is solved separately.
+x_a <= sqrt(2) and otherwise rises to a unique interior peak and falls,
+so the interval ends decide unless the cost is on or above both: only
+then does ``find_h_peak`` locate the peak, from the single sign change
+of the slope probe ``_i_sign_core``, and each monotone branch is solved
+separately.
 
-One root finder, ``_rtsafe``, serves all four roots, and one rule,
-``cost_side``, decides whether a cost is below, on or above a kernel
-value.  README, "Numerical notes", sets out both: how roots are
-bracketed, started and stopped, which kernel values the solvers read,
-and which family owns each strategy pair where two families meet.
+``enumerate_equilibria`` reads the cost once, against the four
+frontiers and, in case 0, the two strategy bounds; every solver and
+corner decides from those sides, and no root search starts where they
+rule a root out.  One root finder, ``_rtsafe``, serves all four roots,
+and one rule, ``cost_side``, decides whether a cost is below, on or
+above a kernel value.  README, "Numerical notes", sets out both.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable
 
 from .errors import ConvergenceError, DomainError
 from .pivot import (
     ElectorateParams,
     StrategyPair,
+    ThresholdSet,
     expected_margin,
     r1_closed,
     r2_closed,
@@ -71,6 +71,7 @@ __all__ = [
     "Winner",
     "Equilibrium",
     "cost_side",
+    "cost_sides",
     "solve_coin_toss",
     "find_h_peak",
     "solve_partial_absenteeism",
@@ -132,18 +133,25 @@ def cost_side(c: float, log_f: float) -> int:
     A cost that is not > 0 (NaN included), or that does not compare as
     one real number (a str, None, an array), raises ``DomainError``.
     """
+    return cost_sides(c, (log_f,))[1][0]
+
+
+def cost_sides(c: float, log_fs: Sequence[float]) -> tuple[float, list[int]]:
+    """log c and ``cost_side(c, log_f)`` for each of ``log_fs``, with one check of ``c``."""
     # math.log needs one float: it raises for a str or None, and for an
     # array of one element wherever numpy refuses to convert one
     try:
-        gap = math.log(c) - log_f if c > 0.0 else None
+        log_c = math.log(c) if c > 0.0 else None
     except (TypeError, ValueError):
-        gap = None
-    if gap is None:
+        log_c = None
+    if log_c is None:
         raise DomainError(f"cost must be > 0, got {c!r}")
     slack = -math.log1p(-EPS_CMP)
-    if gap > slack:
-        return 1
-    return -1 if gap < -slack else 0
+    sides = []
+    for log_f in log_fs:  # a loop: a comprehension took three times as long
+        gap = log_c - log_f
+        sides.append(1 if gap > slack else -1 if gap < -slack else 0)
+    return log_c, sides
 
 
 # the members, read once: looking one up on its class costs ~0.13 us on
@@ -218,16 +226,36 @@ def _rtsafe(
     )
 
 
-def _kernel_point(x: float, z: float) -> tuple[float, float]:
-    """(z, log h(x, z)) for ``_roots``, by ``_log_h_slope``: finite where h underflows."""
-    return z, _log_h_slope(x, z)[0]
+_Point = tuple[float, float, int]  # (z, log f(z), the cost's side of it)
+_Reading = tuple[ThresholdSet, float, list[int], _Point, _Point]  # see _read_cost
+
+
+def _read_cost(params: ElectorateParams, c: float) -> _Reading:
+    """The cost read once against every value the solvers compare it with.
+
+    Returns (ts, log c, sides, top, bottom): the cost's sides of
+    ct_upper, ct_lower, pa_lower and ps_lower, and the points that end
+    the absenteeism interval above and the saturation interval below:
+    (x_a, log ct_upper) and (n(1-p_a), log ct_lower) where
+    ``ct_admissible``, else the strategy bounds (n(1-p_a), log h(x_a,
+    n(1-p_a))) and (x_a, log h(n(1-p_a), x_a)), which the minority
+    swipe reads too.
+    """
+    ts = thresholds(params)
+    k, x_a = params.total_b, params.x_a
+    logs = [ts.log_ct_upper, ts.log_ct_lower, ts.log_pa_lower, ts.log_ps_lower]
+    if not ts.ct_admissible:
+        logs += (_log_h_slope(x_a, k)[0], _log_h_slope(k, x_a)[0])
+    log_c, sides = cost_sides(c, logs)
+    if ts.ct_admissible:  # h(x, x) = g(2x) / 2
+        return ts, log_c, sides, (x_a, logs[0], sides[0]), (k, logs[1], sides[1])
+    return ts, log_c, sides, (k, logs[4], sides[4]), (x_a, logs[5], sides[5])
 
 
 def _roots(
     kernel: Callable[[float], tuple[float, float]],
-    c: float,
-    points: list[tuple[float, float]],
-    sides: list[int],
+    log_c: float,
+    points: list[_Point],
     start: Callable[[float, float, float, float, float], float],
     label: str,
     closed: bool = False,
@@ -235,25 +263,22 @@ def _roots(
     """Sorted roots of f(z) = c, f = exp(log f), between consecutive points.
 
     ``kernel(z)`` returns (log f(z), d log f / dz), and ``points`` are
-    (z, log f(z)) in increasing z, chosen so that f crosses c at most
-    once between two of them; ``sides`` holds ``cost_side(c, log f(z))``
-    per point, which the caller has computed for its own tests.  A point
-    the cost is on is a root itself, the first and last only if
-    ``closed``; a piece whose two ends have opposite sides holds one
-    root, which ``_rtsafe`` finds on the log residual log f - log c,
-    starting at ``start(a, log f(a), b, log f(b), log c)`` on the piece
-    [a, b].
+    (z, log f(z), side) in increasing z, chosen so that f crosses c at
+    most once between two of them.  A point the cost is on is a root
+    itself, the first and last only if ``closed``; a piece whose two
+    ends have opposite sides holds one root, which ``_rtsafe`` finds on
+    the log residual log f - log c, starting at
+    ``start(a, log f(a), b, log f(b), log c)`` on the piece [a, b].
     """
-    inner = range(len(points)) if closed else range(1, len(points) - 1)
-    roots = [points[i][0] for i in inner if sides[i] == 0]
-    log_c = math.log(c)  # the callers' cost_side has rejected c <= 0
+    inner = points if closed else points[1:-1]
+    roots = [z for z, _, side in inner if side == 0]
 
     def residual(z: float) -> tuple[float, float]:
         log_f, slope = kernel(z)
         f = log_f - log_c
         return f, (-f / slope if slope else math.inf)
 
-    for (a, log_a), (b, log_b), s_a, s_b in zip(points, points[1:], sides, sides[1:]):
+    for (a, log_a, s_a), (b, log_b, s_b) in zip(points, points[1:]):
         if s_a * s_b < 0:
             z0 = start(a, log_a, b, log_b, log_c)
             roots.append(_rtsafe(residual, a, b, log_a - log_c, log_b - log_c, z0, label))
@@ -309,23 +334,18 @@ def solve_coin_toss(params: ElectorateParams, c: float) -> Equilibrium | None:
     there.  Both alpha values are recovered from the root and the
     equal-turnout identity.  Any other positive cost gets None.
     """
-    ts = thresholds(params)
-    upper = cost_side(c, ts.log_ct_upper)
-    if upper > 0 or not ts.ct_admissible:
+    return _coin_toss(params, c, _read_cost(params, c))
+
+
+def _coin_toss(params: ElectorateParams, c: float, reading: _Reading) -> Equilibrium | None:
+    K = EquilibriumKind
+    ts, log_c, sides, _, _ = reading
+    upper, lower, k = sides[0], sides[1], params.total_b
+    # no root above the window, nor below both of its ends
+    if upper > 0 or (upper < 0 and lower < 0) or not ts.ct_admissible:
         return None
-    sides = [upper, cost_side(c, ts.log_ct_lower)]
-    roots = _roots(
-        _log_half_g,
-        c,
-        [(2.0 * params.x_a, ts.log_ct_upper), (2.0 * params.total_b, ts.log_ct_lower)],
-        sides,
-        _log_log_start,
-        "coin toss",
-        closed=True,
-    )
-    if not roots:
-        return None
-    z = roots[0]
+    ends = [(2.0 * params.x_a, ts.log_ct_upper, upper), (2.0 * k, ts.log_ct_lower, lower)]
+    z = _roots(_log_half_g, log_c, ends, _log_log_start, "coin toss", closed=True)[0]
     turnout = 0.5 * z
     alpha_a = (turnout - params.x_a) / params.m_a
     alpha_a = min(1.0, max(0.0, alpha_a))
@@ -336,16 +356,14 @@ def solve_coin_toss(params: ElectorateParams, c: float) -> Equilibrium | None:
     s = StrategyPair(alpha_a, alpha_b)
     residual = max(abs(r1_closed(params, s) - c), abs(r2_closed(params, s) - c))
     return Equilibrium(
-        kind=EquilibriumKind.COIN_TOSS,
+        kind=K.COIN_TOSS,
         strategies=s,
         z_root=z,
         residual=residual,
         winner=_TIE,
         notes=tuple(
             f"coincides with {kind.value} solution"
-            for kind, side in zip(
-                (EquilibriumKind.PARTIAL_ABSENTEEISM, EquilibriumKind.PARTIAL_SATURATION), sides
-            )
+            for kind, side in ((K.PARTIAL_ABSENTEEISM, upper), (K.PARTIAL_SATURATION, lower))
             if side == 0
         ),
     )
@@ -377,10 +395,13 @@ def find_h_peak(x_a: float) -> float:
     return _rtsafe(probe, 0.0, x_a, math.inf, -math.inf, start, "h peak")
 
 
-def _balance_note(margin: float) -> tuple[str, ...]:
-    if margin <= 0.0:
-        return ("expected turnouts equal: sits on the mixed-equilibrium boundary",)
-    return ()
+def _one_side_mixed(
+    kind: EquilibriumKind, s: StrategyPair, z: float, residual: float, margin: float
+) -> Equilibrium:
+    """An absenteeism or saturation root, whose A-minus-B margin is ``margin``."""
+    note = "expected turnouts equal: sits on the mixed-equilibrium boundary"
+    notes = (note,) if margin <= 0.0 else ()
+    return Equilibrium(kind, s, z, residual, _winner_from_margin(margin), notes)
 
 
 def solve_partial_absenteeism(params: ElectorateParams, c: float) -> list[Equilibrium]:
@@ -395,39 +416,32 @@ def solve_partial_absenteeism(params: ElectorateParams, c: float) -> list[Equili
     at that end, which belongs to the no-queue corner, the coin toss or
     the minority-swipe corner, and is not returned here.
     """
-    ts = thresholds(params)
+    return _absenteeism(params, c, _read_cost(params, c))
+
+
+def _absenteeism(params: ElectorateParams, c: float, reading: _Reading) -> list[Equilibrium]:
+    ts, log_c, sides, top, _ = reading
     x_a, z_lo = params.x_a, params.x_b
-    if ts.ct_admissible:  # h(x_a, x_a) = g(2 x_a) / 2
-        top = (x_a, ts.log_ct_upper)
-    else:
-        top = _kernel_point(x_a, params.total_b)
-    points = [(z_lo, ts.log_pa_lower), top]
-    sides = [cost_side(c, ts.log_pa_lower), cost_side(c, top[1])]
-    # the kernel is unimodal, so the end values decide unless c is on or
-    # above both: then the peak splits the interval into monotone branches
-    if min(sides) >= 0:
+    points = [(z_lo, ts.log_pa_lower, sides[2]), top]
+    # the kernel is unimodal, so the end sides decide unless c is on or
+    # above both: then only a peak that c is on or below has roots, on
+    # it or on the monotone branches it splits the interval into
+    if sides[2] >= 0 and top[2] >= 0:
         peak = find_h_peak(x_a)
-        if z_lo < peak < top[0]:
-            point = _kernel_point(x_a, peak)
-            points.insert(1, point)
-            sides.insert(1, cost_side(c, point[1]))
+        if not z_lo < peak < top[0]:
+            return []
+        log_peak = _log_h_slope(x_a, peak)[0]
+        side = cost_side(c, log_peak)
+        if side > 0:
+            return []
+        points.insert(1, (peak, log_peak, side))
+    elif sides[2] * top[2] >= 0:
+        return []
     out = []
-    roots = _roots(
-        partial(_log_h_slope, x_a), c, points, sides, _gauss_start(x_a), "absenteeism"
-    )
-    for z in roots:
+    for z in _roots(partial(_log_h_slope, x_a), log_c, points, _gauss_start(x_a), "absenteeism"):
         s = StrategyPair(0.0, (z - z_lo) / (params.total_b - z_lo))
-        margin = x_a - z
-        out.append(
-            Equilibrium(
-                kind=EquilibriumKind.PARTIAL_ABSENTEEISM,
-                strategies=s,
-                z_root=z,
-                residual=abs(r2_closed(params, s) - c),
-                winner=_winner_from_margin(margin),
-                notes=_balance_note(margin),
-            )
-        )
+        residual = abs(r2_closed(params, s) - c)
+        out.append(_one_side_mixed(EquilibriumKind.PARTIAL_ABSENTEEISM, s, z, residual, x_a - z))
     return out
 
 
@@ -438,7 +452,7 @@ def no_queue_exists(params: ElectorateParams, c: float) -> bool:
     of the two), so only the B-side bound h(x_a, x_b) = pa_lower
     matters.
     """
-    return cost_side(c, thresholds(params).log_pa_lower) >= 0
+    return _corners(_read_cost(params, c))[0]
 
 
 def solve_partial_saturation(params: ElectorateParams, c: float) -> Equilibrium | None:
@@ -453,33 +467,19 @@ def solve_partial_saturation(params: ElectorateParams, c: float) -> Equilibrium 
     ``ct_admissible`` is false).  A cost on an end value belongs to the
     all-swipe corner, the coin toss or the minority-swipe corner.
     """
-    ts = thresholds(params)
-    k, x_a, z_hi = params.total_b, params.x_a, params.total_a
-    if ts.ct_admissible:  # h(k, k) = g(2 n (1-p_a)) / 2
-        bottom = (k, ts.log_ct_lower)
-    else:
-        bottom = _kernel_point(k, x_a)
-    roots = _roots(
-        partial(_log_h_slope, k),
-        c,
-        [bottom, (z_hi, ts.log_ps_lower)],
-        [cost_side(c, bottom[1]), cost_side(c, ts.log_ps_lower)],
-        _gauss_start(k),
-        "saturation",
-    )
-    if not roots:
+    return _saturation(params, c, _read_cost(params, c))
+
+
+def _saturation(params: ElectorateParams, c: float, reading: _Reading) -> Equilibrium | None:
+    ts, log_c, sides, _, bottom = reading
+    if bottom[2] * sides[3] >= 0:  # a decreasing kernel: a root only between opposite sides
         return None
-    z = roots[0]
+    k, x_a, z_hi = params.total_b, params.x_a, params.total_a
+    ends = [bottom, (z_hi, ts.log_ps_lower, sides[3])]
+    z = _roots(partial(_log_h_slope, k), log_c, ends, _gauss_start(k), "saturation")[0]
     s = StrategyPair((z - x_a) / (z_hi - x_a), 1.0)
-    margin = z - k
-    return Equilibrium(
-        kind=EquilibriumKind.PARTIAL_SATURATION,
-        strategies=s,
-        z_root=z,
-        residual=abs(r1_closed(params, s) - c),
-        winner=_winner_from_margin(margin),
-        notes=_balance_note(margin),
-    )
+    residual = abs(r1_closed(params, s) - c)
+    return _one_side_mixed(EquilibriumKind.PARTIAL_SATURATION, s, z, residual, z - k)
 
 
 def all_swipe_exists(params: ElectorateParams, c: float) -> bool:
@@ -488,36 +488,33 @@ def all_swipe_exists(params: ElectorateParams, c: float) -> bool:
     The B-side inequality is implied (its gain at (1,1) is the larger of
     the two), so only the A-side bound ps_lower matters.
     """
-    return cost_side(c, thresholds(params).log_ps_lower) <= 0
+    return _corners(_read_cost(params, c))[2]
 
 
-def _minority_swipe_exists(params: ElectorateParams, c: float) -> bool:
-    """Whether (0, 1) is an equilibrium: h(n(1-p_a), x_a) <= c <= h(x_a, n(1-p_a)).
+def _corners(reading: _Reading) -> tuple[bool, bool, bool]:
+    """Whether (0, 0), (0, 1) and (1, 1) are equilibria.
 
-    The A gain (left) is below the B gain (right) only where
-    x_a > n (1 - p_a), so the corner is tested only where
-    ``ct_admissible`` is false; where x_a = n (1 - p_a) it is the coin
-    toss.  The kernel arguments are those of the solvers' end points,
-    so the corner and the end roots they leave to it read the same bits.
+    (0, 1) needs h(n(1-p_a), x_a) <= c <= h(x_a, n(1-p_a)).  The A gain
+    (left) is below the B gain (right) only where x_a > n (1 - p_a), so
+    it is tested only where ``ct_admissible`` is false; where
+    x_a = n (1 - p_a) it is the coin toss.  The two gains are the
+    strategy bounds that end the absenteeism and saturation intervals,
+    so the corner and the end roots those solvers leave to it read the
+    same sides.
     """
-    if thresholds(params).ct_admissible:
-        return False
-    k, x_a = params.total_b, params.x_a
-    r1, r2 = _kernel_point(k, x_a)[1], _kernel_point(x_a, k)[1]
-    return cost_side(c, r1) >= 0 and cost_side(c, r2) <= 0
+    ts, _, sides, top, bottom = reading
+    minority_swipe = not ts.ct_admissible and bottom[2] >= 0 and top[2] <= 0
+    return sides[2] >= 0, minority_swipe, sides[3] <= 0
+
+
+_NO_QUEUE_PAIR = StrategyPair(0.0, 0.0)  # the corners' strategy pairs, built once
+_MINORITY_SWIPE_PAIR, _ALL_SWIPE_PAIR = StrategyPair(0.0, 1.0), StrategyPair(1.0, 1.0)
 
 
 def _corner_equilibrium(
-    params: ElectorateParams, kind: EquilibriumKind, alpha_a: float, alpha_b: float
+    params: ElectorateParams, kind: EquilibriumKind, s: StrategyPair
 ) -> Equilibrium:
-    s = StrategyPair(alpha_a, alpha_b)
-    return Equilibrium(
-        kind=kind,
-        strategies=s,
-        z_root=None,
-        residual=0.0,
-        winner=_winner_from_margin(expected_margin(params, s)),
-    )
+    return Equilibrium(kind, s, None, 0.0, _winner_from_margin(expected_margin(params, s)))
 
 
 def enumerate_equilibria(params: ElectorateParams, c: float) -> list[Equilibrium]:
@@ -528,18 +525,21 @@ def enumerate_equilibria(params: ElectorateParams, c: float) -> list[Equilibrium
     families meet is listed by its owner alone (see the module
     docstring).
 
-    Every solver compares ``c`` against the same frontiers,
-    ``thresholds(params)``.  A cost that is not > 0 raises
-    ``DomainError`` from the first ``cost_side`` call.
+    The cost is read once, in one ``cost_sides`` call: against the four
+    frontiers of ``thresholds(params)`` and, where ``ct_admissible`` is
+    false, the two strategy bounds.  Every solver and corner test
+    decides from these sides, and no root search starts where they rule
+    a root out.  A cost that is not > 0 raises ``DomainError``.
     """
     K = EquilibriumKind
-    found = [solve_coin_toss(params, c)]
-    found += solve_partial_absenteeism(params, c)
-    if no_queue_exists(params, c):
-        found.append(_corner_equilibrium(params, K.NO_QUEUE, 0.0, 0.0))
-    if _minority_swipe_exists(params, c):
-        found.append(_corner_equilibrium(params, K.MINORITY_SWIPE, 0.0, 1.0))
-    found.append(solve_partial_saturation(params, c))
-    if all_swipe_exists(params, c):
-        found.append(_corner_equilibrium(params, K.ALL_SWIPE, 1.0, 1.0))
+    reading = _read_cost(params, c)
+    no_queue, minority_swipe, all_swipe = _corners(reading)
+    found = [_coin_toss(params, c, reading), *_absenteeism(params, c, reading)]
+    if no_queue:
+        found.append(_corner_equilibrium(params, K.NO_QUEUE, _NO_QUEUE_PAIR))
+    if minority_swipe:
+        found.append(_corner_equilibrium(params, K.MINORITY_SWIPE, _MINORITY_SWIPE_PAIR))
+    found.append(_saturation(params, c, reading))
+    if all_swipe:
+        found.append(_corner_equilibrium(params, K.ALL_SWIPE, _ALL_SWIPE_PAIR))
     return [eq for eq in found if eq is not None]

@@ -40,6 +40,7 @@ from .equilibria import (
     EquilibriumKind,
     Winner,
     cost_side,
+    cost_sides,
     enumerate_equilibria,
 )
 from .errors import DomainError
@@ -148,7 +149,7 @@ def classify(params: ElectorateParams, c: float) -> RegimeReport:
         case = 0
         notes.append(CASE_DESCRIPTIONS[0])
     else:
-        sides = [cost_side(c, log_f) for log_f in logs]
+        sides = cost_sides(c, logs)[1]
         # above ct_upper is case 1; otherwise the first frontier the cost
         # is on or above closes its case from below
         case = 1 if sides[0] > 0 else next(

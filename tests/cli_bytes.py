@@ -53,6 +53,8 @@ INVOCATIONS = [
                            "--pa", "0.6319540163784259", "--c", "0.12530346880670365"], None),
     # above 1/2 the coin toss has no window, and no solver raises
     ("solve cost above one half", ["solve", *ELECTORATE, "--c", "0.75"], None),
+    # exactly on the peak of h(x_a, .): the peak is the absenteeism root
+    ("solve on absenteeism peak", ["solve", *ELECTORATE, "--c", "0.03653314903180234"], None),
     ("solve bad c", ["solve", *ELECTORATE, "--c", "-0.1"], None),
     ("solve bad c csv", ["solve", *ELECTORATE, "--c", "-0.1", "--format", "csv"], None),
     ("classify json", ["classify", *ELECTORATE, "--c", "0.028"], None),

@@ -29,7 +29,7 @@ from votecost.pivot import (
     thresholds,
 )
 from votecost.regime import classify, coin_toss_interval, recommend_cost
-from votecost.special_fn import h
+from votecost.special_fn import _log_h_slope, h
 
 REF = ElectorateParams(n=500, p=0.2, p_a=0.6)
 REF_TS = thresholds(REF)
@@ -218,6 +218,19 @@ class TestPartialAbsenteeism:
         eqs = solve_partial_absenteeism(REF, above)
         assert calls == [REF.x_a]
         assert [eq.z_root < peak for eq in eqs] == [True, False]
+
+    def test_cost_on_the_peak_is_a_root(self):
+        # no piece changes sign, yet the peak itself is a root: a cost
+        # exactly on the peak value lists it (c = 0.03653314903180234)
+        peak = find_h_peak(REF.x_a)
+        c = math.exp(_log_h_slope(REF.x_a, peak)[0])
+        assert [(eq.kind, eq.z_root) for eq in solve_partial_absenteeism(REF, c)] == [
+            (EquilibriumKind.PARTIAL_ABSENTEEISM, peak)
+        ]
+        assert [(eq.kind, eq.z_root) for eq in enumerate_equilibria(REF, c)] == [
+            (EquilibriumKind.PARTIAL_ABSENTEEISM, peak),
+            (EquilibriumKind.NO_QUEUE, None),
+        ]
 
 
 class TestNoQueue:
@@ -441,26 +454,44 @@ class TestCostSide:
 
     @pytest.mark.parametrize(
         "params",
-        [REF, ElectorateParams(n=0.01, p=2e-12, p_a=0.6)],
-        ids=["reference", "window edge at one half"],
+        [
+            REF,
+            ElectorateParams(n=0.01, p=2e-12, p_a=0.6),
+            ElectorateParams(n=672843.5961072427, p=1e-6, p_a=0.999999999),
+        ],
+        ids=["reference", "window edge at one half", "case 0"],
     )
     def test_coin_toss_solver_agrees_with_enumeration(self, params):
-        # cost_side alone decides the window: on and between the frontiers,
-        # at 1/2 and above, the solver and the list hold the same coin toss
+        # cost_side alone decides each family: on and between the frontiers
+        # (and the two strategy bounds of case 0), at 1/2 and above, every
+        # public solver and corner test agrees with the list; a frontier
+        # that underflowed to 0.0 is no cost
         ts = thresholds(params)
         frontiers = [ts.ct_upper, ts.ct_lower, ts.pa_lower, ts.ps_lower]
+        if not ts.ct_admissible:
+            frontiers += [h(params.x_a, params.total_b), h(params.total_b, params.x_a)]
         costs = frontiers + [math.sqrt(a * b) for a, b in zip(frontiers, frontiers[1:])]
+        solvers = {
+            EquilibriumKind.COIN_TOSS: solve_coin_toss,
+            EquilibriumKind.PARTIAL_ABSENTEEISM: solve_partial_absenteeism,
+            EquilibriumKind.NO_QUEUE: no_queue_exists,
+            EquilibriumKind.PARTIAL_SATURATION: solve_partial_saturation,
+            EquilibriumKind.ALL_SWIPE: all_swipe_exists,
+        }
         found = 0
-        for c in costs + [0.5, 0.75]:
-            toss = solve_coin_toss(params, c)
-            listed = [
-                eq for eq in enumerate_equilibria(params, c)
-                if eq.kind is EquilibriumKind.COIN_TOSS
-            ]
-            assert listed == ([] if toss is None else [toss]), c
-            found += toss is not None
-        assert found >= 2  # at least the two window edges
-        on_edge = eqm.cost_side(0.5, ts.log_ct_upper) == 0
+        for c in [c for c in costs if c > 0.0] + [0.5, 0.75]:
+            eqs = enumerate_equilibria(params, c)
+            for kind, solver in solvers.items():
+                listed = [eq for eq in eqs if eq.kind is kind]
+                answer = solver(params, c)
+                if isinstance(answer, bool):  # a corner: listed iff it exists
+                    listed, answer = len(listed), int(answer)
+                elif not isinstance(answer, list):
+                    answer = [] if answer is None else [answer]
+                assert listed == answer, (kind, c)
+            found += any(eq.kind is EquilibriumKind.COIN_TOSS for eq in eqs)
+        assert found >= 2 or not ts.ct_admissible  # at least the two window edges
+        on_edge = eqm.cost_side(0.5, ts.log_ct_upper) == 0 and ts.ct_admissible
         assert (solve_coin_toss(params, 0.5) is not None) == on_edge
 
     def test_slack_read_when_called(self, monkeypatch):
@@ -752,10 +783,15 @@ class TestSharedFrontiers:
         # argument here would be a frontier evaluated again
         monkeypatch.setattr(eqm, "_log_g_slope", recording(eqm._log_g_slope, g_args))
         monkeypatch.setattr(eqm, "_log_h_slope", recording(eqm._log_h_slope, h_args))
-        for c in _costs_on_and_between_frontiers(params):
-            classify(params, c)
         x_a, x_b = params.x_a, params.x_b
         total_a, total_b = params.total_a, params.total_b
+        for c in _costs_on_and_between_frontiers(params):
+            first = len(h_args)
+            classify(params, c)
+            # case 0 reads each strategy bound once, for both its interval
+            # end and the minority-swipe corner
+            for bound in ((x_a, total_b), (total_b, x_a)):
+                assert h_args[first:].count(bound) <= 1, (c, bound)
         assert h_args  # the wrappers are in use
         assert not {(2.0 * x_a,), (2.0 * total_b,)} & set(g_args)
         frontier_args = {(x_a, x_b), (x_a, x_a), (total_b, total_b), (total_b, total_a)}
