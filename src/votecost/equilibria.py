@@ -130,8 +130,9 @@ def cost_side(c: float, log_f: float) -> int:
     On means |c - f| <= EPS_CMP * max(c, f), which is
     |log c - log f| <= -log1p(-EPS_CMP).  ``log_f`` may be -inf (a
     kernel value that underflowed); every positive cost is above it.
-    A cost that is not > 0 (NaN included), or that does not compare as
-    one real number (a str, None, an array), raises ``DomainError``.
+    A cost that is not > 0 (NaN included) or finite, or that does not
+    compare as one real number (a str, None, an array), raises
+    ``DomainError``.
     """
     return cost_sides(c, (log_f,))[1][0]
 
@@ -146,6 +147,8 @@ def cost_sides(c: float, log_fs: Sequence[float]) -> tuple[float, list[int]]:
         log_c = None
     if log_c is None:
         raise DomainError(f"cost must be > 0, got {c!r}")
+    if log_c == math.inf:
+        raise DomainError(f"cost must be finite, got {c!r}")
     slack = -math.log1p(-EPS_CMP)
     sides = []
     for log_f in log_fs:  # a loop: a comprehension took three times as long

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .special_fn import _h_parts, _h_tail, g, h, log_g, log_h
+from .special_fn import ARRAY_OPS, FLOAT_OPS, _h_parts, _h_tail, g, h, log_g, log_h
 
 __all__ = [
     "ElectorateParams",
@@ -149,7 +149,7 @@ def _h_per_pair(
     alphas = np.array([(s.alpha_a, s.alpha_b) for s in pairs], dtype=float).reshape(-1, 2)
     u, v = _turnouts(params, alphas[:, 0], alphas[:, 1])
     # u >= x_a > 0 and v >= x_b > 0, so h's z = 0 branch never applies
-    scaled, dd, _, _ = _h_parts(*((v, u) if side == "A" else (u, v)), np.sqrt)
+    scaled, dd, _, _ = _h_parts(*((v, u) if side == "A" else (u, v)), ARRAY_OPS)
     return list(map(_h_tail, scaled.tolist(), dd.tolist()))
 
 
@@ -231,8 +231,8 @@ def log_frontiers(n, p: float, p_a: float) -> np.ndarray:
                 "log_frontiers requires x_a, total_b >= 0 and x_b, total_a > 0, "
                 f"got n={n!r}, p={p!r}, p_a={p_a!r}"
             )
-        scaled_a, dd_a, _, _ = _h_parts(x_a, x_b, math.sqrt)
-        scaled_b, dd_b, _, _ = _h_parts(total_b, total_a, math.sqrt)
+        scaled_a, dd_a, _, _ = _h_parts(x_a, x_b, FLOAT_OPS)
+        scaled_b, dd_b, _, _ = _h_parts(total_b, total_a, FLOAT_OPS)
         logs = np.log([g(2.0 * x_a), g(2.0 * total_b), scaled_a, scaled_b])
         # adding -dd is subtracting dd, as log_h does, bit for bit; in
         # place, so no second array is allocated

@@ -24,7 +24,9 @@ Every kernel is therefore evaluated in the factorized form
     e^{-x-z} I_k(t) = e^{-(sqrt(x)-sqrt(z))^2} [e^{-t} I_k(t)],
 
 whose exponent is never positive; the scaled factors e^{-t} I_k(t) are
-scipy's Cephes ``i0e``/``i1e``.  The exponent is d * d with
+scipy's Cephes ``i0e``/``i1e``: the same routines as numpy ufuncs on
+arrays and through ``scipy.special.cython_special`` on floats, compared
+bit for bit by a test.  The exponent is d * d with
 d = (x - z) / (sqrt(x) + sqrt(z)), which does not cancel when x ~ z;
 ``_h_parts`` squares d once for every entry point of ``h`` or its log.
 
@@ -61,6 +63,7 @@ import math
 
 import numpy as np
 from scipy.special import i0e, i1e
+from scipy.special.cython_special import i0e as i0e_float, i1e as i1e_float
 
 from .errors import DomainError
 
@@ -72,13 +75,17 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
+# the (sqrt, i0e, i1e) of ``_h_parts`` on Python floats and on numpy arrays
+FLOAT_OPS = (math.sqrt, i0e_float, i1e_float)
+ARRAY_OPS = (np.sqrt, i0e, i1e)
 
 
-def _h_parts(x_a, z, sqrt):
+def _h_parts(x_a, z, ops):
     # h = scaled * exp(-dd) with scaled = (i0 + r_i1) / 2, i0 = i0e(t),
     # r_i1 = sqrt(x_a / z) i1e(t), which the slope of log h reuses, and
-    # dd = d * d; ``sqrt`` is math.sqrt for floats and np.sqrt for arrays,
-    # so every entry point shares one formula
+    # dd = d * d; ``ops`` is FLOAT_OPS or ARRAY_OPS, so every entry point
+    # shares one formula and Python floats stay Python floats
+    sqrt, i0e, i1e = ops
     rx, rz = sqrt(x_a), sqrt(z)
     t = 2.0 * rx * rz
     i0, r_i1 = i0e(t), (rx / rz) * i1e(t)
@@ -90,7 +97,7 @@ def g(z: float) -> float:
     """(I0(z) + I1(z)) e^{-z}: continuous, g(0) = 1, strictly decreasing to 0."""
     if not (z >= 0.0):
         raise DomainError(f"g requires z >= 0, got {z!r}")
-    return float(i0e(z)) + float(i1e(z))
+    return i0e_float(z) + i1e_float(z)
 
 
 def h(x_a: float, z: float) -> float:
@@ -105,7 +112,7 @@ def h(x_a: float, z: float) -> float:
     if z == 0.0:
         # F1(0) = F2(0) = 1
         return 0.5 * (1.0 + x_a) * math.exp(-x_a)
-    scaled, dd, _, _ = _h_parts(x_a, z, math.sqrt)
+    scaled, dd, _, _ = _h_parts(x_a, z, FLOAT_OPS)
     return _h_tail(scaled, dd)
 
 
@@ -114,13 +121,13 @@ def _h_tail(scaled, dd) -> float:
     # value at a time: math.exp, not numpy's exp (which differs from it in
     # the last bit at a few percent of arguments), keeps the last bit of h,
     # residuals and the verify CSV
-    return float(scaled) * math.exp(-dd)
+    return scaled * math.exp(-dd)
 
 
 def _log_g_slope(z: float) -> tuple[float, float]:
     # (log g(z), d log g / dz) for z > 0, from g'(z) = -e^{-z} I1(z) / z;
     # log g reads the bits of ``g``
-    i0, i1 = float(i0e(z)), float(i1e(z))
+    i0, i1 = i0e_float(z), i1e_float(z)
     total = i0 + i1
     return math.log(total), -i1 / (z * total)
 
@@ -131,8 +138,7 @@ def _log_h_slope(x_a: float, z: float) -> tuple[float, float]:
     # dh/dz = [P(D=2) - P(D=0)] / 2, and I2 = I0 - (2/t) I1 (A&S 9.6.26)
     # turns it into d log h / dz = ((x_a - z) I0 - r I1) / (z (I0 + r I1)),
     # r = sqrt(x_a / z): the Bessel values of h itself, no further calls
-    scaled, dd, i0, r_i1 = _h_parts(x_a, z, math.sqrt)
-    scaled, i0, r_i1 = float(scaled), float(i0), float(r_i1)
+    scaled, dd, i0, r_i1 = _h_parts(x_a, z, FLOAT_OPS)
     return math.log(scaled) - dd, ((x_a - z) * i0 - r_i1) / (2.0 * z * scaled)
 
 
@@ -145,7 +151,7 @@ def _i_sign_core(x_a: float, z: float) -> tuple[float, float]:
     # Requires x_a > 0 and z > 0, which ``find_h_peak`` ensures.
     t = 2.0 * math.sqrt(x_a * z)
     r = math.sqrt(x_a / z)
-    i0, i1 = float(i0e(t)), float(i1e(t))
+    i0, i1 = i0e_float(t), i1e_float(t)
     value = (x_a - z) * i0 - r * i1
     slope = (r * r + r / z) * i1 - (1.0 + r * r) * i0 - (x_a - z) * r * (i0 - i1)
     return value, slope
@@ -169,5 +175,5 @@ def log_h(x_a, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if not (x_a.min(initial=math.inf) >= 0.0 and z.min(initial=math.inf) > 0.0):
         raise DomainError("log_h requires every x_a >= 0 and z > 0")
-    scaled, dd, _, _ = _h_parts(x_a, z, np.sqrt)
+    scaled, dd, _, _ = _h_parts(x_a, z, ARRAY_OPS)
     return np.log(scaled) - dd

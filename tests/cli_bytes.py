@@ -76,6 +76,11 @@ INVOCATIONS = [
     # ct_upper within EPS_CMP of 1/2: a cost of 1/2 is on it, a coin toss
     ("classify half cost on window edge", ["classify", "--n", "0.01", "--p", "2e-12",
                                            "--pa", "0.6", "--c", "0.5"], None),
+    # case 3 at Bessel arguments near 1e6: absenteeism and saturation roots
+    # near z = 5.6e5 and 2.1e6, subnormal residuals, and pa_lower and
+    # ps_lower underflowed
+    ("classify large n tiny cost", ["classify", "--n", "5e6", "--p", "0.2", "--pa", "0.6",
+                                    "--c", "1e-300"], None),
     ("sweep csv", [*SWEEP, "--points", "7"], None),
     ("sweep json", [*SWEEP, "--points", "7", "--format", "json"], None),
     ("sweep one point", [*SWEEP, "--points", "1"], None),

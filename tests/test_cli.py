@@ -138,6 +138,16 @@ class TestClassifyVerb:
         assert len(rows) == 4
 
 
+@pytest.mark.parametrize("verb", ["solve", "classify"])
+@pytest.mark.parametrize("c", ["inf", "1e400"])
+def test_infinite_cost_exit(verb, c):
+    # 1e400 parses to inf; the error document is strict JSON, no Infinity
+    status, text = run_cli([verb, "--n", "500", "--p", "0.2", "--pa", "0.6", "--c", c])
+    assert status == EXIT_VALIDATION
+    doc = json.loads(text, parse_constant=pytest.fail)
+    assert doc["error"] == {"type": "DomainError", "message": "cost must be finite, got inf"}
+
+
 class TestSweepVerb:
     def test_csv_schema_and_rows(self):
         status, text = run_cli(

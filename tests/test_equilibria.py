@@ -37,11 +37,13 @@ REF_TS = thresholds(REF)
 
 class TestCoinToss:
     def test_rejects_out_of_range_cost(self):
-        # cost_side rejects a cost that is not > 0; a cost of 1/2 or more
-        # above the window is a positive cost with no coin toss
+        # cost_side rejects a cost that is not > 0 or not finite; a cost of
+        # 1/2 or more above the window is a positive cost with no coin toss
         with pytest.raises(DomainError, match="cost must be > 0"):
             solve_coin_toss(REF, 0.0)
-        for c in (0.5, 0.75, math.inf):
+        with pytest.raises(DomainError, match="cost must be finite"):
+            solve_coin_toss(REF, math.inf)
+        for c in (0.5, 0.75):
             assert solve_coin_toss(REF, c) is None
 
     def test_absent_above_window(self):
@@ -414,6 +416,11 @@ class TestCostSide:
     def test_rejects_cost_not_positive(self, c):
         with pytest.raises(DomainError, match="cost must be > 0"):
             eqm.cost_side(c, REF_TS.log_ct_upper)
+
+    def test_rejects_infinite_cost(self):
+        # math.log(c) is inf, which would sit above every frontier
+        with pytest.raises(DomainError, match=r"^cost must be finite, got inf$"):
+            eqm.cost_side(math.inf, 0.0)
 
     @pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize(

@@ -378,6 +378,12 @@ class TestRecommendCost:
         with pytest.raises(DomainError):
             recommend_cost(REF, 0.0)
 
+    def test_rejects_infinite(self):
+        # an infinite cost is not a recommendation, nor a report
+        for fn in (recommend_cost, classify):
+            with pytest.raises(DomainError, match="cost must be finite"):
+                fn(REF, math.inf)
+
 
 class TestSweep:
     def test_sweep_spec_validation(self):

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from reference_fns import g_leading, h_ray_leading, i_sign
-from scipy.special import i0e, i1e
+from scipy.special import cython_special, i0e, i1e
 from series_oracle import (
     bessel_i0,
     bessel_i1,
@@ -16,7 +16,18 @@ from series_oracle import (
 )
 
 from votecost.errors import DomainError
-from votecost.special_fn import _i_sign_core, _log_g_slope, _log_h_slope, g, h, log_g, log_h
+from votecost.special_fn import (
+    ARRAY_OPS,
+    FLOAT_OPS,
+    _h_parts,
+    _i_sign_core,
+    _log_g_slope,
+    _log_h_slope,
+    g,
+    h,
+    log_g,
+    log_h,
+)
 
 # Frozen from a 40-digit series summation (mpmath).
 F1_AT_1 = 2.2795853023360672674
@@ -128,6 +139,36 @@ class TestBessel:
             ref1 = scaled_bessel_logseries(float(t), 1)
             assert g(float(t)) == pytest.approx(ref0 + ref1, rel=1e-12)
             assert scaled_i1(float(t)) == pytest.approx(ref1, rel=1e-12)
+
+
+class TestRoutes:
+    """Kernels on floats (cython_special) against kernels on arrays (ufuncs)."""
+
+    def test_cephes_routes_agree_bit_for_bit(self):
+        # log-uniform on [1e-8, 1e8], plus 0, Cephes's branch point t = 8
+        # and its neighbouring floats, and a subnormal
+        rng = np.random.default_rng(24)
+        ts = np.exp(rng.uniform(math.log(1e-8), math.log(1e8), 50_000))
+        ts = np.append(ts, [0.0, math.nextafter(8.0, 0.0), 8.0, math.nextafter(8.0, 9.0), 5e-324])
+        for on_float, ufunc in ((cython_special.i0e, i0e), (cython_special.i1e, i1e)):
+            got = np.array([on_float(t) for t in ts.tolist()])
+            assert got.tobytes() == ufunc(ts).tobytes()
+
+    def test_h_parts_routes_agree_bit_for_bit(self):
+        rng = np.random.default_rng(25)
+        xs, zs = np.exp(rng.uniform(math.log(1e-3), math.log(1e7), (2, 5_000)))
+        on_arrays = np.array(_h_parts(xs, zs, ARRAY_OPS))
+        pairs = zip(xs.tolist(), zs.tolist())
+        on_floats = np.array([_h_parts(x, z, FLOAT_OPS) for x, z in pairs])
+        assert on_floats.T.tobytes() == on_arrays.tobytes()
+
+    @pytest.mark.parametrize("x, z", [(40.0, 30.0), (0.3, 2.0), (5.6e5, 2.1e6)])
+    def test_float_route_returns_python_floats(self, x, z):
+        values = [
+            g(z), h(x, z), *_log_g_slope(z), *_log_h_slope(x, z), *_i_sign_core(x, z),
+            *_h_parts(x, z, FLOAT_OPS),
+        ]
+        assert [type(v) for v in values] == [float] * len(values)
 
 
 class TestG:
