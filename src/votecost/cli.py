@@ -205,13 +205,13 @@ def standard_verify_rows(cfg: OracleConfig) -> list[VerifyRow]:
         params = ElectorateParams(n=n, p=p, p_a=p_a)
         y_a = [params.m_a * alpha_a for alpha_a in VERIFY_GRID_ALPHA]
         y_b = [params.m_b * alpha_b for alpha_b in VERIFY_GRID_ALPHA]
-        # one brute-force call and one closed-form call per side for each
-        # electorate; the gains come per strategy pair, side A then side B
+        # one brute-force call per electorate and one closed-form call per
+        # strategy pair and side; the gains come per strategy pair, side A
+        # then side B
         brute = pivot_gain_bruteforce(params.x_a, params.x_b, y_a, y_b, sides, cfg)
         gains += brute.value
         bounds += [brute.error_bound] * len(brute.value)
-        per_pair = zip(r1_closed(params, pairs), r2_closed(params, pairs))
-        closed += [value for pair in per_pair for value in pair]
+        closed += [r for s in pairs for r in (r1_closed(params, s), r2_closed(params, s))]
     keys = product(points, [(*alpha, side) for alpha in alphas for side in sides])
     return [
         VerifyRow(n, p, p_a, alpha_a, alpha_b, side, c, g, abs(c - g), bound)

@@ -29,13 +29,12 @@ notes".
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .special_fn import ARRAY_OPS, FLOAT_OPS, _h_parts, _h_tail, g, h, log_g, log_h
+from .special_fn import FLOAT_OPS, _h_parts, g, h, log_g, log_h
 
 __all__ = [
     "ElectorateParams",
@@ -131,54 +130,21 @@ class StrategyPair:
                 raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-def _turnouts(params: ElectorateParams, alpha_a, alpha_b) -> tuple:
-    """(u, v) at float or array voting probabilities."""
-    return params.x_a + params.m_a * alpha_a, params.x_b + params.m_b * alpha_b
-
-
 def turnout_means(params: ElectorateParams, s: StrategyPair) -> tuple[float, float]:
     """Expected vote totals (u, v) for sides A and B."""
-    return _turnouts(params, s.alpha_a, s.alpha_b)
+    return params.x_a + params.m_a * s.alpha_a, params.x_b + params.m_b * s.alpha_b
 
 
-def _h_per_pair(
-    params: ElectorateParams, pairs: Sequence[StrategyPair], side: str
-) -> list[float]:
-    # h at every pair's turnout means in one array pass, then ``h``'s own
-    # float tail per value, so each gain has the bits of the scalar call
-    alphas = np.array([(s.alpha_a, s.alpha_b) for s in pairs], dtype=float).reshape(-1, 2)
-    u, v = _turnouts(params, alphas[:, 0], alphas[:, 1])
-    # u >= x_a > 0 and v >= x_b > 0, so h's z = 0 branch never applies
-    scaled, dd, _, _ = _h_parts(*((v, u) if side == "A" else (u, v)), ARRAY_OPS)
-    return list(map(_h_tail, scaled.tolist(), dd.tolist()))
+def r1_closed(params: ElectorateParams, s: StrategyPair) -> float:
+    """Expected tie-rule gain from one extra A vote at strategies ``s``."""
+    u, v = turnout_means(params, s)
+    return h(v, u)
 
 
-def r1_closed(
-    params: ElectorateParams, s: StrategyPair | Sequence[StrategyPair]
-) -> float | list[float]:
-    """Expected tie-rule gain from one extra A vote at strategies ``s``.
-
-    For a sequence of strategy pairs, the list of their gains, each equal
-    to the single-pair call bit for bit.
-    """
-    if isinstance(s, StrategyPair):
-        u, v = turnout_means(params, s)
-        return h(v, u)
-    return _h_per_pair(params, s, "A")
-
-
-def r2_closed(
-    params: ElectorateParams, s: StrategyPair | Sequence[StrategyPair]
-) -> float | list[float]:
-    """Expected tie-rule gain from one extra B vote at strategies ``s``.
-
-    For a sequence of strategy pairs, the list of their gains, each equal
-    to the single-pair call bit for bit.
-    """
-    if isinstance(s, StrategyPair):
-        u, v = turnout_means(params, s)
-        return h(u, v)
-    return _h_per_pair(params, s, "B")
+def r2_closed(params: ElectorateParams, s: StrategyPair) -> float:
+    """Expected tie-rule gain from one extra B vote at strategies ``s``."""
+    u, v = turnout_means(params, s)
+    return h(u, v)
 
 
 def expected_margin(params: ElectorateParams, s: StrategyPair) -> float:

@@ -259,8 +259,9 @@ class SweepTable:
 def _decrease_onset(col: np.ndarray) -> int:
     positive = np.nonzero(col > 0.0)[0]
     # keep one zero after the last positive entry: the drop to the
-    # underflow floor is itself a decrease, the flat zeros after are not
-    end = len(col) if len(positive) == 0 else min(len(col), int(positive[-1]) + 2)
+    # underflow floor is itself a decrease, the flat zeros after are not;
+    # a column with nothing positive is all floor, onset 0
+    end = int(positive[-1]) + 2 if len(positive) else 1
     # the onset follows the last step that does not decrease
     rises = np.nonzero(np.diff(col[:end]) >= 0.0)[0]
     return int(rises[-1]) + 1 if len(rises) else 0

@@ -37,9 +37,7 @@ The formula has three kinds of entry point:
   (``pivot.r1_closed`` and ``r2_closed``, hence the printed
   ``residual`` and the ``verify`` CSV).  Their values underflow to 0.0
   once the exponent passes ~745, at populations of ~1e6 for the
-  exponentially small frontiers.  For a sequence of strategy pairs the
-  closed forms run ``_h_parts`` once on arrays and finish each value
-  with ``h``'s own float tail, ``_h_tail``, so they keep ``h``'s bits.
+  exponentially small frontiers.
 * ``_log_g_slope`` and ``_log_h_slope`` serve the solvers: every kernel
   value they do not take from the frontiers (a case-0 interval end, the
   peak, each step of ``equilibria._rtsafe``) is read from them.  Each
@@ -113,14 +111,9 @@ def h(x_a: float, z: float) -> float:
         # F1(0) = F2(0) = 1
         return 0.5 * (1.0 + x_a) * math.exp(-x_a)
     scaled, dd, _, _ = _h_parts(x_a, z, FLOAT_OPS)
-    return _h_tail(scaled, dd)
-
-
-def _h_tail(scaled, dd) -> float:
-    # h from the scaled Bessel sum and the exponent of ``_h_parts``, one
-    # value at a time: math.exp, not numpy's exp (which differs from it in
-    # the last bit at a few percent of arguments), keeps the last bit of h,
-    # residuals and the verify CSV
+    # math.exp, not numpy's exp (which differs from it in the last bit at a
+    # few percent of arguments), keeps the last bit of h, residuals and the
+    # verify CSV
     return scaled * math.exp(-dd)
 
 

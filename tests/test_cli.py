@@ -190,6 +190,18 @@ class TestSweepVerb:
         assert status == EXIT_VALIDATION
         assert "--n-max" in json.loads(text)["error"]["message"]
 
+    def test_underflowed_column_has_onset_zero(self):
+        # pa_lower and ps_lower underflow to 0.0 on the whole grid; flat
+        # zeros are the floor, not rises
+        status, text = run_cli(
+            ["sweep", "--p", "0.2", "--pa", "0.9", "--n-min", "1e5",
+             "--n-max", "1e6", "--points", "4", "--format", "json"]
+        )
+        assert status == EXIT_OK
+        results = json.loads(text)["results"]
+        assert results["columns"]["pa_lower"] == results["columns"]["ps_lower"] == [0.0] * 4
+        assert results["onset"] == {"ct_upper": 0, "ct_lower": 0, "pa_lower": 0, "ps_lower": 0}
+
     def test_deterministic_bytes(self):
         argv = ["sweep", "--p", "0.2", "--pa", "0.6", "--n-min", "100",
                 "--n-max", "1000", "--points", "7"]
@@ -315,7 +327,7 @@ class TestVerifyVerb:
             assert row.brute_force == cold.value, row
 
     def test_closed_forms_match_scalar_calls(self):
-        # the per-electorate sequence calls give each row's scalar gain
+        # each row holds the scalar gain of its own strategy pair and side
         for row in standard_verify_rows(OracleConfig()):
             params = ElectorateParams(n=row.n, p=row.p, p_a=row.pa)
             s = StrategyPair(row.alpha_a, row.alpha_b)

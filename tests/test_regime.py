@@ -426,7 +426,7 @@ class TestSweep:
     def test_decrease_onset_matches_reference_loop(self):
         def reference(col):
             positive = np.nonzero(col > 0.0)[0]
-            end = len(col) if len(positive) == 0 else min(len(col), int(positive[-1]) + 2)
+            end = min(len(col), int(positive[-1]) + 2) if len(positive) else 1
             onset = 0
             for i in range(end - 1):
                 if col[i + 1] >= col[i]:
