@@ -18,6 +18,12 @@ A gain is below the B gain, which contradicts each of their conditions.
 The minority swipe needs x_a > n (1 - p_a) (``ct_admissible`` false), so
 it occurs only in ``classify`` case 0.
 
+Only the coin toss is a tie in expectation.  Every other family elects
+A, by where it lies: an absenteeism root strictly inside its interval below
+has z < x_a, a saturation root z > n (1 - p_a), and the corner margins
+x_a - x_b, x_a - n (1 - p_a) and n (2 p_a - 1) are positive (by
+``ElectorateParams``, ``ct_admissible`` false and p_a > 1/2).
+
 Each family with a mixing side reduces to a one-dimensional condition
 in an aggregate turnout variable z, solved only over the z of valid
 strategies:
@@ -57,7 +63,6 @@ from .pivot import (
     ElectorateParams,
     StrategyPair,
     ThresholdSet,
-    expected_margin,
     r1_closed,
     r2_closed,
     thresholds,
@@ -113,7 +118,7 @@ class Equilibrium:
     opponent total x_b + y_b for absenteeism, the own total x_a + y_a
     for saturation) and None for the three pure corners.  residual is the
     absolute defect of the defining indifference condition at the
-    returned strategies.
+    returned strategies.  ``winner`` is a tie only for a coin toss.
     """
 
     kind: EquilibriumKind
@@ -160,10 +165,6 @@ def cost_sides(c: float, log_fs: Sequence[float]) -> tuple[float, list[int]]:
 # the members, read once: looking one up on its class costs ~0.13 us on
 # CPython 3.11, a few times in each classify
 _WINNER_A, _TIE = Winner.A, Winner.TIE_IN_EXPECTATION
-
-
-def _winner_from_margin(margin: float) -> Winner:
-    return _WINNER_A if margin > 0.0 else _TIE
 
 
 def _rtsafe(
@@ -398,15 +399,6 @@ def find_h_peak(x_a: float) -> float:
     return _rtsafe(probe, 0.0, x_a, math.inf, -math.inf, start, "h peak")
 
 
-def _one_side_mixed(
-    kind: EquilibriumKind, s: StrategyPair, z: float, residual: float, margin: float
-) -> Equilibrium:
-    """An absenteeism or saturation root, whose A-minus-B margin is ``margin``."""
-    note = "expected turnouts equal: sits on the mixed-equilibrium boundary"
-    notes = (note,) if margin <= 0.0 else ()
-    return Equilibrium(kind, s, z, residual, _winner_from_margin(margin), notes)
-
-
 def solve_partial_absenteeism(params: ElectorateParams, c: float) -> list[Equilibrium]:
     """All equilibria with alpha_a = 0 and the B side indifferent.
 
@@ -444,7 +436,7 @@ def _absenteeism(params: ElectorateParams, c: float, reading: _Reading) -> list[
     for z in _roots(partial(_log_h_slope, x_a), log_c, points, _gauss_start(x_a), "absenteeism"):
         s = StrategyPair(0.0, (z - z_lo) / (params.total_b - z_lo))
         residual = abs(r2_closed(params, s) - c)
-        out.append(_one_side_mixed(EquilibriumKind.PARTIAL_ABSENTEEISM, s, z, residual, x_a - z))
+        out.append(Equilibrium(EquilibriumKind.PARTIAL_ABSENTEEISM, s, z, residual, _WINNER_A))
     return out
 
 
@@ -482,7 +474,7 @@ def _saturation(params: ElectorateParams, c: float, reading: _Reading) -> Equili
     z = _roots(partial(_log_h_slope, k), log_c, ends, _gauss_start(k), "saturation")[0]
     s = StrategyPair((z - x_a) / (z_hi - x_a), 1.0)
     residual = abs(r1_closed(params, s) - c)
-    return _one_side_mixed(EquilibriumKind.PARTIAL_SATURATION, s, z, residual, z - k)
+    return Equilibrium(EquilibriumKind.PARTIAL_SATURATION, s, z, residual, _WINNER_A)
 
 
 def all_swipe_exists(params: ElectorateParams, c: float) -> bool:
@@ -514,12 +506,6 @@ _NO_QUEUE_PAIR = StrategyPair(0.0, 0.0)  # the corners' strategy pairs, built on
 _MINORITY_SWIPE_PAIR, _ALL_SWIPE_PAIR = StrategyPair(0.0, 1.0), StrategyPair(1.0, 1.0)
 
 
-def _corner_equilibrium(
-    params: ElectorateParams, kind: EquilibriumKind, s: StrategyPair
-) -> Equilibrium:
-    return Equilibrium(kind, s, None, 0.0, _winner_from_margin(expected_margin(params, s)))
-
-
 def enumerate_equilibria(params: ElectorateParams, c: float) -> list[Equilibrium]:
     """Every type-symmetric equilibrium at cost ``c``, each listed once.
 
@@ -539,10 +525,10 @@ def enumerate_equilibria(params: ElectorateParams, c: float) -> list[Equilibrium
     no_queue, minority_swipe, all_swipe = _corners(reading)
     found = [_coin_toss(params, c, reading), *_absenteeism(params, c, reading)]
     if no_queue:
-        found.append(_corner_equilibrium(params, K.NO_QUEUE, _NO_QUEUE_PAIR))
+        found.append(Equilibrium(K.NO_QUEUE, _NO_QUEUE_PAIR, None, 0.0, _WINNER_A))
     if minority_swipe:
-        found.append(_corner_equilibrium(params, K.MINORITY_SWIPE, _MINORITY_SWIPE_PAIR))
+        found.append(Equilibrium(K.MINORITY_SWIPE, _MINORITY_SWIPE_PAIR, None, 0.0, _WINNER_A))
     found.append(_saturation(params, c, reading))
     if all_swipe:
-        found.append(_corner_equilibrium(params, K.ALL_SWIPE, _ALL_SWIPE_PAIR))
+        found.append(Equilibrium(K.ALL_SWIPE, _ALL_SWIPE_PAIR, None, 0.0, _WINNER_A))
     return [eq for eq in found if eq is not None]

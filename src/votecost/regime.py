@@ -74,8 +74,8 @@ CASE_DESCRIPTIONS = {
 class RegimeReport:
     """Classification of one cost against the five-regime landscape.
 
-    ``avoid`` is True when some equilibrium does not elect A; outside
-    case 0 that is exactly case 2.
+    ``avoid`` is True exactly when a coin toss is listed, the one
+    equilibrium A does not win; outside case 0 that is exactly case 2.
     """
 
     case_index: int

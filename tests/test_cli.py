@@ -137,6 +137,21 @@ class TestClassifyVerb:
         assert rows[0] == ["case_index", "avoid", *EQUILIBRIUM_HEADER]
         assert len(rows) == 4
 
+    def test_far_electorate_elects_a(self):
+        # both mixed roots round onto their interval ends here, so a margin
+        # taken from them would read 0; the winner follows from the family
+        argv = ["classify", "--n", "1e300", "--p", "0.5", "--pa", "0.6", "--c", "1e-300"]
+        status, text = run_cli(argv)
+        assert status == EXIT_OK
+        res = json.loads(text)["results"]
+        assert res["case_index"] == 3
+        assert res["avoid"] is False
+        assert [eq["kind"] for eq in res["equilibria"]] == [
+            "partial_absenteeism", "no_queue", "partial_saturation"
+        ]
+        assert [eq["winner"] for eq in res["equilibria"]] == ["A"] * 3
+        assert [eq["notes"] for eq in res["equilibria"]] == [[]] * 3
+
 
 @pytest.mark.parametrize("verb", ["solve", "classify"])
 @pytest.mark.parametrize("c", ["inf", "1e400"])

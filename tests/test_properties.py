@@ -1,9 +1,10 @@
 """Property tests of classify at and around the cost frontiers.
 
-The draws reach the edges of the domain: n log-uniform on [1e-2, 1e7],
-shares down to 1e-12 from their bounds (p_a just above 1/2), x_a within
-rounding of sqrt(2), and costs on each frontier, within the relative
-slack of ``cost_side`` of it, just outside it, or anywhere nearby.
+The draws reach the edges of the domain: n log-uniform on [1e-2, 1e7]
+(and, for ``recommend_cost``, on [1e7, 1e300] too), shares down to
+1e-12 from their bounds (p_a just above 1/2), x_a within rounding of
+sqrt(2), and costs on each frontier, within the relative slack of
+``cost_side`` of it, just outside it, or anywhere nearby.
 
 The paper's claim is checked by an independent route: outside the
 coin-toss window every equilibrium elects A.  A label of A must show a
@@ -57,10 +58,12 @@ def _near_bounds(lo: float, hi: float):
 
 
 @st.composite
-def electorates(draw):
+def electorates(draw, far=False):
     p = draw(_near_bounds(0.0, 1.0))
     p_a = draw(_near_bounds(0.5, 1.0))
-    if draw(st.booleans()):
+    if far:
+        n = 10.0 ** draw(st.floats(7.0, 300.0))
+    elif draw(st.booleans()):
         n = 10.0 ** draw(st.floats(-2.0, 7.0))
     else:  # x_a = n p p_a within 1e-3 of sqrt(2), down to rounding
         rel = draw(st.one_of(st.floats(-1e-3, 1e-3), st.sampled_from([0.0, 1e-15, -1e-15])))
@@ -70,9 +73,9 @@ def electorates(draw):
 
 
 @st.composite
-def frontier_costs(draw):
+def frontier_costs(draw, far=False):
     """An electorate and a cost on, near or around one of its frontiers."""
-    params = draw(electorates())
+    params = draw(electorates(far))
     log_f = float(log_frontiers(params.n, params.p, params.p_a)[draw(st.integers(0, 3))])
     offset = draw(
         st.one_of(
@@ -99,6 +102,7 @@ def test_classify_invariants(point):
     if report.case_index != 0:
         assert report.avoid == (report.case_index == 2)
     for eq in report.equilibria:
+        assert (eq.winner.value == "tie_in_expectation") == (eq.kind.value == "coin_toss"), eq
         assert relative_residual(params, eq, c) <= RESIDUAL_BOUND, eq
         a_wins, b_wins = _win_probabilities(params, eq.strategies)
         equal = abs(a_wins - b_wins) <= SKELLAM_RESOLUTION * max(a_wins, b_wins)
@@ -109,7 +113,7 @@ def test_classify_invariants(point):
             assert report.case_index in (0, 2), report
 
 
-@given(frontier_costs())
+@given(st.one_of(frontier_costs(), frontier_costs(far=True)))
 def test_recommended_cost_is_safe(point):
     params, c = point
     out = recommend_cost(params, c)
