@@ -25,7 +25,11 @@ offset from {0, +-1e-13, +-1e-9}, and classifies the cost f e^offset
     path_mismatch   points whose four log frontiers from a scalar n
                     (the float path ``thresholds`` takes) differ from
                     those from a 1-element array n (the array path
-                    ``sweep_bounds`` takes), compared with ==
+                    ``sweep_bounds`` takes), or whose four linear
+                    frontiers from ``thresholds`` differ from the
+                    ``sweep_bounds`` columns at n on the grid
+                    (n/2, n, 2n), less its points outside the domain;
+                    all compared with ==
     empty           reports that list no equilibrium (every Poisson
                     game has one)
     missing         equilibria that the grid scan of all nine support
@@ -60,7 +64,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from residuals import RESIDUAL_BOUND, relative_residual  # noqa: E402
 from support_scan import scan  # noqa: E402
-from votecost import ElectorateParams, classify, log_frontiers, log_h  # noqa: E402
+from votecost import (  # noqa: E402
+    DomainError,
+    ElectorateParams,
+    SweepSpec,
+    classify,
+    log_frontiers,
+    log_h,
+    sweep_bounds,
+    thresholds,
+)
+from votecost.regime import THRESHOLD_NAMES  # noqa: E402
 
 OFFSETS = (0.0, 1e-13, -1e-13, 1e-9, -1e-9)
 PROFILES = ("interior", "bounds", "far")  # the index of each is its RNG stream
@@ -73,6 +87,26 @@ def _share(rng: np.random.Generator, lo: float, hi: float, profile: str) -> floa
         return float(rng.uniform(lo + 0.01, hi - 0.01))
     gap = 10.0 ** rng.uniform(-12.0, -1.0)
     return float(lo + gap if rng.random() < 0.5 else hi - gap)
+
+
+def _in_domain(n: float, params: ElectorateParams) -> bool:
+    try:
+        ElectorateParams(n=n, p=params.p, p_a=params.p_a)
+    except DomainError:
+        return False
+    return True
+
+
+def _paths_differ(params: ElectorateParams, log_fs: np.ndarray) -> bool:
+    """Whether the float and array paths disagree in a log or a linear frontier."""
+    n, p, p_a = params.n, params.p, params.p_a
+    grid = tuple(m for m in (n / 2.0, n, 2.0 * n) if _in_domain(m, params))
+    columns = sweep_bounds(SweepSpec(p=p, p_a=p_a, n_grid=grid)).columns
+    ts = thresholds(params)
+    return not (
+        np.array_equal(log_fs, log_frontiers(np.array([n]), p, p_a)[:, 0])
+        and all(columns[q][grid.index(n)] == getattr(ts, q) for q in THRESHOLD_NAMES)
+    )
 
 
 def _turnouts_and_gains(params: ElectorateParams, alpha_a: float, alpha_b: float):
@@ -108,9 +142,7 @@ def run(points: int, profile: str, seed: int) -> dict[str, float]:
         if not (c >= sys.float_info.min):
             continue
         counts["points"] += 1
-        counts["path_mismatch"] += not np.array_equal(
-            log_fs, log_frontiers(np.array([params.n]), params.p, params.p_a)[:, 0]
-        )
+        counts["path_mismatch"] += _paths_differ(params, log_fs)
         try:
             report = classify(params, c)
         except Exception as exc:  # every raise is a finding

@@ -2,9 +2,10 @@
 
 Leading large-argument terms of the kernels, the damped slope probe of
 ``h`` with its domain checks, the tie rule of the brute-force sums, and
-the brute-force utility of voting or abstaining.  The slope probe wraps
-the package's ``_i_sign_core``, and the utility reads the oracle's
-``_total_pmfs``, so their tests exercise the code the package runs.
+the brute-force utility of voting or abstaining with the Nash deviation
+gain read from it.  The slope probe wraps the package's
+``_i_sign_core``, and the utility reads the oracle's ``_total_pmfs``, so
+their tests exercise the code the package runs.
 """
 
 import math
@@ -99,3 +100,23 @@ def utility_bruteforce(
     at = np.where(m < len(other), other[np.minimum(m, len(other) - 1)], 0.0)
     value = float(np.dot(own, below + 0.5 * at))
     return value - (c if vote else 0.0)
+
+
+def nash_deviation_gain(params, s, c: float, side: str) -> float:
+    """What a ``side`` supporter gains by deviating from strategy pair ``s``.
+
+    Read from the brute-force utilities of voting and abstaining, so it is
+    0 at a Nash equilibrium up to the root's tolerance and the sums'
+    rounding (about 1e-15 absolute).
+    """
+    y_a = params.m_a * s.alpha_a
+    y_b = params.m_b * s.alpha_b
+    d = utility_bruteforce(side, 1, params.x_a, params.x_b, y_a, y_b, c) - utility_bruteforce(
+        side, 0, params.x_a, params.x_b, y_a, y_b, c
+    )
+    alpha = s.alpha_a if side == "A" else s.alpha_b
+    if alpha == 0.0:
+        return max(d, 0.0)  # only switching to voting could profit
+    if alpha == 1.0:
+        return max(-d, 0.0)  # only abstaining could profit
+    return abs(d)  # mixing requires exact indifference

@@ -7,7 +7,7 @@ criteria execute.
 import math
 
 import numpy as np
-from reference_fns import utility_bruteforce
+from reference_fns import nash_deviation_gain
 from series_oracle import bessel_i0, bessel_i1, hyp0f1_1, hyp0f1_2
 
 from votecost.cli import standard_verify_rows
@@ -182,20 +182,6 @@ def test_criterion_5_regime_consistency():
         f"ordering at reference points: {ordering_ok}",
     )
     assert ok, mismatch[:3]
-
-
-def nash_deviation_gain(params, s, c, side):
-    y_a = params.m_a * s.alpha_a
-    y_b = params.m_b * s.alpha_b
-    d = utility_bruteforce(side, 1, params.x_a, params.x_b, y_a, y_b, c) - utility_bruteforce(
-        side, 0, params.x_a, params.x_b, y_a, y_b, c
-    )
-    alpha = s.alpha_a if side == "A" else s.alpha_b
-    if alpha == 0.0:
-        return max(d, 0.0)  # only switching to voting could profit
-    if alpha == 1.0:
-        return max(-d, 0.0)  # only abstaining could profit
-    return abs(d)  # mixing requires exact indifference
 
 
 def test_criterion_6_nash_verification():

@@ -15,6 +15,10 @@ does not import.  Both probabilities are read from the cdf at -1, the
 means swapped for P(T_A > T_B): scipy's survival function is off by
 up to 3e-4 relative at means of 1e-13, where the cdf is not.
 Probabilities within SKELLAM_RESOLUTION of each other count as equal.
+
+At n <= 60, where a brute-force Poisson sum is cheap, every listed
+equilibrium is also certified by brute force: no side gains more than
+RESIDUAL_BOUND times the cost by deviating (``nash_deviation_gain``).
 """
 
 import math
@@ -24,11 +28,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import skellam
 
+from reference_fns import nash_deviation_gain
 from residuals import RESIDUAL_BOUND, relative_residual
 from votecost import (
     DomainError,
     ElectorateParams,
+    EquilibriumKind,
     classify,
+    enumerate_equilibria,
     log_frontiers,
     recommend_cost,
 )
@@ -58,24 +65,24 @@ def _near_bounds(lo: float, hi: float):
 
 
 @st.composite
-def electorates(draw, far=False):
+def electorates(draw, far=False, log_n_max=7.0):
     p = draw(_near_bounds(0.0, 1.0))
     p_a = draw(_near_bounds(0.5, 1.0))
     if far:
         n = 10.0 ** draw(st.floats(7.0, 300.0))
     elif draw(st.booleans()):
-        n = 10.0 ** draw(st.floats(-2.0, 7.0))
+        n = 10.0 ** draw(st.floats(-2.0, log_n_max))
     else:  # x_a = n p p_a within 1e-3 of sqrt(2), down to rounding
         rel = draw(st.one_of(st.floats(-1e-3, 1e-3), st.sampled_from([0.0, 1e-15, -1e-15])))
         n = SQRT2 * (1.0 + rel) / (p * p_a)
-        assume(1e-2 <= n <= 1e7)
+        assume(1e-2 <= n <= 10.0**log_n_max)
     return ElectorateParams(n=n, p=p, p_a=p_a)
 
 
 @st.composite
-def frontier_costs(draw, far=False):
+def frontier_costs(draw, far=False, log_n_max=7.0):
     """An electorate and a cost on, near or around one of its frontiers."""
-    params = draw(electorates(far))
+    params = draw(electorates(far, log_n_max))
     log_f = float(log_frontiers(params.n, params.p, params.p_a)[draw(st.integers(0, 3))])
     offset = draw(
         st.one_of(
@@ -111,6 +118,26 @@ def test_classify_invariants(point):
         else:
             assert equal, eq
             assert report.case_index in (0, 2), report
+
+
+def test_bruteforce_certifies_every_listed_equilibrium():
+    """At n <= 60 no side of a listed equilibrium gains by deviating."""
+    kinds = set()
+
+    @given(frontier_costs(log_n_max=math.log10(60.0)))
+    def certify(point):
+        params, c = point
+        # below 1e-6 the brute-force sums' rounding of u(1) - u(0), about
+        # 1e-15, exceeds RESIDUAL_BOUND * c
+        assume(c >= 1e-6)
+        for eq in enumerate_equilibria(params, c):
+            kinds.add(eq.kind)
+            for side in ("A", "B"):
+                gain = nash_deviation_gain(params, eq.strategies, c, side)
+                assert gain <= RESIDUAL_BOUND * c, (params, c, eq, side, gain)
+
+    certify()
+    assert kinds == set(EquilibriumKind), kinds
 
 
 @given(st.one_of(frontier_costs(), frontier_costs(far=True)))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from residuals import RESIDUAL_BOUND, relative_residual
 from support_scan import scan
@@ -20,7 +22,8 @@ from votecost.errors import DomainError
 from votecost.pivot import ElectorateParams, StrategyPair, log_frontiers, thresholds
 from votecost.regime import (
     SweepSpec,
-    _decrease_onset,
+    THRESHOLD_NAMES,
+    _decrease_onsets,
     classify,
     coin_toss_interval,
     recommend_cost,
@@ -29,6 +32,34 @@ from votecost.regime import (
 
 REF = ElectorateParams(n=500, p=0.2, p_a=0.6)
 REF_TS = thresholds(REF)
+
+
+def reference_onset(col):
+    """The decrease onset of one sweep column, step by step."""
+    positive = np.nonzero(col > 0.0)[0]
+    end = min(len(col), int(positive[-1]) + 2) if len(positive) else 1
+    onset = 0
+    for i in range(end - 1):
+        if col[i + 1] >= col[i]:
+            onset = i + 1
+    return onset
+
+
+@st.composite
+def sweep_specs(draw):
+    """Shares, a strictly increasing grid of 1-300 points on [1e-2, 1e9], quantities."""
+    if draw(st.booleans()):  # scattered points
+        points = [10.0**e for e in draw(st.lists(st.floats(-2.0, 9.0), min_size=1, max_size=300))]
+    else:  # an even log grid, as the CLI makes
+        lo, hi = sorted(draw(st.lists(st.floats(-2.0, 9.0), min_size=2, max_size=2)))
+        points = np.geomspace(10.0**lo, 10.0**hi, draw(st.integers(1, 300))).tolist()
+    grid = tuple(sorted(set(points)))
+    quantities = draw(
+        st.lists(st.sampled_from(THRESHOLD_NAMES), min_size=1, max_size=4, unique=True)
+    )
+    p = draw(st.floats(1e-6, 1.0 - 1e-6))
+    p_a = draw(st.floats(0.5 + 1e-6, 1.0 - 1e-6))
+    return SweepSpec(p=p, p_a=p_a, n_grid=grid, quantities=tuple(quantities))
 
 
 def case_costs(ts):
@@ -424,26 +455,34 @@ class TestSweep:
                 assert (log_frontiers(n, p, p_a) == logs[:, i]).all(), (n, p, p_a)
 
     def test_decrease_onset_matches_reference_loop(self):
-        def reference(col):
-            positive = np.nonzero(col > 0.0)[0]
-            end = min(len(col), int(positive[-1]) + 2) if len(positive) else 1
-            onset = 0
-            for i in range(end - 1):
-                if col[i + 1] >= col[i]:
-                    onset = i + 1
-            return onset
-
         rng = np.random.default_rng(7)
         cols = [
             np.array([0.5]),
+            np.array([0.0]),
             np.zeros(4),
             np.array([3.0, 2.0, 1.0, 0.0, 0.0]),
             np.array([1.0, 2.0, 1.0, 0.0]),
             np.array([1.0, 1.0, 0.5, 0.25]),
             np.array([0.0, 0.0, 1.0, 0.5, 0.0, 0.0]),
+            np.array([1e-300, 5e-324, 5e-324, 0.0, 0.0]),
         ] + [np.where(rng.random(12) < 0.3, 0.0, rng.random(12)) for _ in range(200)]
         for col in cols:
-            assert _decrease_onset(col) == reference(col)
+            assert _decrease_onsets(col[None, :]) == [reference_onset(col)], col
+        # the rows of one block do not see each other
+        block = np.stack(cols[-200:])
+        assert _decrease_onsets(block) == [reference_onset(col) for col in block]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(sweep_specs())
+    def test_sweep_matches_thresholds_and_reference_onsets(self, spec):
+        table = sweep_bounds(spec)
+        assert list(table.columns) == list(table.onset) == list(spec.quantities)
+        for i, n in enumerate(spec.n_grid):
+            ts = thresholds(ElectorateParams(n=n, p=spec.p, p_a=spec.p_a))
+            for name, col in table.columns.items():
+                assert col[i] == getattr(ts, name), (n, spec, name)
+        for name, col in table.columns.items():
+            assert table.onset[name] == reference_onset(col), (spec, name)
 
     def test_columns_finite_positive_eventually_decreasing(self):
         grid = tuple(float(x) for x in np.geomspace(100, 1e5, 60))
