@@ -139,16 +139,20 @@ def _csv_field(text: str) -> str:
 def _csv_column(cells: tuple) -> list[str]:
     """The CSV text of one column's cells, by the per-cell rule.
 
-    A column of plain floats formats its distinct non-zero values in one
-    ``%`` and splits the text; each value prints as ``"%.17g" % x`` does
-    alone.
+    A column of plain floats is formatted in one ``%`` with ``"%.17g\n"``
+    repeated, and the text split; each value prints as ``"%.17g" % x``
+    does alone.  When at most half its cells are distinct, only the
+    distinct non-zero values are formatted and the rest looked up.
     """
     kinds = set(map(type, cells))
     if kinds == {float}:
-        # verify's float columns hold about 4,000 distinct values in 16,200
-        # cells: format each once.  0.0 and -0.0 are equal and would share a
-        # key, so zeros are formatted per cell; float text needs no quotes.
-        keys = [x for x in set(cells) if x]
+        distinct = set(cells)
+        if 2 * len(distinct) > len(cells):
+            # verify's closed_form and brute_force columns
+            return (("%.17g\n" * len(cells)) % cells).split("\n")[:-1]
+        # float text needs no quotes.  0.0 and -0.0 are equal and would
+        # share a key, so zeros are formatted per cell.
+        keys = [x for x in distinct if x]
         memo = dict(zip(keys, (("%.17g\n" * len(keys)) % tuple(keys)).split("\n")))
         return [memo[x] if x else _fmt_cell(x) for x in cells]
     if kinds == {str}:
@@ -179,7 +183,7 @@ class VerifyRow:
     """One closed-form vs brute-force comparison of the `verify` grid."""
 
     # not frozen: building the 1,800 rows of a verify run costs ~5.8 ms
-    # frozen and ~1.0 ms plain (2-vCPU Xeon, Python 3.11), against ~25 ms
+    # frozen and ~1.0 ms plain (2-vCPU Xeon, Python 3.11), against ~19 ms
     # for the whole run
     n: float
     p: float
@@ -199,24 +203,27 @@ def standard_verify_rows(cfg: OracleConfig) -> list[VerifyRow]:
     pairs = [StrategyPair(alpha_a, alpha_b) for alpha_a, alpha_b in alphas]
     points = list(product(VERIFY_GRID_N, VERIFY_GRID_P, VERIFY_GRID_PA))
     sides = ("A", "B")
-    # the columns of every row, in the order of product(points, pairs, sides)
-    closed, gains, bounds = [], [], []
-    for n, p, p_a in points:
-        params = ElectorateParams(n=n, p=p, p_a=p_a)
-        y_a = [params.m_a * alpha_a for alpha_a in VERIFY_GRID_ALPHA]
-        y_b = [params.m_b * alpha_b for alpha_b in VERIFY_GRID_ALPHA]
-        # one brute-force call per electorate and one closed-form call per
-        # strategy pair and side; the gains come per strategy pair, side A
-        # then side B
-        brute = pivot_gain_bruteforce(params.x_a, params.x_b, y_a, y_b, sides, cfg)
-        gains += brute.value
-        bounds += [brute.error_bound] * len(brute.value)
-        closed += [r for s in pairs for r in (r1_closed(params, s), r2_closed(params, s))]
+    grid = [ElectorateParams(n=n, p=p, p_a=p_a) for n, p, p_a in points]
+    # one brute-force call over every electorate, and one closed-form call
+    # per strategy pair and side; each electorate's gains come per strategy
+    # pair, side A then side B, in the order of product(points, pairs, sides)
+    brute = pivot_gain_bruteforce(
+        [params.x_a for params in grid],
+        [params.x_b for params in grid],
+        [[params.m_a * alpha_a for alpha_a in VERIFY_GRID_ALPHA] for params in grid],
+        [[params.m_b * alpha_b for alpha_b in VERIFY_GRID_ALPHA] for params in grid],
+        sides,
+        cfg,
+    )
+    gains = [gain for electorate in brute.value for gain in electorate]
+    closed = [
+        r for params in grid for s in pairs for r in (r1_closed(params, s), r2_closed(params, s))
+    ]
     keys = product(points, [(*alpha, side) for alpha in alphas for side in sides])
+    bound = brute.error_bound
     return [
         VerifyRow(n, p, p_a, alpha_a, alpha_b, side, c, g, abs(c - g), bound)
-        for ((n, p, p_a), (alpha_a, alpha_b, side)), c, g, bound
-        in zip(keys, closed, gains, bounds)
+        for ((n, p, p_a), (alpha_a, alpha_b, side)), c, g in zip(keys, closed, gains)
     ]
 
 

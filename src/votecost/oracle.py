@@ -20,15 +20,16 @@ the same finitely many terms, not a distributional identity.  K comes
 from the inverse Poisson cdf ``pdtrik`` and the pmfs from ``gammaln``
 (``scipy.special``), by the same formulas as ``scipy.stats.poisson``'s
 ``ppf`` and ``pmf``.  One call may take sequences of voter means and
-sides, so ``verify`` makes one call per electorate.  It evaluates every
+sides, and sequences of partisan means, one electorate per entry, so
+``verify`` makes one call for its whole grid.  It evaluates every
 truncation index in one ``pdtrik``/``pdtr`` pass and every pmf vector
 in one ``xlogy - gammaln - mean`` pass over each mean's own range 0..K,
-builds each side total once and copies it once into a zero-padded row.
-Each own-side total then takes its gains against every other-side row,
-at shifts 0 and 1, in one stacked (1, n) @ (n, 1) matmul, which keeps
-``np.dot``'s bits.  An index that is not finite
-(``pdtrik`` past means of ~1e11) raises ``TruncationLimitError``.
-Nothing is kept from one call to the next.
+builds each side total once and copies it once into one zero-padded
+block.  Each own-side total then takes its gains against its
+electorate's other-side rows, at shifts 0 and 1, in one stacked
+(1, n) @ (n, 1) matmul, which keeps ``np.dot``'s bits.  An index that
+is not finite (``pdtrik`` past means of ~1e11) raises
+``TruncationLimitError``.  Nothing is kept from one call to the next.
 
 Monte Carlo.  Randomness comes from numpy's ``Generator`` over the
 ``PCG64`` bit generator seeded directly with the configured seed, so a
@@ -143,10 +144,10 @@ def _pmf_vector(means: Sequence[float], k_max: Sequence[int]) -> list[np.ndarray
     table over 0..max(k_max) for every mean could be far larger).  A zero
     mean gets 1.0 at 0 and 0.0 above, as xlogy(k, 0) is -inf for k > 0.
     """
-    lengths = np.asarray(k_max) + 1
+    lengths = np.asarray(k_max, dtype=np.int64) + 1
     ends = np.cumsum(lengths)
     # k counts from 0 within each mean's range; each range repeats its mean
-    k = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
+    k = np.arange(lengths.sum()) - np.repeat(ends - lengths, lengths)
     means = np.repeat(np.asarray(means, dtype=float), lengths)
     flat = np.exp(special.xlogy(k, means) - special.gammaln(k + 1) - means)
     bounds = ends.tolist()
@@ -167,16 +168,12 @@ def _as_list(value) -> tuple[list, bool]:
         return [value], True
 
 
-def _means(name: str, value: float | Sequence[float], one: bool = False) -> list[float]:
-    """``value``, or each mean of a sequence, checked and as plain floats.
+def _means(name: str, means: list) -> list[float]:
+    """Each of ``means``, checked and as a plain float.
 
-    With ``one``, ``value`` must be a single mean.  A mean that does not
-    compare with floats (a str, a complex, None) is rejected like a
-    negative one.
+    A mean that does not compare with floats (a str, a complex, None) is
+    rejected like a negative one.
     """
-    means, is_one = _as_list(value)
-    if one and not is_one:
-        raise DomainError(f"{name} must be one mean, got {value!r}")
     for mean in means:
         # not isinstance(mean, numbers.Real), which takes ~1 us per float on
         # CPython 3.11 with numpy loaded
@@ -189,34 +186,75 @@ def _means(name: str, value: float | Sequence[float], one: bool = False) -> list
     return [float(mean) for mean in means]
 
 
+def _grid(x_a, x_b, y_a, y_b) -> tuple[list, list, list, list, list[bool], bool]:
+    """The electorates of ``pivot_gain_bruteforce``'s means, checked.
+
+    Returns (xs_a, xs_b, ys_a, ys_b, ones, grid).  Electorate e has the
+    partisan means xs_a[e] and xs_b[e] and the lists of voter means
+    ys_a[e] and ys_b[e]; ones[e] is whether both its voter means were
+    single items.  ``grid`` is whether x_a and x_b are sequences, one
+    electorate per entry, with y_a and y_b one entry per electorate;
+    otherwise the means are those of one electorate.
+    """
+    (xs_a, one_xa), (xs_b, one_xb) = _as_list(x_a), _as_list(x_b)
+    grid = not (one_xa or one_xb)
+    if grid:
+        (entries_a, one_ya), (entries_b, one_yb) = _as_list(y_a), _as_list(y_b)
+        if one_ya or one_yb or not len(xs_a) == len(xs_b) == len(entries_a) == len(entries_b):
+            raise DomainError(
+                "x_a, x_b, y_a and y_b must be sequences of one entry per electorate, got "
+                f"{len(xs_a)}, {len(xs_b)}, {len(entries_a)} and {len(entries_b)} entries"
+            )
+    else:
+        for name, value, one in (("x_a", x_a, one_xa), ("x_b", x_b, one_xb)):
+            if not one:
+                raise DomainError(f"{name} must be one mean, got {value!r}")
+        entries_a, entries_b = [y_a], [y_b]
+    xs_a, xs_b = _means("x_a", xs_a), _means("x_b", xs_b)
+    ys_a, ys_b, ones = [], [], []
+    for entry_a, entry_b in zip(entries_a, entries_b):
+        (means_a, one_a), (means_b, one_b) = _as_list(entry_a), _as_list(entry_b)
+        ys_a.append(_means("y_a", means_a))
+        ys_b.append(_means("y_b", means_b))
+        ones.append(one_a and one_b)
+    return xs_a, xs_b, ys_a, ys_b, ones, grid
+
+
 def _total_pmfs(
-    x_a: float,
-    x_b: float,
-    y_a: float | Sequence[float],
-    y_b: float | Sequence[float],
+    xs_a: list[float],
+    xs_b: list[float],
+    ys_a: list[list[float]],
+    ys_b: list[list[float]],
     cfg: OracleConfig,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Truncated pmf vectors of the vote totals a+r and b+s, one per voter mean.
+    """Truncated pmf vectors of the vote totals a+r and b+s of every electorate.
 
-    Every check, CELL_CAP's on the largest four-index box included, runs
-    before a pmf is built.
+    The means are ``_grid``'s.  Returns the totals a+r, one per voter mean
+    of every electorate in turn, and the totals b+s likewise.  One
+    ``_upper_index`` and one ``_pmf_vector`` call cover every mean.  Every
+    check, CELL_CAP's on each electorate's largest four-index box
+    included, runs before a pmf is built.
     """
-    (x_a,), (x_b,) = _means("x_a", x_a, one=True), _means("x_b", x_b, one=True)
-    ys_a, ys_b = _means("y_a", y_a), _means("y_b", y_b)
-    means = [x_a, x_b, *ys_a, *ys_b]
+    electorates = list(zip(xs_a, xs_b, ys_a, ys_b))
+    means = [m for x_a, x_b, y_a, y_b in electorates for m in (x_a, x_b, *y_a, *y_b)]
     ks = _upper_index(means, cfg.tail_eps).tolist()
-    k_a, k_b, *ks_y = ks
-    k_r, k_s = max(ks_y[: len(ys_a)], default=0), max(ks_y[len(ys_a) :], default=0)
-    cells = (k_a + 1) * (k_b + 1) * (k_r + 1) * (k_s + 1)
-    if cells > CELL_CAP:
-        raise TruncationLimitError(
-            f"truncation box of {cells:.3g} cells exceeds CELL_CAP={CELL_CAP:.3g}"
-        )
-    partisan_a, partisan_b, *pmfs = _pmf_vector(means, ks)
-    return (
-        [np.convolve(partisan_a, pmf) for pmf in pmfs[: len(ys_a)]],
-        [np.convolve(partisan_b, pmf) for pmf in pmfs[len(ys_a) :]],
-    )
+    start = 0
+    for _, _, y_a, y_b in electorates:
+        k_a, k_b, *ks_y = ks[start : start + 2 + len(y_a) + len(y_b)]
+        start += 2 + len(ks_y)
+        k_r, k_s = max(ks_y[: len(y_a)], default=0), max(ks_y[len(y_a) :], default=0)
+        cells = (k_a + 1) * (k_b + 1) * (k_r + 1) * (k_s + 1)
+        if cells > CELL_CAP:
+            raise TruncationLimitError(
+                f"truncation box of {cells:.3g} cells exceeds CELL_CAP={CELL_CAP:.3g}"
+            )
+    pmfs = iter(_pmf_vector(means, ks))
+    totals_a, totals_b = [], []
+    for _, _, y_a, y_b in electorates:
+        partisan_a, partisan_b = next(pmfs), next(pmfs)
+        totals_a += [np.convolve(partisan_a, next(pmfs)) for _ in y_a]
+        totals_b += [np.convolve(partisan_b, next(pmfs)) for _ in y_b]
+    return totals_a, totals_b
 
 
 def _window_gains(owns: list[np.ndarray], windows: np.ndarray) -> np.ndarray:
@@ -262,35 +300,46 @@ def pivot_gain_bruteforce(
     ``itertools.product`` order, from one build of each pmf and total.
     Each own-side total takes its gains against every other-side total in
     one stacked matmul (``_window_gains``), with the bits of ``np.dot``.
+
+    ``x_a`` and ``x_b`` may both be sequences of equal length, one
+    electorate per entry.  ``y_a`` and ``y_b`` then hold one entry per
+    electorate, each a mean or a sequence of means, and ``value`` is the
+    list of what each electorate's own call returns, bit for bit.  The
+    whole grid takes one pass: see the module docstring.
     """
     cfg = cfg or DEFAULT_ORACLE_CONFIG
     sides, one_side = _as_list(side)
     for one in sides:
         if one not in _SIDES:
             raise DomainError(f"side must be one of {_SIDES}, got {one!r}")
-    (ys_a, one_a), (ys_b, one_b) = _as_list(y_a), _as_list(y_b)
-    totals_a, totals_b = _total_pmfs(x_a, x_b, ys_a, ys_b, cfg)
+    xs_a, xs_b, ys_a, ys_b, ones, grid = _grid(x_a, x_b, y_a, y_b)
+    totals_a, totals_b = _total_pmfs(xs_a, xs_b, ys_a, ys_b, cfg)
     # each total copied once into a zero-padded row one longer than the
-    # longest total
+    # longest total of the grid
     totals = totals_a + totals_b
     padded = np.zeros((len(totals), 1 + max(map(len, totals), default=0)))
     for row, total in zip(padded, totals):
         row[: len(total)] = total
     # every row at shifts 0 and 1, as views: windows[j, shift]
     windows = np.lib.stride_tricks.sliding_window_view(padded, padded.shape[1] - 1, axis=1)
-    windows_a, windows_b = windows[: len(totals_a)], windows[len(totals_a) :]
-    # table[i, j, k]: the gain of the k-th side at the i-th y_a and j-th y_b
-    table = np.empty((len(totals_a), len(totals_b), len(sides)))
-    for k, one in enumerate(sides):
-        if one == "A":
-            table[..., k] = _window_gains(totals_a, windows_b)
-        else:
-            # side B's own totals index the rows, so its gains are transposed
-            table[..., k] = _window_gains(totals_b, windows_a).T
-    gains = table.ravel().tolist()
-    if one_side and one_a and one_b:
-        gains = gains[0]
-    return BruteForceGain(value=gains, error_bound=4.0 * cfg.tail_eps)
+    values = []
+    # rows start_a.. and start_b.. hold this electorate's totals a+r and b+s
+    start_a, start_b = 0, len(totals_a)
+    for means_a, means_b, one in zip(ys_a, ys_b, ones):
+        rows_a = slice(start_a, start_a + len(means_a))
+        rows_b = slice(start_b, start_b + len(means_b))
+        start_a, start_b = rows_a.stop, rows_b.stop
+        # table[i, j, k]: the gain of the k-th side at the i-th y_a and j-th y_b
+        table = np.empty((len(means_a), len(means_b), len(sides)))
+        for k, own_side in enumerate(sides):
+            if own_side == "A":
+                table[..., k] = _window_gains(totals[rows_a], windows[rows_b])
+            else:
+                # side B's own totals index the rows, so its gains are transposed
+                table[..., k] = _window_gains(totals[rows_b], windows[rows_a]).T
+        gains = table.ravel().tolist()
+        values.append(gains[0] if one_side and one else gains)
+    return BruteForceGain(value=values if grid else values[0], error_bound=4.0 * cfg.tail_eps)
 
 
 @dataclass(frozen=True)

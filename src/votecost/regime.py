@@ -231,6 +231,10 @@ class SweepSpec:
         unknown = set(self.quantities) - set(THRESHOLD_NAMES)
         if unknown:
             raise DomainError(f"unknown sweep quantities: {sorted(unknown)}")
+        # a repeat would print its CSV column twice and its JSON column once
+        repeated = {q for q in self.quantities if self.quantities.count(q) > 1}
+        if repeated:
+            raise DomainError(f"repeated sweep quantities: {sorted(repeated)}")
         # parameter validity is delegated to ElectorateParams; the grid
         # increases strictly, so its two ends bound every point
         ElectorateParams(n=self.n_grid[0], p=self.p, p_a=self.p_a)

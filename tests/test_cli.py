@@ -18,6 +18,7 @@ from votecost.cli import (
     EXIT_OK,
     EXIT_TOLERANCE,
     EXIT_VALIDATION,
+    _csv_column,
     _csv_schema,
     _csv_text,
     _fmt_cell,
@@ -195,6 +196,23 @@ class TestSweepVerb:
         assert doc["error"]["type"] == "DomainError"
         assert "nope" in doc["error"]["message"]
         assert doc["params"] is None
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_repeated_quantity_is_validation_error(self, fmt):
+        # the CSV used to print the column twice and the JSON once
+        status, text = run_cli(
+            ["sweep", "--p", "0.2", "--pa", "0.6", "--n-min", "100",
+             "--n-max", "1000", "--points", "3", "--quantities", "ct_upper,ct_upper",
+             "--format", fmt]
+        )
+        assert status == EXIT_VALIDATION
+        message = "repeated sweep quantities: ['ct_upper']"
+        if fmt == "json":
+            doc = json.loads(text)
+            assert doc["error"] == {"type": "DomainError", "message": message}
+            assert doc["params"] is None
+        else:
+            assert text == f"error: DomainError: {message}\n"
 
     @pytest.mark.parametrize("n_min, n_max", [("nan", "100"), ("10", "inf"), ("100", "10")])
     def test_bad_population_range_is_validation_error(self, n_min, n_max):
@@ -491,6 +509,30 @@ class TestCsvText:
         assert column[:10] == ["0", "-0", "nan", "nan", "inf", "-inf",
                                "4.9406564584124654e-324", "-4.9406564584124654e-324",
                                "2.5000000000000171e-310", "1e-300"]
+
+    @staticmethod
+    def distinct_floats():
+        # mostly distinct, as verify's closed_form and brute_force columns:
+        # 0.0 before -0.0, two NaN objects, one of them twice, both
+        # infinities and subnormals among 600 random values
+        rng = np.random.default_rng(20240718)
+        magnitudes = 10.0 ** rng.uniform(-320.0, 308.0, size=600)
+        values = (magnitudes * rng.choice([-1.0, 1.0], size=600)).tolist()
+        nan = float("nan")
+        values += [0.0, -0.0, nan, float("nan"), nan, math.inf, -math.inf,
+                   5e-324, -5e-324, 2.5e-310, -0.0, 0.0]
+        return [values[k] for k in rng.permutation(len(values)).tolist()]
+
+    def test_float_column_cells(self):
+        # each cell prints as "%.17g" % x alone, on both sides of the
+        # half-distinct line that picks between the two ways of formatting
+        distinct = self.distinct_floats()
+        repeated = self.long_floats()
+        assert 2 * len(set(distinct)) > len(distinct)
+        assert 2 * len(set(repeated)) <= len(repeated)
+        half = [0.0, -0.0, 1.0, 1.0]
+        for cells in (distinct, repeated, half, half[1:], [-0.0], [5e-324, 5e-324]):
+            assert _csv_column(tuple(cells)) == ["%.17g" % x for x in cells], cells[:4]
 
     @pytest.mark.parametrize("header", [TYPED_HEADER, HEADER, [""]])
     def test_zero_rows(self, header):

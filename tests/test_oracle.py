@@ -9,11 +9,12 @@ from reference_fns import tie_rule, utility_bruteforce
 from scipy import stats
 
 from votecost import oracle
-from votecost.cli import VERIFY_GRID_N, VERIFY_GRID_P, VERIFY_GRID_PA
+from votecost.cli import VERIFY_GRID_ALPHA, VERIFY_GRID_N, VERIFY_GRID_P, VERIFY_GRID_PA
 from votecost.equilibria import solve_coin_toss
 from votecost.errors import DomainError, TruncationLimitError
 from votecost.oracle import (
     OracleConfig,
+    _grid,
     _pmf_vector,
     _poisson_pivot,
     _total_pmfs,
@@ -105,7 +106,7 @@ class TestBruteForce:
     def padded_gain(x_a, x_b, y_a, y_b, side, cfg):
         # the reference: the other total always copied into a zero-padded
         # vector of length n + 1, whatever its length
-        (dist_a,), (dist_b,) = _total_pmfs(x_a, x_b, y_a, y_b, cfg)
+        (dist_a,), (dist_b,) = _total_pmfs(*_grid(x_a, x_b, y_a, y_b)[:4], cfg)
         own, other = (dist_a, dist_b) if side == "A" else (dist_b, dist_a)
         n = len(own)
         other_pad = np.zeros(n + 1)
@@ -122,7 +123,7 @@ class TestBruteForce:
         # len(other) - len(own): below 0, 0, 1 and above 1 all occur
         seen = set()
         for point in means:
-            (dist_a,), (dist_b,) = _total_pmfs(*point, cfg)
+            (dist_a,), (dist_b,) = _total_pmfs(*_grid(*point)[:4], cfg)
             for side in ("A", "B"):
                 own, other = (dist_a, dist_b) if side == "A" else (dist_b, dist_a)
                 seen.add(min(max(len(other) - len(own), -1), 2))
@@ -249,6 +250,128 @@ class TestBruteForce:
         assert len(built) == 1
 
 
+class TestGrid:
+    """Sequences for x_a and x_b: one electorate per entry, in one pass."""
+
+    @staticmethod
+    def count_pmf_builds(monkeypatch):
+        built, build = [], oracle._pmf_vector
+        monkeypatch.setattr(
+            oracle, "_pmf_vector", lambda *args: built.append(args) or build(*args)
+        )
+        return built
+
+    @pytest.mark.parametrize("tail_eps", [1e-13, 1e-10, 1e-7])
+    def test_verify_grid_matches_per_electorate_calls(self, tail_eps, monkeypatch):
+        cfg = OracleConfig(tail_eps=tail_eps)
+        grid = [
+            ElectorateParams(n=n, p=p, p_a=p_a)
+            for n, p, p_a in itertools.product(VERIFY_GRID_N, VERIFY_GRID_P, VERIFY_GRID_PA)
+        ]
+        ys_a = [[e.m_a * alpha for alpha in VERIFY_GRID_ALPHA] for e in grid]
+        ys_b = [[e.m_b * alpha for alpha in VERIFY_GRID_ALPHA] for e in grid]
+        want = [
+            pivot_gain_bruteforce(e.x_a, e.x_b, y_a, y_b, ("A", "B"), cfg).value
+            for e, y_a, y_b in zip(grid, ys_a, ys_b)
+        ]
+        built = self.count_pmf_builds(monkeypatch)
+        got = pivot_gain_bruteforce(
+            [e.x_a for e in grid], [e.x_b for e in grid], ys_a, ys_b, ("A", "B"), cfg
+        )
+        assert len(built) == 1
+        assert got.value == want
+        assert got.error_bound == 4.0 * tail_eps
+
+    @pytest.mark.parametrize("tail_eps", [1e-13, 1e-9])
+    def test_random_electorates_match_per_electorate_calls(self, tail_eps, monkeypatch):
+        # every electorate its own form: one voter mean or a sequence of 0-3
+        # per side; the block is as wide as the longest total of the grid
+        cfg = OracleConfig(tail_eps=tail_eps)
+        rng = np.random.default_rng(20240717)
+        seen = set()
+        for trial in range(8):
+            size = int(rng.integers(1, 40))
+            xs = 10.0 ** rng.uniform(-3.0, 1.7, size=(size, 2))
+            xs[rng.random(size=(size, 2)) < 0.1] = 0.0
+            ys = [[], []]
+            for _ in range(size):
+                for side_ys in ys:
+                    count = int(rng.integers(-1, 4))
+                    means = 10.0 ** rng.uniform(-3.0, 1.7, size=max(count, 1))
+                    means[rng.random(size=len(means)) < 0.1] = 0.0
+                    side_ys.append(float(means[0]) if count < 0 else means[:count].tolist())
+            sides = [("A", "B"), ("B",), "A", "B"][trial % 4]
+            want = []
+            for (x_a, x_b), y_a, y_b in zip(xs.tolist(), *ys):
+                want.append(pivot_gain_bruteforce(x_a, x_b, y_a, y_b, sides, cfg).value)
+                totals_a, totals_b = _total_pmfs(*_grid(x_a, x_b, y_a, y_b)[:4], cfg)
+                for own, other in itertools.chain(
+                    itertools.product(totals_a, totals_b), itertools.product(totals_b, totals_a)
+                ):
+                    seen.add(min(max(len(other) - len(own), -1), 2))
+            built = self.count_pmf_builds(monkeypatch)
+            got = pivot_gain_bruteforce(xs[:, 0].tolist(), xs[:, 1], *ys, sides, cfg)
+            assert len(built) == 1
+            assert got.value == want, trial
+            assert [type(v) for v in got.value] == [type(v) for v in want]
+            monkeypatch.undo()
+        # len(other) - len(own): below 0, 0, 1 and above 1 all occur
+        assert seen == {-1, 0, 1, 2}
+
+    def test_empty_grid(self):
+        assert pivot_gain_bruteforce([], [], [], [], ("A", "B")).value == []
+
+    @pytest.mark.parametrize(
+        "x_a, x_b, y_a, y_b",
+        [
+            ([1.0, 2.0], [1.0], [1.0, 2.0], [1.0, 2.0]),
+            ([1.0], [1.0, 2.0], [1.0], [1.0]),
+            ([1.0, 2.0], [1.0, 2.0], [1.0], [1.0, 2.0]),
+            ([1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [[1.0], [2.0], [3.0]]),
+            ([1.0], [1.0], 1.0, [1.0]),
+            ([1.0], [1.0], [1.0], [2.0, 3.0]),
+        ],
+    )
+    def test_unequal_lengths(self, x_a, x_b, y_a, y_b, monkeypatch):
+        built = self.count_pmf_builds(monkeypatch)
+        with pytest.raises(DomainError, match=" one entry per electorate, got "):
+            pivot_gain_bruteforce(x_a, x_b, y_a, y_b, ("A", "B"))
+        assert built == []
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_any_electorate_raises_before_a_pmf_is_built(self, where, monkeypatch):
+        tail_eps = 1e-13
+        cfg = OracleConfig(tail_eps=tail_eps)
+        built = self.count_pmf_builds(monkeypatch)
+
+        def means(slot, bad):
+            # five electorates of means 1.0, the one at ``where`` with ``bad``
+            grid = [[1.0] * 5, [1.0] * 5, [[1.0, 0.5]] * 5, [1.0] * 5]
+            grid[slot] = list(grid[slot])
+            grid[slot][where] = bad if slot != 2 else [0.5, bad]
+            return grid
+
+        for slot, name in enumerate(["x_a", "x_b", "y_a", "y_b"]):
+            with pytest.raises(TruncationLimitError, match="Poisson mean 100000000000000.0 "):
+                pivot_gain_bruteforce(*means(slot, 1e14), ("A", "B"), cfg)
+            with pytest.raises(DomainError, match=f"^{name} must be a finite mean >= 0, got "):
+                pivot_gain_bruteforce(*means(slot, math.nan), ("A", "B"), cfg)
+        # only the electorate with a mean of 50 breaks the cap
+        k_one, k_big = _upper_index([1.0, 50.0], tail_eps).tolist()
+        monkeypatch.setattr(oracle, "CELL_CAP", (k_one + 1) ** 3 * (k_big + 1))
+        for slot in range(4):
+            pivot_gain_bruteforce(*means(slot, 50.0), ("A", "B"), cfg)
+        # the cap holds per electorate, not for the grid's largest indices
+        spread = means(0, 50.0)
+        spread[3] = [50.0 if e == (where + 1) % 5 else 1.0 for e in range(5)]
+        pivot_gain_bruteforce(*spread, ("A", "B"), cfg)
+        monkeypatch.setattr(oracle, "CELL_CAP", (k_one + 1) ** 3 * (k_big + 1) - 1)
+        for slot in range(4):
+            with pytest.raises(TruncationLimitError, match="exceeds CELL_CAP"):
+                pivot_gain_bruteforce(*means(slot, 50.0), ("A", "B"), cfg)
+        assert len(built) == 5
+
+
 # means from the smallest subnormal up to 1e5
 POISSON_MEANS = [5e-324, 1e-300, 1e-30, 1e-16, *np.logspace(-6, 5, 400)]
 
@@ -372,7 +495,7 @@ class TestTotalsMemo:
         # compares the vectors: a stale total under another tail_eps
         # can give the same gain to the last bit
         def totals(cfg):
-            (dist_a,), (dist_b,) = _total_pmfs(*self.MEANS, cfg)
+            (dist_a,), (dist_b,) = _total_pmfs(*_grid(*self.MEANS)[:4], cfg)
             return dist_a, dist_b
 
         want = totals(cfg)

@@ -1,6 +1,7 @@
 """Regime classification, the coin-toss window, and threshold sweeps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -429,6 +430,22 @@ class TestSweep:
         for bad in ((10.0, math.nan, 30.0), (10.0, math.inf), (-1.0, 10.0)):
             with pytest.raises(DomainError):
                 SweepSpec(p=0.2, p_a=0.6, n_grid=bad)
+
+    @pytest.mark.parametrize(
+        "quantities, repeated",
+        [
+            (("ct_upper", "ct_upper"), "['ct_upper']"),
+            (
+                ("pa_lower", "ct_lower", "pa_lower", "ct_lower", "ps_lower"),
+                "['ct_lower', 'pa_lower']",
+            ),
+        ],
+    )
+    def test_repeated_quantity_is_rejected(self, quantities, repeated):
+        # a repeated name would print its CSV column twice but one JSON column
+        message = f"^repeated sweep quantities: {re.escape(repeated)}$"
+        with pytest.raises(DomainError, match=message):
+            SweepSpec(p=0.2, p_a=0.6, n_grid=(10.0, 20.0), quantities=quantities)
 
     # (p, p_a, n grid): thresholds takes the float path of log_frontiers
     # and sweep_bounds the array path; the two must agree bit for bit
