@@ -205,8 +205,8 @@ def standard_verify_rows(cfg: OracleConfig) -> list[VerifyRow]:
     sides = ("A", "B")
     grid = [ElectorateParams(n=n, p=p, p_a=p_a) for n, p, p_a in points]
     # one brute-force call over every electorate, and one closed-form call
-    # per strategy pair and side; each electorate's gains come per strategy
-    # pair, side A then side B, in the order of product(points, pairs, sides)
+    # per strategy pair and side; the brute-force gains come as one flat list
+    # in the order of product(points, pairs, sides)
     brute = pivot_gain_bruteforce(
         [params.x_a for params in grid],
         [params.x_b for params in grid],
@@ -215,7 +215,6 @@ def standard_verify_rows(cfg: OracleConfig) -> list[VerifyRow]:
         sides,
         cfg,
     )
-    gains = [gain for electorate in brute.value for gain in electorate]
     closed = [
         r for params in grid for s in pairs for r in (r1_closed(params, s), r2_closed(params, s))
     ]
@@ -223,7 +222,7 @@ def standard_verify_rows(cfg: OracleConfig) -> list[VerifyRow]:
     bound = brute.error_bound
     return [
         VerifyRow(n, p, p_a, alpha_a, alpha_b, side, c, g, abs(c - g), bound)
-        for ((n, p, p_a), (alpha_a, alpha_b, side)), c, g in zip(keys, closed, gains)
+        for ((n, p, p_a), (alpha_a, alpha_b, side)), c, g in zip(keys, closed, brute.value)
     ]
 
 
@@ -299,6 +298,8 @@ def _strategy_for_simulate(
     if args.alpha_a is not None or args.alpha_b is not None:
         if args.alpha_a is None or args.alpha_b is None:
             raise DomainError("--alpha-a and --alpha-b must be given together")
+        if args.kind is not None or args.c is not None:
+            raise DomainError("--kind and --c do not apply to an explicit --alpha-a/--alpha-b pair")
         return StrategyPair(args.alpha_a, args.alpha_b), {"strategy_source": "explicit"}
     if args.kind is None:
         raise DomainError("simulate needs either --alpha-a/--alpha-b or --kind with --c")

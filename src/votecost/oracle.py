@@ -19,13 +19,12 @@ the truncated probability vectors); this is an exact reorganization of
 the same finitely many terms, not a distributional identity.  K comes
 from the inverse Poisson cdf ``pdtrik`` and the pmfs from ``gammaln``
 (``scipy.special``), by the same formulas as ``scipy.stats.poisson``'s
-``ppf`` and ``pmf``.  One call may take sequences of voter means and
-sides, and sequences of partisan means, one electorate per entry, so
-``verify`` makes one call for its whole grid.  It evaluates every
-truncation index in one ``pdtrik``/``pdtr`` pass and every pmf vector
-in one ``xlogy - gammaln - mean`` pass over each mean's own range 0..K,
-builds each side total once and copies it once into one zero-padded
-block.  Each own-side total then takes its gains against its
+``ppf`` and ``pmf``.  One call takes one electorate or a grid of them,
+so ``verify`` makes one call for its whole grid.  It evaluates every
+distinct mean's truncation index in one ``pdtrik``/``pdtr`` pass and
+every pmf vector in one ``xlogy - gammaln - mean`` pass over each mean's
+own range 0..K, builds each side total once and copies it once into one
+zero-padded block.  Each own-side total then takes its gains against its
 electorate's other-side rows, at shifts 0 and 1, in one stacked
 (1, n) @ (n, 1) matmul, which keeps ``np.dot``'s bits.  An index that
 is not finite (``pdtrik`` past means of ~1e11) raises
@@ -122,19 +121,21 @@ COUNT_LIMIT = 2**62
 def _upper_index(means: Sequence[float], tail_eps: float) -> np.ndarray:
     """Smallest K with P(Poisson(mean) > K) <= tail_eps, for each of ``means``."""
     means = np.asarray(means, dtype=float)
+    # each distinct mean once; 0.0 and -0.0 are one, both with index 0
+    distinct, where = np.unique(means, return_inverse=True)
     q = 1.0 - tail_eps
-    k = np.ceil(special.pdtrik(q, means))
+    k = np.ceil(special.pdtrik(q, distinct))
     finite = np.isfinite(k)
     if not finite.all():
         # pdtrik gives NaN past means of ~1e11, which an int cast would hide
         raise TruncationLimitError(
-            f"no finite truncation index for the Poisson mean {float(means[~finite][0])!r} "
-            f"at tail_eps={tail_eps!r}"
+            f"no finite truncation index for the Poisson mean "
+            f"{float(means[~finite[where]][0])!r} at tail_eps={tail_eps!r}"
         )
     # pdtrik inverts the cdf over continuous k, so its ceiling can land one
     # above the smallest K; the same check as scipy.stats.poisson.ppf
-    k -= (k > 0) & (special.pdtr(np.maximum(k - 1.0, 0.0), means) >= q)
-    return k.astype(np.int64)
+    k -= (k > 0) & (special.pdtr(np.maximum(k - 1.0, 0.0), distinct) >= q)
+    return k.astype(np.int64)[where]
 
 
 def _pmf_vector(means: Sequence[float], k_max: Sequence[int]) -> list[np.ndarray]:
@@ -186,40 +187,6 @@ def _means(name: str, means: list) -> list[float]:
     return [float(mean) for mean in means]
 
 
-def _grid(x_a, x_b, y_a, y_b) -> tuple[list, list, list, list, list[bool], bool]:
-    """The electorates of ``pivot_gain_bruteforce``'s means, checked.
-
-    Returns (xs_a, xs_b, ys_a, ys_b, ones, grid).  Electorate e has the
-    partisan means xs_a[e] and xs_b[e] and the lists of voter means
-    ys_a[e] and ys_b[e]; ones[e] is whether both its voter means were
-    single items.  ``grid`` is whether x_a and x_b are sequences, one
-    electorate per entry, with y_a and y_b one entry per electorate;
-    otherwise the means are those of one electorate.
-    """
-    (xs_a, one_xa), (xs_b, one_xb) = _as_list(x_a), _as_list(x_b)
-    grid = not (one_xa or one_xb)
-    if grid:
-        (entries_a, one_ya), (entries_b, one_yb) = _as_list(y_a), _as_list(y_b)
-        if one_ya or one_yb or not len(xs_a) == len(xs_b) == len(entries_a) == len(entries_b):
-            raise DomainError(
-                "x_a, x_b, y_a and y_b must be sequences of one entry per electorate, got "
-                f"{len(xs_a)}, {len(xs_b)}, {len(entries_a)} and {len(entries_b)} entries"
-            )
-    else:
-        for name, value, one in (("x_a", x_a, one_xa), ("x_b", x_b, one_xb)):
-            if not one:
-                raise DomainError(f"{name} must be one mean, got {value!r}")
-        entries_a, entries_b = [y_a], [y_b]
-    xs_a, xs_b = _means("x_a", xs_a), _means("x_b", xs_b)
-    ys_a, ys_b, ones = [], [], []
-    for entry_a, entry_b in zip(entries_a, entries_b):
-        (means_a, one_a), (means_b, one_b) = _as_list(entry_a), _as_list(entry_b)
-        ys_a.append(_means("y_a", means_a))
-        ys_b.append(_means("y_b", means_b))
-        ones.append(one_a and one_b)
-    return xs_a, xs_b, ys_a, ys_b, ones, grid
-
-
 def _total_pmfs(
     xs_a: list[float],
     xs_b: list[float],
@@ -229,11 +196,12 @@ def _total_pmfs(
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Truncated pmf vectors of the vote totals a+r and b+s of every electorate.
 
-    The means are ``_grid``'s.  Returns the totals a+r, one per voter mean
-    of every electorate in turn, and the totals b+s likewise.  One
-    ``_upper_index`` and one ``_pmf_vector`` call cover every mean.  Every
-    check, CELL_CAP's on each electorate's largest four-index box
-    included, runs before a pmf is built.
+    Electorate e has the checked partisan means xs_a[e] and xs_b[e] and
+    the lists of voter means ys_a[e] and ys_b[e].  Returns the totals a+r,
+    one per voter mean of every electorate in turn, and the totals b+s
+    likewise.  One ``_upper_index`` and one ``_pmf_vector`` call cover
+    every mean.  CELL_CAP's check on each electorate's largest four-index
+    box runs before a pmf is built.
     """
     electorates = list(zip(xs_a, xs_b, ys_a, ys_b))
     means = [m for x_a, x_b, y_a, y_b in electorates for m in (x_a, x_b, *y_a, *y_b)]
@@ -283,10 +251,10 @@ class BruteForceGain:
 
 
 def pivot_gain_bruteforce(
-    x_a: float,
-    x_b: float,
-    y_a: float | Sequence[float],
-    y_b: float | Sequence[float],
+    x_a: float | Sequence[float],
+    x_b: float | Sequence[float],
+    y_a: float | Sequence[Sequence[float]],
+    y_b: float | Sequence[Sequence[float]],
     side: str | Sequence[str] = "A",
     cfg: OracleConfig | None = None,
 ) -> BruteForceGain:
@@ -295,24 +263,38 @@ def pivot_gain_bruteforce(
     The gain from one extra own-side vote is nonzero exactly when the
     opponent total minus the own total is 0 or 1, each contributing 1/2.
 
-    Any of ``y_a``, ``y_b`` and ``side`` may be a sequence; ``value`` is
-    then the list of gains of every (y_a, y_b, side) combination in
-    ``itertools.product`` order, from one build of each pmf and total.
-    Each own-side total takes its gains against every other-side total in
-    one stacked matmul (``_window_gains``), with the bits of ``np.dot``.
-
-    ``x_a`` and ``x_b`` may both be sequences of equal length, one
-    electorate per entry.  ``y_a`` and ``y_b`` then hold one entry per
-    electorate, each a mean or a sequence of means, and ``value`` is the
-    list of what each electorate's own call returns, bit for bit.  The
-    whole grid takes one pass: see the module docstring.
+    Two forms.  For one electorate, each of the five arguments is one
+    item and ``value`` is a float.  For a grid, ``x_a`` and ``x_b`` are
+    sequences of equal length, one electorate per entry, ``y_a`` and
+    ``y_b`` hold one sequence of voter means (or one mean) per electorate,
+    and ``side`` is one side or a sequence of sides; ``value`` is one flat
+    list of gains in ``itertools.product`` order over (electorate, y_a,
+    y_b, side).  Every check runs before a pmf is built, and the whole
+    grid takes one pass: see the module docstring.
     """
     cfg = cfg or DEFAULT_ORACLE_CONFIG
-    sides, one_side = _as_list(side)
+    args = {"x_a": x_a, "x_b": x_b, "y_a": y_a, "y_b": y_b, "side": side}
+    items = {name: _as_list(value) for name, value in args.items()}
+    (xs_a, one_xa), (xs_b, one_xb), (ys_a, one_ya), (ys_b, one_yb), (sides, _) = items.values()
+    grid = not (one_xa or one_xb)
+    if grid:
+        if one_ya or one_yb or not len(xs_a) == len(xs_b) == len(ys_a) == len(ys_b):
+            raise DomainError(
+                "x_a, x_b, y_a and y_b must be sequences of one entry per electorate, got "
+                f"{len(xs_a)}, {len(xs_b)}, {len(ys_a)} and {len(ys_b)} entries"
+            )
+        ys_a, ys_b = [_as_list(means)[0] for means in ys_a], [_as_list(means)[0] for means in ys_b]
+    else:
+        for name, (_, one) in items.items():
+            if not one:
+                kind = "side" if name == "side" else "mean"
+                raise DomainError(f"{name} must be one {kind}, got {args[name]!r}")
+        ys_a, ys_b = [ys_a], [ys_b]
     for one in sides:
         if one not in _SIDES:
             raise DomainError(f"side must be one of {_SIDES}, got {one!r}")
-    xs_a, xs_b, ys_a, ys_b, ones, grid = _grid(x_a, x_b, y_a, y_b)
+    xs_a, xs_b = _means("x_a", xs_a), _means("x_b", xs_b)
+    ys_a, ys_b = [_means("y_a", means) for means in ys_a], [_means("y_b", means) for means in ys_b]
     totals_a, totals_b = _total_pmfs(xs_a, xs_b, ys_a, ys_b, cfg)
     # each total copied once into a zero-padded row one longer than the
     # longest total of the grid
@@ -325,7 +307,7 @@ def pivot_gain_bruteforce(
     values = []
     # rows start_a.. and start_b.. hold this electorate's totals a+r and b+s
     start_a, start_b = 0, len(totals_a)
-    for means_a, means_b, one in zip(ys_a, ys_b, ones):
+    for means_a, means_b in zip(ys_a, ys_b):
         rows_a = slice(start_a, start_a + len(means_a))
         rows_b = slice(start_b, start_b + len(means_b))
         start_a, start_b = rows_a.stop, rows_b.stop
@@ -337,8 +319,7 @@ def pivot_gain_bruteforce(
             else:
                 # side B's own totals index the rows, so its gains are transposed
                 table[..., k] = _window_gains(totals[rows_b], windows[rows_a]).T
-        gains = table.ravel().tolist()
-        values.append(gains[0] if one_side and one else gains)
+        values += table.ravel().tolist()
     return BruteForceGain(value=values if grid else values[0], error_bound=4.0 * cfg.tail_eps)
 
 

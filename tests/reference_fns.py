@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from votecost.errors import DomainError
-from votecost.oracle import _SIDES, DEFAULT_ORACLE_CONFIG, OracleConfig, _grid, _total_pmfs
+from votecost.oracle import _SIDES, DEFAULT_ORACLE_CONFIG, OracleConfig, _total_pmfs
 from votecost.special_fn import _i_sign_core
 
 
@@ -89,7 +89,7 @@ def utility_bruteforce(
         raise DomainError(f"vote must be 0 or 1, got {vote!r}")
     if not (c > 0.0):
         raise DomainError(f"voting cost must be > 0, got {c!r}")
-    (dist_a,), (dist_b,) = _total_pmfs(*_grid(x_a, x_b, y_a, y_b)[:4], cfg)
+    (dist_a,), (dist_b,) = _total_pmfs([x_a], [x_b], [[y_a]], [[y_b]], cfg)
     own, other = (dist_a, dist_b) if side == "A" else (dist_b, dist_a)
     n = len(own)
     # E f(T_own + vote, T_other) = sum_m own[m] (P(T_other < m + vote)

@@ -277,6 +277,23 @@ class TestSimulateVerb:
         status, _ = run_cli(self.BASE + ["--alpha-a", "0.3"])
         assert status == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "extra", [["--c", "nan"], ["--c", "0.045"], ["--kind", "coin_toss"],
+                  ["--kind", "coin_toss", "--c", "0.045"]]
+    )
+    def test_kind_or_cost_with_explicit_pair_is_validation_error(self, extra, fmt):
+        # an explicit pair fixes the strategies; --kind and --c would be ignored
+        argv = [*self.BASE, "--alpha-a", "0.5", "--alpha-b", "0.5", *extra, "--format", fmt]
+        status, text = run_cli(argv)
+        assert status == EXIT_VALIDATION
+        want = "--kind and --c do not apply to an explicit --alpha-a/--alpha-b pair"
+        if fmt == "json":
+            error = json.loads(text)["error"]
+            assert error["type"] == "DomainError" and error["message"] == want
+        else:
+            assert text == f"error: DomainError: {want}\n"
+
     def test_oracle_config_error_reports_params(self):
         argv = ["simulate", "--n", "200", "--p", "0.2", "--pa", "0.6",
                 "--seed", "-1", "--alpha-a", "0.3", "--alpha-b", "0.7"]

@@ -14,7 +14,6 @@ from votecost.equilibria import solve_coin_toss
 from votecost.errors import DomainError, TruncationLimitError
 from votecost.oracle import (
     OracleConfig,
-    _grid,
     _pmf_vector,
     _poisson_pivot,
     _total_pmfs,
@@ -83,10 +82,10 @@ class TestBruteForce:
         assert abs(total - fast.value) < 1e-12
 
     def test_one_item_or_a_sequence(self):
-        # each of y_a, y_b and side is one item (a number, a 0-d array or a
-        # str) or a sequence; the value is a float only when all three are
-        # single items, and each gain has the same bits either way (frozen
-        # at x_a, x_b, y_a, y_b = 1.3, 0.8, 2, 1.1)
+        # one electorate takes one item (a number, a 0-d array or a str) in
+        # each argument and gives a float; a grid of that one electorate
+        # gives a flat list with the same bits (frozen at x_a, x_b, y_a,
+        # y_b = 1.3, 0.8, 2, 1.1)
         gain_a, gain_b = 0.12698273960497453, 0.16478932816911307
         for y_a in (2.0, 2, np.float64(2.0), np.array(2.0)):
             for y_b in (1.1, np.float64(1.1)):
@@ -94,10 +93,10 @@ class TestBruteForce:
                     value = pivot_gain_bruteforce(1.3, 0.8, y_a, y_b, side).value
                     assert type(value) is float and value == want
         for y_a in ([2.0], (2.0,), np.array([2.0])):
-            value = pivot_gain_bruteforce(1.3, 0.8, y_a, 1.1, "A").value
+            value = pivot_gain_bruteforce([1.3], [0.8], [y_a], [[1.1]], "A").value
             assert type(value) is list and value == [gain_a]
         for side in (("A",), ("A", "B"), ["B"]):
-            value = pivot_gain_bruteforce(1.3, 0.8, 2.0, 1.1, side).value
+            value = pivot_gain_bruteforce([1.3], [0.8], [[2.0]], [[1.1]], side).value
             want = [gain_a if one == "A" else gain_b for one in side]
             assert type(value) is list and value == want
             assert all(type(gain) is float for gain in value)
@@ -106,7 +105,7 @@ class TestBruteForce:
     def padded_gain(x_a, x_b, y_a, y_b, side, cfg):
         # the reference: the other total always copied into a zero-padded
         # vector of length n + 1, whatever its length
-        (dist_a,), (dist_b,) = _total_pmfs(*_grid(x_a, x_b, y_a, y_b)[:4], cfg)
+        (dist_a,), (dist_b,) = _total_pmfs([x_a], [x_b], [[y_a]], [[y_b]], cfg)
         own, other = (dist_a, dist_b) if side == "A" else (dist_b, dist_a)
         n = len(own)
         other_pad = np.zeros(n + 1)
@@ -123,7 +122,8 @@ class TestBruteForce:
         # len(other) - len(own): below 0, 0, 1 and above 1 all occur
         seen = set()
         for point in means:
-            (dist_a,), (dist_b,) = _total_pmfs(*_grid(*point)[:4], cfg)
+            x_a, x_b, y_a, y_b = point
+            (dist_a,), (dist_b,) = _total_pmfs([x_a], [x_b], [[y_a]], [[y_b]], cfg)
             for side in ("A", "B"):
                 own, other = (dist_a, dist_b) if side == "A" else (dist_b, dist_a)
                 seen.add(min(max(len(other) - len(own), -1), 2))
@@ -164,8 +164,8 @@ class TestBruteForce:
     def test_no_finite_index_is_truncation_error(self, slot):
         # pdtrik gives NaN past means of ~1e11; cast to int, NaN would read
         # as -2**63 and pass the cell cap
-        means = [1.0, 1.0, [0.5, 1.0], 1.0]
-        means[slot] = 1e14
+        means = [[1.0], [1.0], [[0.5, 1.0]], [[1.0]]]
+        means[slot] = [1e14] if slot < 2 else [[1e14]]
         with pytest.raises(TruncationLimitError, match="Poisson mean 100000000000000.0 "):
             pivot_gain_bruteforce(*means, ("A", "B"))
         with pytest.raises(TruncationLimitError, match="Poisson mean 100000000000000.0 "):
@@ -216,7 +216,7 @@ class TestBruteForce:
             ys_b = [0.0, 1e-300, *10.0 ** rng.uniform(-3.0, top, size=2)]
             sides = [("A", "B"), ("B", "A"), ["B"], "A"][trial % 4]
             for y_a, y_b in [(ys_a, ys_b), (ys_a[1], ys_b), (ys_a, ys_b[2])]:
-                got = pivot_gain_bruteforce(x_a, x_b, y_a, y_b, sides, cfg)
+                got = pivot_gain_bruteforce([x_a], [x_b], [y_a], [y_b], sides, cfg)
                 want = [
                     pivot_gain_bruteforce(x_a, x_b, one_a, one_b, side, cfg).value
                     for one_a, one_b, side in itertools.product(
@@ -233,20 +233,26 @@ class TestBruteForce:
         )
         ys = [0.0, 1.0, 50.0]
         with pytest.raises(DomainError, match="^side must be one of"):
-            pivot_gain_bruteforce(1.0, 1.0, ys, ys, ("A", "C"), cfg)
+            pivot_gain_bruteforce([1.0], [1.0], [ys], [ys], ("A", "C"), cfg)
         for bad in (math.nan, -1.0, "x"):
             with pytest.raises(DomainError, match="^y_a must be a finite mean >= 0, got "):
-                pivot_gain_bruteforce(1.0, 1.0, [0.5, bad], ys, ("A", "B"), cfg)
+                pivot_gain_bruteforce([1.0], [1.0], [[0.5, bad]], [ys], ("A", "B"), cfg)
             with pytest.raises(DomainError, match="^y_b must be a finite mean >= 0, got "):
-                pivot_gain_bruteforce(1.0, 1.0, ys, [bad, 0.5], "B", cfg)
+                pivot_gain_bruteforce([1.0], [1.0], [ys], [[bad, 0.5]], "B", cfg)
+        # one electorate takes one item per argument; a sequence is named
+        for name, y_a, y_b, side in [
+            ("y_a", ys, 1.0, "A"), ("y_b", 1.0, ys, "A"), ("side", 1.0, 1.0, ("A", "B"))
+        ]:
+            with pytest.raises(DomainError, match=f"^{name} must be one (mean|side), got "):
+                pivot_gain_bruteforce(1.0, 1.0, y_a, y_b, side, cfg)
         # only the largest box, the last y_a with the last y_b, breaks the cap
         k_one, k_big = _upper_index([1.0, 50.0], tail_eps).tolist()
         monkeypatch.setattr(oracle, "CELL_CAP", (k_one + 1) ** 2 * (k_big + 1) ** 2 - 1)
         with pytest.raises(TruncationLimitError):
-            pivot_gain_bruteforce(1.0, 1.0, ys, ys, ("A", "B"), cfg)
+            pivot_gain_bruteforce([1.0], [1.0], [ys], [ys], ("A", "B"), cfg)
         assert built == []
         # the patched function is the one that builds them: one call per sum
-        pivot_gain_bruteforce(1.0, 1.0, ys[:2], ys, ("A", "B"), cfg)
+        pivot_gain_bruteforce([1.0], [1.0], [ys[:2]], [ys], ("A", "B"), cfg)
         assert len(built) == 1
 
 
@@ -271,8 +277,9 @@ class TestGrid:
         ys_a = [[e.m_a * alpha for alpha in VERIFY_GRID_ALPHA] for e in grid]
         ys_b = [[e.m_b * alpha for alpha in VERIFY_GRID_ALPHA] for e in grid]
         want = [
-            pivot_gain_bruteforce(e.x_a, e.x_b, y_a, y_b, ("A", "B"), cfg).value
+            gain
             for e, y_a, y_b in zip(grid, ys_a, ys_b)
+            for gain in pivot_gain_bruteforce([e.x_a], [e.x_b], [y_a], [y_b], ("A", "B"), cfg).value
         ]
         built = self.count_pmf_builds(monkeypatch)
         got = pivot_gain_bruteforce(
@@ -303,8 +310,9 @@ class TestGrid:
             sides = [("A", "B"), ("B",), "A", "B"][trial % 4]
             want = []
             for (x_a, x_b), y_a, y_b in zip(xs.tolist(), *ys):
-                want.append(pivot_gain_bruteforce(x_a, x_b, y_a, y_b, sides, cfg).value)
-                totals_a, totals_b = _total_pmfs(*_grid(x_a, x_b, y_a, y_b)[:4], cfg)
+                want += pivot_gain_bruteforce([x_a], [x_b], [y_a], [y_b], sides, cfg).value
+                y_a, y_b = np.atleast_1d(y_a).tolist(), np.atleast_1d(y_b).tolist()
+                totals_a, totals_b = _total_pmfs([x_a], [x_b], [y_a], [y_b], cfg)
                 for own, other in itertools.chain(
                     itertools.product(totals_a, totals_b), itertools.product(totals_b, totals_a)
                 ):
@@ -314,6 +322,7 @@ class TestGrid:
             assert len(built) == 1
             assert got.value == want, trial
             assert [type(v) for v in got.value] == [type(v) for v in want]
+            assert type(got.value) is list and all(type(v) is float for v in got.value)
             monkeypatch.undo()
         # len(other) - len(own): below 0, 0, 1 and above 1 all occur
         assert seen == {-1, 0, 1, 2}
@@ -435,6 +444,38 @@ class TestPoissonHelpers:
                         assert _upper_index([mean], tail_eps).tolist() == [want], (mean, tail_eps)
 
 
+    @pytest.mark.parametrize("tail_eps", [1e-13, 1e-7])
+    def test_upper_index_evaluates_each_distinct_mean_once(self, tail_eps, monkeypatch):
+        # verify's grid repeats means (0.0 among them): pdtrik sees each once
+        grid = [
+            ElectorateParams(n=n, p=p, p_a=p_a)
+            for n, p, p_a in itertools.product(VERIFY_GRID_N, VERIFY_GRID_P, VERIFY_GRID_PA)
+        ]
+        means = [
+            mean
+            for e in grid
+            for mean in (e.x_a, e.x_b, *(e.m_a * a for a in VERIFY_GRID_ALPHA),
+                         *(e.m_b * a for a in VERIFY_GRID_ALPHA))
+        ]
+        seen, pdtrik = [], oracle.special.pdtrik
+        monkeypatch.setattr(
+            oracle.special, "pdtrik", lambda q, m: seen.append(m.tolist()) or pdtrik(q, m)
+        )
+        ks = _upper_index(means, tail_eps).tolist()
+        monkeypatch.undo()
+        assert len(seen) == 1 and sorted(seen[0]) == sorted(set(means)) != sorted(means)
+        assert ks == [_upper_index([mean], tail_eps).item() for mean in means]
+        # repeats in any order, 0.0 and -0.0 among them, give each mean's own index
+        rng = np.random.default_rng(20240717)
+        repeated = [*POISSON_MEANS, *POISSON_MEANS[::3], 0.0, -0.0, 0.0, 1.0, -0.0]
+        repeated = [repeated[i] for i in rng.permutation(len(repeated))]
+        want = [_upper_index([mean], tail_eps).item() for mean in repeated]
+        assert _upper_index(repeated, tail_eps).tolist() == want
+        # the error names the first mean without an index in input order
+        with pytest.raises(TruncationLimitError, match="Poisson mean 1000000000000000.0 "):
+            _upper_index([1.0, 1e15, 1e14, 1e15, 0.0], tail_eps)
+
+
 class TestNoStateBetweenCalls:
     MEANS = (1.8, 1.2, 0.7, 1.3)
 
@@ -495,7 +536,8 @@ class TestTotalsMemo:
         # compares the vectors: a stale total under another tail_eps
         # can give the same gain to the last bit
         def totals(cfg):
-            (dist_a,), (dist_b,) = _total_pmfs(*_grid(*self.MEANS)[:4], cfg)
+            x_a, x_b, y_a, y_b = self.MEANS
+            (dist_a,), (dist_b,) = _total_pmfs([x_a], [x_b], [[y_a]], [[y_b]], cfg)
             return dist_a, dist_b
 
         want = totals(cfg)
@@ -670,7 +712,7 @@ class TestOracleConfig:
     def test_smallest_tail_eps(self):
         cfg = OracleConfig(tail_eps=oracle.TAIL_EPS_MIN)
         assert 1.0 - cfg.tail_eps < 1.0
-        gain = pivot_gain_bruteforce(1.8, 1.2, [0.0, 0.7], 1.3, ("A", "B"), cfg)
+        gain = pivot_gain_bruteforce([1.8], [1.2], [[0.0, 0.7]], [[1.3]], ("A", "B"), cfg)
         assert len(gain.value) == 4
 
     @pytest.mark.parametrize(
