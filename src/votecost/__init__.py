@@ -35,7 +35,6 @@ from .pivot import (
     ElectorateParams,
     StrategyPair,
     ThresholdSet,
-    expected_margin,
     log_frontiers,
     r1_closed,
     r2_closed,
@@ -72,7 +71,6 @@ __all__ = [
     "ThresholdSet",
     "r1_closed",
     "r2_closed",
-    "expected_margin",
     "thresholds",
     "log_frontiers",
     # oracles

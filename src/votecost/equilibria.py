@@ -45,9 +45,10 @@ separately.
 ``enumerate_equilibria`` reads the cost once, against the four
 frontiers and, in case 0, the two strategy bounds; every solver and
 corner decides from those sides, and no root search starts where they
-rule a root out.  One root finder, ``_rtsafe``, serves all four roots,
-and one rule, ``cost_side``, decides whether a cost is below, on or
-above a kernel value.  README, "Numerical notes", sets out both.
+rule a root out; ``classify`` shares that reading.  One root finder,
+``_rtsafe``, serves all four roots; ``cost_side`` decides whether a
+cost is below, on or above a kernel value, and ``_in_window`` whether
+it lies in the coin-toss window.  README, "Numerical notes", has all three.
 """
 
 from __future__ import annotations
@@ -256,6 +257,11 @@ def _read_cost(params: ElectorateParams, c: float) -> _Reading:
     return ts, log_c, sides, (k, logs[4], sides[4]), (x_a, logs[5], sides[5])
 
 
+def _in_window(ts: ThresholdSet, sides: Sequence[int]) -> bool:
+    """Whether sides of (ct_upper, ct_lower) put a cost in the closed coin-toss window."""
+    return ts.ct_admissible and sides[0] <= 0 <= sides[1]
+
+
 def _roots(
     kernel: Callable[[float], tuple[float, float]],
     log_c: float,
@@ -344,10 +350,9 @@ def solve_coin_toss(params: ElectorateParams, c: float) -> Equilibrium | None:
 def _coin_toss(params: ElectorateParams, c: float, reading: _Reading) -> Equilibrium | None:
     K = EquilibriumKind
     ts, log_c, sides, _, _ = reading
-    upper, lower, k = sides[0], sides[1], params.total_b
-    # no root above the window, nor below both of its ends
-    if upper > 0 or (upper < 0 and lower < 0) or not ts.ct_admissible:
+    if not _in_window(ts, sides):
         return None
+    upper, lower, k = sides[0], sides[1], params.total_b
     ends = [(2.0 * params.x_a, ts.log_ct_upper, upper), (2.0 * k, ts.log_ct_lower, lower)]
     z = _roots(_log_half_g, log_c, ends, _log_log_start, "coin toss", closed=True)[0]
     turnout = 0.5 * z
@@ -520,8 +525,11 @@ def enumerate_equilibria(params: ElectorateParams, c: float) -> list[Equilibrium
     decides from these sides, and no root search starts where they rule
     a root out.  A cost that is not > 0 raises ``DomainError``.
     """
+    return _enumerate(params, c, _read_cost(params, c))
+
+
+def _enumerate(params: ElectorateParams, c: float, reading: _Reading) -> list[Equilibrium]:
     K = EquilibriumKind
-    reading = _read_cost(params, c)
     no_queue, minority_swipe, all_swipe = _corners(reading)
     found = [_coin_toss(params, c, reading), *_absenteeism(params, c, reading)]
     if no_queue:

@@ -43,7 +43,6 @@ __all__ = [
     "turnout_means",
     "r1_closed",
     "r2_closed",
-    "expected_margin",
     "thresholds",
     "log_frontiers",
 ]
@@ -145,12 +144,6 @@ def r2_closed(params: ElectorateParams, s: StrategyPair) -> float:
     """Expected tie-rule gain from one extra B vote at strategies ``s``."""
     u, v = turnout_means(params, s)
     return h(u, v)
-
-
-def expected_margin(params: ElectorateParams, s: StrategyPair) -> float:
-    """Expected A-minus-B vote margin: n p_a (p + (1-p) a_A) - n (1-p_a)(p + (1-p) a_B)."""
-    u, v = turnout_means(params, s)
-    return u - v
 
 
 @dataclass(frozen=True)

@@ -38,11 +38,14 @@ import numpy as np
 from .equilibria import (
     Equilibrium,
     EquilibriumKind,
-    Winner,
+    _enumerate,
+    _in_window,
+    _read_cost,
     cost_side,
     cost_sides,
-    enumerate_equilibria,
 )
+# not called here: kept only for bench/tracing.py, which wraps it in this module
+from .equilibria import enumerate_equilibria  # noqa: F401
 from .errors import DomainError
 from .pivot import ElectorateParams, ThresholdSet, log_frontiers, thresholds
 from .special_fn import SQRT2
@@ -74,8 +77,8 @@ CASE_DESCRIPTIONS = {
 class RegimeReport:
     """Classification of one cost against the five-regime landscape.
 
-    ``avoid`` is True exactly when a coin toss is listed, the one
-    equilibrium A does not win; outside case 0 that is exactly case 2.
+    ``avoid`` is True exactly when the cost's sides of ct_upper and
+    ct_lower put it in the closed coin-toss window (case 2, outside case 0).
     """
 
     case_index: int
@@ -137,19 +140,19 @@ def _check_prediction(
 def classify(params: ElectorateParams, c: float) -> RegimeReport:
     """Classify cost ``c`` and cross-check the prediction against the solvers.
 
-    A mismatch between the regime table and the realized equilibrium set
+    The case and ``avoid`` come from the one cost reading the solvers
+    share.  A mismatch between the regime table and the solvers' list
     is recorded in ``notes``, never reconciled silently.
     """
-    ts = thresholds(params)
-    eqs = tuple(enumerate_equilibria(params, c))
+    reading = _read_cost(params, c)
+    ts, _, sides, _, _ = reading
+    eqs = tuple(_enumerate(params, c, reading))
     notes: list[str] = []
-    logs = [ts.log_ct_upper, ts.log_ct_lower, ts.log_pa_lower, ts.log_ps_lower]
-    ordered = logs[0] > logs[1] > logs[2] > logs[3]
+    ordered = ts.log_ct_upper > ts.log_ct_lower > ts.log_pa_lower > ts.log_ps_lower
     if not (ts.ct_admissible and params.x_a > SQRT2 and ordered):
         case = 0
         notes.append(CASE_DESCRIPTIONS[0])
     else:
-        sides = cost_sides(c, logs)[1]
         # above ct_upper is case 1; otherwise the first frontier the cost
         # is on or above closes its case from below
         case = 1 if sides[0] > 0 else next(
@@ -169,13 +172,11 @@ def classify(params: ElectorateParams, c: float) -> RegimeReport:
         mismatch = _check_prediction(case, tables, eqs)
         if mismatch is not None:
             notes.append(mismatch)
-    a_wins = Winner.A  # one member lookup, not one per equilibrium
-    avoid = any(eq.winner is not a_wins for eq in eqs)
     return RegimeReport(
         case_index=case,
         thresholds=ts,
         equilibria=eqs,
-        avoid=avoid,
+        avoid=_in_window(ts, sides),
         notes=tuple(notes),
     )
 
@@ -195,15 +196,15 @@ def coin_toss_interval(params: ElectorateParams) -> tuple[float, float] | None:
 def recommend_cost(params: ElectorateParams, c_min: float) -> float:
     """Lowest feasible cost >= c_min that avoids the coin-toss window.
 
-    Returns c_min unchanged when ``cost_side`` puts it outside the
+    Returns c_min unchanged when ``avoid``'s rule puts it outside the
     closed window.  Otherwise steps up from the window's upper bound in
     doubling steps to the first cost that ``cost_side`` puts above it,
     at most about twice as far above the bound as the smallest such.
     """
     ts = thresholds(params)
-    # read first, so that cost_side rejects a c_min that is not > 0
-    upper = cost_side(c_min, ts.log_ct_upper)
-    if upper > 0 or not ts.ct_admissible or cost_side(c_min, ts.log_ct_lower) < 0:
+    # read first, so that cost_sides rejects a c_min that is not > 0
+    sides = cost_sides(c_min, (ts.log_ct_upper, ts.log_ct_lower))[1]
+    if not _in_window(ts, sides):
         return c_min
     c = math.exp(ts.log_ct_upper)
     step = math.ulp(c)

@@ -20,6 +20,9 @@ offset from {0, +-1e-13, +-1e-9}, and classifies the cost f e^offset
     mismatch        reports whose notes say the prediction failed
     avoid_vs_case   reports outside case 0 whose ``avoid`` differs from
                     ``case_index == 2``
+    avoid_vs_list   reports whose ``avoid`` (read from the cost's sides of
+                    ct_upper and ct_lower) differs from "a coin toss is
+                    listed", in every case, case 0 included
     non_a_winner    reports in cases 1, 3, 4 and 5 with an equilibrium
                     not won by A
     path_mismatch   points whose four log frontiers from a scalar n
@@ -125,8 +128,8 @@ def run(points: int, profile: str, seed: int) -> dict[str, float]:
     rng = np.random.default_rng([seed, PROFILES.index(profile)])
     log_n = (7.0, 300.0) if profile == "far" else (-2.0, 7.0)
     counts = dict.fromkeys(
-        ("points", "raised", "mismatch", "avoid_vs_case", "non_a_winner", "path_mismatch",
-         "empty", "missing"),
+        ("points", "raised", "mismatch", "avoid_vs_case", "avoid_vs_list", "non_a_winner",
+         "path_mismatch", "empty", "missing"),
         0,
     )
     worst = 0.0
@@ -152,6 +155,9 @@ def run(points: int, profile: str, seed: int) -> dict[str, float]:
         case = report.case_index
         counts["mismatch"] += any(" but solvers returned " in n for n in report.notes)
         counts["avoid_vs_case"] += case != 0 and report.avoid != (case == 2)
+        counts["avoid_vs_list"] += report.avoid != any(
+            eq.kind.value == "coin_toss" for eq in report.equilibria
+        )
         counts["non_a_winner"] += case not in (0, 2) and any(
             eq.winner.value != "A" for eq in report.equilibria
         )

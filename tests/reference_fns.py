@@ -1,9 +1,10 @@
 """Small reference functions the tests use and the package does not.
 
 Leading large-argument terms of the kernels, the damped slope probe of
-``h`` with its domain checks, the tie rule of the brute-force sums, and
-the brute-force utility of voting or abstaining with the Nash deviation
-gain read from it.  The slope probe wraps the package's
+``h`` with its domain checks, the tie rule of the brute-force sums, the
+expected vote margin that checks every winner, and the brute-force
+utility of voting or abstaining with the Nash deviation gain read from
+it.  The slope probe wraps the package's
 ``_i_sign_core``, and the utility reads the oracle's ``_total_pmfs``, so
 their tests exercise the code the package runs.
 """
@@ -14,6 +15,7 @@ import numpy as np
 
 from votecost.errors import DomainError
 from votecost.oracle import _SIDES, DEFAULT_ORACLE_CONFIG, OracleConfig, _total_pmfs
+from votecost.pivot import ElectorateParams, StrategyPair, turnout_means
 from votecost.special_fn import _i_sign_core
 
 
@@ -64,6 +66,12 @@ def tie_rule(m: int, n: int) -> float:
     if m == n:
         return 0.5
     return 0.0
+
+
+def expected_margin(params: ElectorateParams, s: StrategyPair) -> float:
+    """Expected A-minus-B vote margin: n p_a (p + (1-p) a_A) - n (1-p_a)(p + (1-p) a_B)."""
+    u, v = turnout_means(params, s)
+    return u - v
 
 
 def utility_bruteforce(

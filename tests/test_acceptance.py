@@ -7,7 +7,7 @@ criteria execute.
 import math
 
 import numpy as np
-from reference_fns import nash_deviation_gain
+from reference_fns import expected_margin, nash_deviation_gain
 from series_oracle import bessel_i0, bessel_i1, hyp0f1_1, hyp0f1_2
 
 from votecost.cli import standard_verify_rows
@@ -24,7 +24,6 @@ from votecost.oracle import (
 )
 from votecost.pivot import (
     ElectorateParams,
-    expected_margin,
     r1_closed,
     r2_closed,
     thresholds,

@@ -7,7 +7,7 @@ import pytest
 
 import votecost.equilibria as eqm
 from bisect_oracle import bisect
-from reference_fns import h_ray_leading, i_sign
+from reference_fns import expected_margin, h_ray_leading, i_sign
 from votecost.equilibria import (
     EquilibriumKind,
     Winner,
@@ -23,7 +23,6 @@ from votecost.equilibria import (
 from votecost.errors import ConvergenceError, DomainError
 from votecost.pivot import (
     ElectorateParams,
-    expected_margin,
     r1_closed,
     r2_closed,
     thresholds,

@@ -9,13 +9,13 @@ import pickle
 import numpy as np
 import pytest
 
+from reference_fns import expected_margin
 from votecost.cli import _csv_schema, _json_default
 from votecost.errors import DomainError
 from votecost.oracle import pivot_gain_bruteforce
 from votecost.pivot import (
     ElectorateParams,
     StrategyPair,
-    expected_margin,
     log_frontiers,
     r1_closed,
     r2_closed,

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from residuals import RESIDUAL_BOUND, relative_residual
 from support_scan import scan
+import votecost.equilibria as eqm
 import votecost.regime as regime
 from votecost.equilibria import (
     Equilibrium,
@@ -211,17 +213,22 @@ class TestFrontierRegression:
         noted = [n for eq in eqs for n in eq.notes if n.startswith("coincides with")]
         assert noted == ([] if coincides is None else [f"coincides with {coincides} solution"])
 
-    @pytest.mark.parametrize("name", ["ct_upper", "ps_lower"])
+    @pytest.mark.parametrize("name", ["ct_upper", "ps_lower", "window"])
     def test_mismatch_unless_one_case_fits(self, name, monkeypatch):
         # lists that only a mix of the two adjacent cases allows: the coin
-        # toss beside two absenteeism roots, or nothing at all
-        c = getattr(REF_TS, name)
+        # toss beside two absenteeism roots, or nothing at all.  Inside
+        # the window an empty list is noted too, and avoid still follows
+        # from the cost, not from the list
+        c = case_costs(REF_TS)[2] if name == "window" else getattr(REF_TS, name)
         eqs = {
             "ct_upper": enumerate_equilibria(REF, c) + solve_partial_absenteeism(REF, c)[-1:],
             "ps_lower": [],
+            "window": [],
         }[name]
-        monkeypatch.setattr(regime, "enumerate_equilibria", lambda *args: eqs)
-        assert _mismatch(classify(REF, c))
+        monkeypatch.setattr(regime, "_enumerate", lambda *args: eqs)
+        report = classify(REF, c)
+        assert _mismatch(report)
+        assert report.avoid is (name != "ps_lower")
 
     @pytest.mark.parametrize(
         "n, p, p_a",
@@ -348,6 +355,45 @@ class TestUnderflowRegression:
         assert not thresholds(params).ct_admissible
         listed = sorted(eq.kind.value for eq in classify(params, c).equilibria)
         assert listed == sorted(kind for kind, _, _ in scan(params, c))
+
+
+class TestOneCostReading:
+    """``classify`` and ``recommend_cost`` read the cost in one ``cost_sides`` call."""
+
+    @pytest.fixture
+    def costs_read(self, monkeypatch):
+        # every cost that votecost.equilibria.cost_sides reads, in order,
+        # through whichever package module calls it
+        seen = []
+        original = eqm.cost_sides
+
+        def counted(c, log_fs):
+            seen.append(c)
+            return original(c, log_fs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("votecost") and getattr(module, "cost_sides", None) is original:
+                monkeypatch.setattr(module, "cost_sides", counted)
+        return seen
+
+    @pytest.mark.parametrize("case, calls", [(1, 2), (2, 1), (3, 1), (4, 1), (5, 1)])
+    def test_classify_reads_once_plus_the_peak(self, case, calls, costs_read):
+        # only a cost on or above both absenteeism ends (case 1 here)
+        # compares the cost once more, with the h peak
+        c = case_costs(REF_TS)[case]
+        assert classify(REF, c).case_index == case
+        assert costs_read == [c] * calls
+
+    @pytest.mark.parametrize("case", [2, 3])
+    def test_recommend_cost_reads_once_before_stepping(self, case, costs_read):
+        c_min = case_costs(REF_TS)[case]
+        out = recommend_cost(REF, c_min)
+        assert costs_read[0] == c_min
+        assert costs_read.count(c_min) == 1
+        if case == 3:  # below the window: the one reading is all
+            assert out == c_min and len(costs_read) == 1
+        else:  # inside it: the stepping loop reads only costs above the window
+            assert out > c_min and len(costs_read) > 1
 
 
 class TestCoinTossInterval:
