@@ -37,10 +37,11 @@ strategies:
 and the existence of each pure corner is a pair of inequalities.
 The absenteeism kernel z -> h(x_a, z) is strictly decreasing when
 x_a <= sqrt(2) and otherwise rises to a unique interior peak and falls,
-so the interval ends decide unless the cost is on or above both: only
-then does ``find_h_peak`` locate the peak, from the single sign change
-of the slope probe ``_i_sign_core``, and each monotone branch is solved
-separately.
+so the interval ends decide unless the cost is on or above both.  Then
+a cost above 1/sqrt(2 pi (x_a - 3/2)), which no peak reaches, has no
+root; only below that bound does ``find_h_peak`` locate the peak, from
+the single sign change of the slope probe ``_i_sign_core``, and each
+monotone branch is solved separately.
 
 ``enumerate_equilibria`` reads the cost once, against the four
 frontiers and, in case 0, the two strategy bounds; every solver and
@@ -389,7 +390,9 @@ def find_h_peak(x_a: float) -> float:
     x_a - 1 - 1/(4 x_a), the large-x_a expansion of the peak, and
     usually needs two steps and one closing evaluation.  A peak within
     Z_REL_TOL of 0 (x_a within roundoff of sqrt(2)) is returned as some
-    point within that distance of 0.
+    point within that distance of 0.  The solvers call it only for a
+    cost on or above both absenteeism ends and not above
+    ``_log_peak_bound``.
     """
     if not (x_a > 0.0):
         raise DomainError(f"find_h_peak requires x_a > 0, got {x_a!r}")
@@ -404,13 +407,20 @@ def find_h_peak(x_a: float) -> float:
     return _rtsafe(probe, 0.0, x_a, math.inf, -math.inf, start, "h peak")
 
 
+def _log_peak_bound(x_a: float) -> float:
+    """Above every log h(x_a, z): -log(2 pi (x_a - 3/2)) / 2 (README), or +inf if x_a <= 3/2."""
+    return -0.5 * math.log(2.0 * math.pi * (x_a - 1.5)) if x_a > 1.5 else math.inf
+
+
 def solve_partial_absenteeism(params: ElectorateParams, c: float) -> list[Equilibrium]:
     """All equilibria with alpha_a = 0 and the B side indifferent.
 
     Solves h(x_a, z) = c for the opponent total z on
     (x_b, min(x_a, n (1 - p_a))), where alpha_b runs inside (0, 1),
     split at the kernel peak into at most two monotone branches, so 0, 1
-    or 2 roots are found.  The kernel values at the interval ends are
+    or 2 roots are found.  The peak is solved for only where the cost
+    is on or above both ends and not above ``_log_peak_bound``, which
+    no peak reaches.  The kernel values at the interval ends are
     pa_lower and ct_upper (one kernel call at z = n (1 - p_a) where
     ``ct_admissible`` is false).  A cost on an end value has its root
     at that end, which belongs to the no-queue corner, the coin toss or
@@ -425,8 +435,11 @@ def _absenteeism(params: ElectorateParams, c: float, reading: _Reading) -> list[
     points = [(z_lo, ts.log_pa_lower, sides[2]), top]
     # the kernel is unimodal, so the end sides decide unless c is on or
     # above both: then only a peak that c is on or below has roots, on
-    # it or on the monotone branches it splits the interval into
+    # it or on the monotone branches it splits the interval into, and
+    # none where c is above a bound on the peak
     if sides[2] >= 0 and top[2] >= 0:
+        if log_c > _log_peak_bound(x_a):
+            return []
         peak = find_h_peak(x_a)
         if not z_lo < peak < top[0]:
             return []
@@ -507,17 +520,22 @@ def _corners(reading: _Reading) -> tuple[bool, bool, bool]:
     return sides[2] >= 0, minority_swipe, sides[3] <= 0
 
 
-_NO_QUEUE_PAIR = StrategyPair(0.0, 0.0)  # the corners' strategy pairs, built once
-_MINORITY_SWIPE_PAIR, _ALL_SWIPE_PAIR = StrategyPair(0.0, 1.0), StrategyPair(1.0, 1.0)
+# the three corners, built once: each is frozen, so every list shares it
+_NO_QUEUE = Equilibrium(EquilibriumKind.NO_QUEUE, StrategyPair(0.0, 0.0), None, 0.0, _WINNER_A)
+_MINORITY_SWIPE = Equilibrium(
+    EquilibriumKind.MINORITY_SWIPE, StrategyPair(0.0, 1.0), None, 0.0, _WINNER_A
+)
+_ALL_SWIPE = Equilibrium(EquilibriumKind.ALL_SWIPE, StrategyPair(1.0, 1.0), None, 0.0, _WINNER_A)
 
 
 def enumerate_equilibria(params: ElectorateParams, c: float) -> list[Equilibrium]:
     """Every type-symmetric equilibrium at cost ``c``, each listed once.
 
-    The order follows the path of the families: coin toss, absenteeism,
-    (0, 0), (0, 1), saturation, (1, 1).  A strategy pair where two
-    families meet is listed by its owner alone (see the module
-    docstring).
+    The order follows the path of the families, and is that of
+    ``EquilibriumKind``: coin toss, absenteeism, (0, 0), (0, 1),
+    saturation, (1, 1).  The three corners are shared frozen objects.
+    A strategy pair where two families meet is listed by its owner
+    alone (see the module docstring).
 
     The cost is read once, in one ``cost_sides`` call: against the four
     frontiers of ``thresholds(params)`` and, where ``ct_admissible`` is
@@ -529,14 +547,13 @@ def enumerate_equilibria(params: ElectorateParams, c: float) -> list[Equilibrium
 
 
 def _enumerate(params: ElectorateParams, c: float, reading: _Reading) -> list[Equilibrium]:
-    K = EquilibriumKind
     no_queue, minority_swipe, all_swipe = _corners(reading)
     found = [_coin_toss(params, c, reading), *_absenteeism(params, c, reading)]
     if no_queue:
-        found.append(Equilibrium(K.NO_QUEUE, _NO_QUEUE_PAIR, None, 0.0, _WINNER_A))
+        found.append(_NO_QUEUE)
     if minority_swipe:
-        found.append(Equilibrium(K.MINORITY_SWIPE, _MINORITY_SWIPE_PAIR, None, 0.0, _WINNER_A))
+        found.append(_MINORITY_SWIPE)
     found.append(_saturation(params, c, reading))
     if all_swipe:
-        found.append(Equilibrium(K.ALL_SWIPE, _ALL_SWIPE_PAIR, None, 0.0, _WINNER_A))
+        found.append(_ALL_SWIPE)
     return [eq for eq in found if eq is not None]

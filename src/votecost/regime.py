@@ -31,6 +31,7 @@ equilibrium list and no case prediction.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,34 +105,45 @@ def _regime_table(on_pa_lower: bool) -> dict[int, dict[EquilibriumKind, tuple[in
 
 
 # (case, on_pa_lower) -> kind -> (min count, max count) promised by the
-# regime table, built once: ``classify`` reads these and never changes
-# them.  On pa_lower, case 3's absenteeism root is the no-queue corner,
-# which the solvers list once.
+# regime table, built once and never changed: ``_ACCEPTED`` expands them,
+# and they word the mismatch note.  On pa_lower, case 3's absenteeism
+# root is the no-queue corner, which the solvers list once.
 _PREDICTIONS = {
     (k, on): t for on in (False, True) for k, t in _regime_table(on).items()
 }
 
 
+def _accepted(table: dict[EquilibriumKind, tuple[int, int]]) -> frozenset:
+    # every list of kinds, in EquilibriumKind order (the solvers' order),
+    # whose counts fit the table
+    lists = [()]
+    for kind in EquilibriumKind:
+        lo, hi = table.get(kind, (0, 0))
+        lists = [kinds + (kind,) * m for kinds in lists for m in range(lo, hi + 1)]
+    return frozenset(lists)
+
+
+# the same tables as the kind lists each accepts, expanded once
+_ACCEPTED = {key: _accepted(t) for key, t in _PREDICTIONS.items()}
+
+
 def _check_prediction(
-    case_index: int, tables: list[dict], eqs: tuple[Equilibrium, ...]
+    case_index: int, keys: list[tuple[int, bool]], eqs: tuple[Equilibrium, ...]
 ) -> str | None:
-    # the realized counts must fit one of the tables on its own; a plain
-    # dict counts them faster than a Counter, in the same first-seen order
-    realized: dict[EquilibriumKind, int] = {}
-    for eq in eqs:
-        realized[eq.kind] = realized.get(eq.kind, 0) + 1
-    for t in tables:
-        if realized.keys() <= t.keys() and all(
-            lo <= realized.get(k, 0) <= hi for k, (lo, hi) in t.items()
-        ):
+    # the listed kinds must be a list that one of the tables accepts on its own
+    kinds = tuple([eq.kind for eq in eqs])
+    for key in keys:
+        if kinds in _ACCEPTED[key]:
             return None
+    realized = Counter(kinds)  # in first-seen order
     promised_str = " or ".join(
         "["
         + ", ".join(
-            f"{k.value}x{lo}" + (f"-{hi}" if hi != lo else "") for k, (lo, hi) in t.items()
+            f"{k.value}x{lo}" + (f"-{hi}" if hi != lo else "")
+            for k, (lo, hi) in _PREDICTIONS[key].items()
         )
         + "]"
-        for t in tables
+        for key in keys
     )
     realized_str = ", ".join(f"{k.value}x{v}" for k, v in realized.items()) or "none"
     return f"case {case_index} predicts {promised_str} but solvers returned [{realized_str}]"
@@ -147,38 +159,34 @@ def classify(params: ElectorateParams, c: float) -> RegimeReport:
     reading = _read_cost(params, c)
     ts, _, sides, _, _ = reading
     eqs = tuple(_enumerate(params, c, reading))
-    notes: list[str] = []
+    avoid = _in_window(ts, sides)
     ordered = ts.log_ct_upper > ts.log_ct_lower > ts.log_pa_lower > ts.log_ps_lower
     if not (ts.ct_admissible and params.x_a > SQRT2 and ordered):
-        case = 0
-        notes.append(CASE_DESCRIPTIONS[0])
-    else:
-        # above ct_upper is case 1; otherwise the first frontier the cost
-        # is on or above closes its case from below
-        case = 1 if sides[0] > 0 else next(
-            (k for k, side in enumerate(sides[1:], start=2) if side >= 0), 5
-        )
-        cases = {case}
-        if 0 in sides:
-            for k, (name, side) in enumerate(zip(THRESHOLD_NAMES, sides), start=1):
-                if side == 0:
-                    notes.append(
-                        f"cost on the {name} frontier (within the relative slack "
-                        f"EPS_CMP): the solution set of case {k} or {k + 1} applies"
-                    )
-                    cases |= {k, k + 1}
-        on_pa_lower = sides[2] == 0
-        tables = [_PREDICTIONS[k, on_pa_lower] for k in sorted(cases)]
-        mismatch = _check_prediction(case, tables, eqs)
-        if mismatch is not None:
-            notes.append(mismatch)
-    return RegimeReport(
-        case_index=case,
-        thresholds=ts,
-        equilibria=eqs,
-        avoid=_in_window(ts, sides),
-        notes=tuple(notes),
-    )
+        return RegimeReport(0, ts, eqs, avoid, (CASE_DESCRIPTIONS[0],))
+    # above ct_upper is case 1; otherwise the first frontier the cost is
+    # on or above closes its case from below
+    case = 1
+    if sides[0] <= 0:
+        case = 5
+        for k in (2, 3, 4):
+            if sides[k - 1] >= 0:
+                case = k
+                break
+    notes = []
+    cases = {case}
+    if 0 in sides:
+        for k, (name, side) in enumerate(zip(THRESHOLD_NAMES, sides), start=1):
+            if side == 0:
+                notes.append(
+                    f"cost on the {name} frontier (within the relative slack "
+                    f"EPS_CMP): the solution set of case {k} or {k + 1} applies"
+                )
+                cases |= {k, k + 1}
+    on_pa_lower = sides[2] == 0
+    mismatch = _check_prediction(case, [(k, on_pa_lower) for k in sorted(cases)], eqs)
+    if mismatch is not None:
+        notes.append(mismatch)
+    return RegimeReport(case, ts, eqs, avoid, tuple(notes))
 
 
 def coin_toss_interval(params: ElectorateParams) -> tuple[float, float] | None:

@@ -35,6 +35,12 @@ offset from {0, +-1e-13, +-1e-9}, and classifies the cost f e^offset
                     all compared with ==
     empty           reports that list no equilibrium (every Poisson
                     game has one)
+    peak_bound      points with x_a > 3/2 whose log h at the computed
+                    peak of z -> h(x_a, z) is not below the bound
+                    -log(2 pi (x_a - 3/2)) / 2 by more than the slack of
+                    ``cost_side``: ``classify`` skips the peak search for
+                    a cost above that bound, which is sound only if no
+                    peak reaches it
     missing         equilibria that the grid scan of all nine support
                     types (``support_scan.scan``) finds and the report
                     does not list.  A listed pair is the scanned one if
@@ -77,12 +83,15 @@ from votecost import (  # noqa: E402
     sweep_bounds,
     thresholds,
 )
+from votecost.equilibria import EPS_CMP, _log_peak_bound, find_h_peak  # noqa: E402
 from votecost.regime import THRESHOLD_NAMES  # noqa: E402
+from votecost.special_fn import _log_h_slope  # noqa: E402
 
 OFFSETS = (0.0, 1e-13, -1e-13, 1e-9, -1e-9)
 PROFILES = ("interior", "bounds", "far")  # the index of each is its RNG stream
 TURNOUT_TOL = 1e-9
 GAIN_TOL = 1e-10
+SLACK = -math.log1p(-EPS_CMP)  # cost_side's slack in log
 
 
 def _share(rng: np.random.Generator, lo: float, hi: float, profile: str) -> float:
@@ -129,7 +138,7 @@ def run(points: int, profile: str, seed: int) -> dict[str, float]:
     log_n = (7.0, 300.0) if profile == "far" else (-2.0, 7.0)
     counts = dict.fromkeys(
         ("points", "raised", "mismatch", "avoid_vs_case", "avoid_vs_list", "non_a_winner",
-         "path_mismatch", "empty", "missing"),
+         "path_mismatch", "empty", "peak_bound", "missing"),
         0,
     )
     worst = 0.0
@@ -146,6 +155,9 @@ def run(points: int, profile: str, seed: int) -> dict[str, float]:
             continue
         counts["points"] += 1
         counts["path_mismatch"] += _paths_differ(params, log_fs)
+        if params.x_a > 1.5:
+            log_peak = _log_h_slope(params.x_a, find_h_peak(params.x_a))[0]
+            counts["peak_bound"] += not log_peak < _log_peak_bound(params.x_a) - SLACK
         try:
             report = classify(params, c)
         except Exception as exc:  # every raise is a finding

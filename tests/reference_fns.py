@@ -2,11 +2,11 @@
 
 Leading large-argument terms of the kernels, the damped slope probe of
 ``h`` with its domain checks, the tie rule of the brute-force sums, the
-expected vote margin that checks every winner, and the brute-force
-utility of voting or abstaining with the Nash deviation gain read from
-it.  The slope probe wraps the package's
-``_i_sign_core``, and the utility reads the oracle's ``_total_pmfs``, so
-their tests exercise the code the package runs.
+expected vote margin that checks every winner, the brute-force utility
+of voting or abstaining with the Nash deviation gain read from it, and
+the count-range check of a regime table.  The slope probe wraps the
+package's ``_i_sign_core``, and the utility reads the oracle's
+``_total_pmfs``, so their tests exercise the code the package runs.
 """
 
 import math
@@ -66,6 +66,21 @@ def tie_rule(m: int, n: int) -> float:
     if m == n:
         return 0.5
     return 0.0
+
+
+def prediction_fits(table: dict, kinds) -> bool:
+    """Whether the listed kinds fit a regime table's (min, max) count of each kind.
+
+    The range check ``regime._check_prediction`` made before it looked
+    lists up in ``regime._ACCEPTED``: every listed kind is in the table
+    and every kind of the table is listed within its range, in any order.
+    """
+    realized: dict = {}
+    for kind in kinds:
+        realized[kind] = realized.get(kind, 0) + 1
+    return realized.keys() <= table.keys() and all(
+        lo <= realized.get(k, 0) <= hi for k, (lo, hi) in table.items()
+    )
 
 
 def expected_margin(params: ElectorateParams, s: StrategyPair) -> float:

@@ -1,14 +1,19 @@
 """Solver tests: existence windows, residuals, and the equilibrium taxonomy."""
 
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import votecost.equilibria as eqm
 from bisect_oracle import bisect
 from reference_fns import expected_margin, h_ray_leading, i_sign
 from votecost.equilibria import (
+    Equilibrium,
     EquilibriumKind,
     Winner,
     _rtsafe,
@@ -23,6 +28,7 @@ from votecost.equilibria import (
 from votecost.errors import ConvergenceError, DomainError
 from votecost.pivot import (
     ElectorateParams,
+    StrategyPair,
     r1_closed,
     r2_closed,
     thresholds,
@@ -131,6 +137,48 @@ class TestHPeak:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             find_h_peak(0.0)
+
+
+class TestPeakBound:
+    """No peak of z -> h(x_a, z) reaches 1/sqrt(2 pi (x_a - 3/2)) (README, "Numerical notes")."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_min=True))
+    def test_log_h_stays_below_the_bound(self, u):
+        # x_a log-uniform on (3/2, 1e300]; below the bound by more than
+        # cost_side's slack, so a cost above the bound is above the peak
+        # by cost_side's rule too
+        x_a = math.exp(math.log(1.5) + u * (math.log(1e300) - math.log(1.5)))
+        assume(x_a > 1.5)
+        bound, slack = eqm._log_peak_bound(x_a), -math.log1p(-eqm.EPS_CMP)
+        for z in (find_h_peak(x_a), x_a - 2.0, x_a - 1.0, x_a):
+            if z > 0.0:
+                assert _log_h_slope(x_a, z)[0] < bound - slack, (x_a, z)
+
+    def test_no_bound_up_to_three_halves(self):
+        for x_a in (0.1, 1.0, math.sqrt(2.0), 1.5):
+            assert eqm._log_peak_bound(x_a) == math.inf
+
+    @pytest.mark.parametrize("x_a", [1.6, 2.0, 3.7, 10.0, 60.0, 1e3, 1e6])
+    def test_poisson_pair_bound_at_40_digits(self, x_a):
+        # h = P(X - Z in {0, 1}) / 2 <= max_m [p(m) + p(m + 1)] / 2, p the
+        # Poisson(x_a) pmf; its maximum is at the least m with
+        # (m + 1)(m + 2) >= x_a^2, and it stays below the bound
+        with mpmath.workdps(40):
+            x = mpmath.mpf(x_a)
+            lo = max(0, int(x_a - 8.0 * math.sqrt(x_a)))
+            hi = int(x_a + 8.0 * math.sqrt(x_a)) + 4
+            pmf = [mpmath.exp(lo * mpmath.log(x) - x - mpmath.loggamma(lo + 1))]
+            for m in range(lo + 1, hi + 1):
+                pmf.append(pmf[-1] * x / m)
+            pairs = [a + b for a, b in zip(pmf, pmf[1:])]
+            top = max(pairs)
+            m_top = lo + pairs.index(top)
+            m_least = lo
+            while (m_least + 1) * (m_least + 2) < x * x:
+                m_least += 1
+            assert lo < m_top == m_least < hi - 1  # inside the scanned range
+            assert top / 2 <= 1 / mpmath.sqrt(2 * mpmath.pi * (x - mpmath.mpf(3) / 2))
 
 
 class TestPartialAbsenteeism:
@@ -770,6 +818,33 @@ FRONTIER_PARAMS = [
     ElectorateParams(n=1e7, p=0.2, p_a=0.51),
     ElectorateParams(n=672843.5961072427, p=1e-6, p_a=0.999999999),
 ]
+
+
+class TestCorners:
+    @pytest.mark.parametrize("params", FRONTIER_PARAMS)
+    def test_kinds_listed_in_enum_order(self, params):
+        order = list(EquilibriumKind)
+        for c in _costs_on_and_between_frontiers(params):
+            ranks = [order.index(eq.kind) for eq in enumerate_equilibria(params, c)]
+            assert ranks == sorted(ranks), c
+
+    @pytest.mark.parametrize(
+        "name, params, c, alphas",
+        [
+            ("_NO_QUEUE", REF, 2.0 * REF_TS.ct_upper, (0.0, 0.0)),
+            ("_MINORITY_SWIPE", ElectorateParams(n=5.914, p=0.942, p_a=0.743), 0.0792, (0.0, 1.0)),
+            ("_ALL_SWIPE", REF, 0.5 * REF_TS.ps_lower, (1.0, 1.0)),
+        ],
+    )
+    def test_each_corner_is_one_shared_frozen_object(self, name, params, c, alphas):
+        corner = getattr(eqm, name)
+        kind = EquilibriumKind[name[1:]]
+        fresh = Equilibrium(kind, StrategyPair(*alphas), None, 0.0, Winner.A)
+        assert corner == fresh and corner is not fresh
+        for _ in range(2):
+            assert [eq for eq in enumerate_equilibria(params, c) if eq.kind is kind][0] is corner
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            corner.residual = 1.0
 
 
 class TestSharedFrontiers:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_fns import prediction_fits
 from residuals import RESIDUAL_BOUND, relative_residual
 from support_scan import scan
 import votecost.equilibria as eqm
@@ -162,16 +163,32 @@ class TestPredictions:
         # the realized kinds in the order first seen, the promised ones in
         # table order, and a count range where min and max differ
         eqs = (eq(K.ALL_SWIPE), eq(K.NO_QUEUE), eq(K.ALL_SWIPE))
-        tables = [regime._PREDICTIONS[1, False], regime._PREDICTIONS[2, False]]
+        tables = [(1, False), (2, False)]  # keys of regime._PREDICTIONS
         assert regime._check_prediction(1, tables, eqs) == (
             "case 1 predicts [partial_absenteeismx0-2, no_queuex1] or "
             "[coin_tossx1, partial_absenteeismx1, no_queuex1] "
             "but solvers returned [all_swipex2, no_queuex1]"
         )
-        assert regime._check_prediction(5, [regime._PREDICTIONS[5, False]], ()) == (
+        assert regime._check_prediction(5, [(5, False)], ()) == (
             "case 5 predicts [all_swipex1] but solvers returned [none]"
         )
         assert regime._check_prediction(1, tables, (eq(K.NO_QUEUE),)) is None
+
+    def test_lookup_matches_the_range_check(self):
+        # every list of 0-2 of each kind in EquilibriumKind order (the
+        # solvers' order) against each table, by lookup and by ranges
+        pair = StrategyPair(1.0, 1.0)
+        eq = {k: Equilibrium(k, pair, None, 0.0, Winner.A) for k in EquilibriumKind}
+        lists = [()]
+        for kind in EquilibriumKind:
+            lists = [kinds + (kind,) * m for kinds in lists for m in range(3)]
+        assert len(lists) == 3 ** len(EquilibriumKind)
+        for key, table in regime._PREDICTIONS.items():
+            fits = [kinds for kinds in lists if prediction_fits(table, kinds)]
+            assert fits and regime._ACCEPTED[key] == set(fits)
+            for kinds in lists:
+                note = regime._check_prediction(key[0], [key], tuple(eq[k] for k in kinds))
+                assert (note is None) == (kinds in fits)
 
 
 def _mismatch(report):
@@ -378,11 +395,31 @@ class TestOneCostReading:
 
     @pytest.mark.parametrize("case, calls", [(1, 2), (2, 1), (3, 1), (4, 1), (5, 1)])
     def test_classify_reads_once_plus_the_peak(self, case, calls, costs_read):
-        # only a cost on or above both absenteeism ends (case 1 here)
-        # compares the cost once more, with the h peak
-        c = case_costs(REF_TS)[case]
+        # only a cost on or above both absenteeism ends (case 1 here) and
+        # below the bound on the peak compares the cost once more, with the
+        # h peak; 1.2 ct_upper is below that bound (1.434 ct_upper at REF)
+        c = 1.2 * REF_TS.ct_upper if case == 1 else case_costs(REF_TS)[case]
         assert classify(REF, c).case_index == case
         assert costs_read == [c] * calls
+
+    def test_above_the_peak_bound_reads_no_peak(self, costs_read, monkeypatch):
+        # 1.5 ct_upper is above the bound on the peak: the one reading
+        # decides, with the report the peak search gives
+        c = 1.5 * REF_TS.ct_upper
+        assert math.log(c) > eqm._log_peak_bound(REF.x_a)
+        peaks, find_h_peak = [], eqm.find_h_peak
+
+        def counted(x_a):
+            peaks.append(x_a)
+            return find_h_peak(x_a)
+
+        monkeypatch.setattr(eqm, "find_h_peak", counted)
+        report = classify(REF, c)
+        assert report.case_index == 1
+        assert costs_read == [c] and peaks == []
+        monkeypatch.setattr(eqm, "_log_peak_bound", lambda x_a: math.inf)
+        assert classify(REF, c) == report
+        assert peaks == [REF.x_a] and costs_read == [c, c, c]
 
     @pytest.mark.parametrize("case", [2, 3])
     def test_recommend_cost_reads_once_before_stepping(self, case, costs_read):
