@@ -18,12 +18,12 @@ equilibrium landscape for a given electorate:
     pa_lower = h(x_a, x_b)               absenteeism / no-queue floor
     ps_lower = h(n (1 - p_a), n p_a)     saturation floor (all-swipe ceiling)
 
-The frontiers are computed in log form by ``log_frontiers``, which
-also takes an array of populations for sweeps.  The linear values are
-their exponentials: pa_lower and ps_lower decay exponentially in n and
-underflow to 0.0 from n ~ 1e6, while their logs stay finite.  What an
-``ElectorateParams`` computes, when, and keeps: README, "Numerical
-notes".
+``thresholds`` computes them in log form on Python floats, and
+``log_frontiers`` on arrays of populations for sweeps, with the same
+bits.  The linear values are their exponentials: pa_lower and ps_lower
+decay exponentially in n and underflow to 0.0 from n ~ 1e6, while their
+logs stay finite.  What an ``ElectorateParams`` computes, when, and
+keeps: README, "Numerical notes".
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class ElectorateParams:
                 bad = True
             if bad:
                 raise DomainError(f"{name} must {rule}, got {value!r}")
-        means = _group_means(self.n, self.p, self.p_a)
+        means = _group_means(float(self.n), self.p, self.p_a)
         for name, value in zip(_MEAN_NAMES, means):
             object.__setattr__(self, name, value)
         x_a, x_b, m_a, m_b = means[:4]
@@ -177,26 +177,11 @@ class ThresholdSet:
 def log_frontiers(n, p: float, p_a: float) -> np.ndarray:
     """Logs of (ct_upper, ct_lower, pa_lower, ps_lower), stacked on axis 0.
 
-    ``n`` may be a scalar or an array of populations.  A scalar ``n``
-    (one electorate) runs on Python floats and an array ``n`` (a sweep)
-    on stacked arrays; both give the same bits (README, "Numerical
-    notes").
+    ``n`` is a population or an array of them (a sweep); either runs on
+    stacked arrays.  One electorate's frontiers come faster from
+    ``thresholds``, with the same bits (README, "Numerical notes").
     """
-    n = float(n) if isinstance(n, (float, int)) else np.asarray(n, dtype=float)
-    x_a, x_b, _, _, total_a, total_b = _group_means(n, p, p_a)
-    if isinstance(n, float):
-        if not (x_a >= 0.0 and total_b >= 0.0 and x_b > 0.0 and total_a > 0.0):
-            raise DomainError(
-                "log_frontiers requires x_a, total_b >= 0 and x_b, total_a > 0, "
-                f"got n={n!r}, p={p!r}, p_a={p_a!r}"
-            )
-        scaled_a, dd_a, _, _ = _h_parts(x_a, x_b, FLOAT_OPS)
-        scaled_b, dd_b, _, _ = _h_parts(total_b, total_a, FLOAT_OPS)
-        logs = np.log([g(2.0 * x_a), g(2.0 * total_b), scaled_a, scaled_b])
-        # adding -dd is subtracting dd, as log_h does, bit for bit; in
-        # place, so no second array is allocated
-        logs += [LOG_HALF, LOG_HALF, -dd_a, -dd_b]
-        return logs
+    x_a, x_b, _, _, total_a, total_b = _group_means(np.asarray(n, dtype=float), p, p_a)
     # ct_upper and ct_lower are g/2 at twice the first arguments of the
     # two h frontiers
     first = np.array([x_a, total_b])
@@ -206,14 +191,18 @@ def log_frontiers(n, p: float, p_a: float) -> np.ndarray:
 
 
 def thresholds(params: ElectorateParams) -> ThresholdSet:
-    """The four cost frontiers at ``params``, evaluated once per instance."""
+    """The four cost frontiers from the means of ``params``, once per instance."""
     ts = params._thresholds
     if ts is None:
-        logs = log_frontiers(params.n, params.p, params.p_a)
+        x_a, total_b = params.x_a, params.total_b
+        scaled_a, dd_a, _, _ = _h_parts(x_a, params.x_b, FLOAT_OPS)
+        scaled_b, dd_b, _, _ = _h_parts(total_b, params.total_a, FLOAT_OPS)
+        logs = np.log([g(2.0 * x_a), g(2.0 * total_b), scaled_a, scaled_b])
+        # adding -dd is subtracting dd, as log_h does, bit for bit; in
+        # place, so no second array is allocated
+        logs += [LOG_HALF, LOG_HALF, -dd_a, -dd_b]
         # field order: the four linear frontiers, ct_admissible, the four logs
-        ts = ThresholdSet(
-            *np.exp(logs).tolist(), params.x_a <= params.total_b, *logs.tolist()
-        )
+        ts = ThresholdSet(*np.exp(logs).tolist(), x_a <= total_b, *logs.tolist())
         # set in place: a functools.cached_property made classify ~5% slower
         # on CPython 3.11
         object.__setattr__(params, "_thresholds", ts)

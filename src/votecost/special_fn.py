@@ -49,7 +49,7 @@ The formula has three kinds of entry point:
   underflows.
 * ``log_g`` and ``log_h`` take numpy arrays and return natural logs,
   finite for every positive argument, for the cost frontiers of a sweep.
-  One electorate's frontiers (``pivot.log_frontiers``) use ``g`` and
+  One electorate's frontiers (``pivot.thresholds``) use ``g`` and
   ``_h_parts`` on floats, with the same bits.
 
 All functions are pure; concurrent use is unrestricted.

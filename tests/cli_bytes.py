@@ -109,6 +109,10 @@ INVOCATIONS = [
     ("simulate default trials and seed", ["simulate", "--n", "50", "--p", "0.2", "--pa", "0.6",
                                           "--alpha-a", "0.5", "--alpha-b", "0.5"], None),
     ("simulate solved kind", [*SIM, "--kind", "coin_toss", "--c", "0.045"], None),
+    # c between ct_upper and the absenteeism peak: two roots, the note, and
+    # the smaller root simulated
+    ("simulate kind with two roots", ["simulate", *ELECTORATE, "--trials", "4000", "--seed", "42",
+                                      "--kind", "partial_absenteeism", "--c", "0.0365"], None),
     ("simulate kind without c", [*SIM, "--kind", "coin_toss"], None),
     ("simulate absent kind", [*SIM, "--kind", "coin_toss", "--c", "0.4"], None),
     ("simulate half pair", [*SIM, "--alpha-a", "0.3"], None),

@@ -25,10 +25,10 @@ offset from {0, +-1e-13, +-1e-9}, and classifies the cost f e^offset
                     listed", in every case, case 0 included
     non_a_winner    reports in cases 1, 3, 4 and 5 with an equilibrium
                     not won by A
-    path_mismatch   points whose four log frontiers from a scalar n
-                    (the float path ``thresholds`` takes) differ from
-                    those from a 1-element array n (the array path
-                    ``sweep_bounds`` takes), or whose four linear
+    path_mismatch   points whose four log frontiers from ``thresholds``
+                    (on Python floats) differ from those of
+                    ``log_frontiers`` at a 1-element array n (the array
+                    path ``sweep_bounds`` takes), or whose four linear
                     frontiers from ``thresholds`` differ from the
                     ``sweep_bounds`` columns at n on the grid
                     (n/2, n, 2n), less its points outside the domain;
@@ -110,7 +110,7 @@ def _in_domain(n: float, params: ElectorateParams) -> bool:
 
 
 def _paths_differ(params: ElectorateParams, log_fs: np.ndarray) -> bool:
-    """Whether the float and array paths disagree in a log or a linear frontier."""
+    """Whether ``thresholds`` and the array path disagree in a log or a linear frontier."""
     n, p, p_a = params.n, params.p, params.p_a
     grid = tuple(m for m in (n / 2.0, n, 2.0 * n) if _in_domain(m, params))
     columns = sweep_bounds(SweepSpec(p=p, p_a=p_a, n_grid=grid)).columns
@@ -148,7 +148,8 @@ def run(points: int, profile: str, seed: int) -> dict[str, float]:
             p=_share(rng, 0.0, 1.0, profile),
             p_a=_share(rng, 0.5, 1.0, profile),
         )
-        log_fs = log_frontiers(params.n, params.p, params.p_a)
+        ts = thresholds(params)
+        log_fs = np.array([getattr(ts, "log_" + q) for q in THRESHOLD_NAMES])
         log_f = log_fs[int(rng.integers(4))]
         c = math.exp(float(log_f) + OFFSETS[int(rng.integers(len(OFFSETS)))])
         if not (c >= sys.float_info.min):

@@ -264,6 +264,26 @@ class TestSimulateVerb:
         doc = json.loads(text)
         assert doc["diagnostics"]["strategy_source"] == "solved coin_toss"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_two_roots_of_the_kind_take_the_smaller(self, fmt):
+        # c above ct_upper (0.036380) and below the peak of h(x_a, .)
+        # (0.036533): absenteeism roots at z = 58.53 and 59.46
+        argv = ["simulate", "--n", "500", "--p", "0.2", "--pa", "0.6", "--trials", "4000",
+                "--seed", "42", "--kind", "partial_absenteeism", "--c", "0.0365",
+                "--format", fmt]
+        status, text = run_cli(argv)
+        assert status == EXIT_OK
+        if fmt == "json":
+            diag = json.loads(text)["diagnostics"]
+            assert diag["solved_count"] == 2
+            assert diag["note"] == (
+                "multiple equilibria of this kind; using the one with smallest z_root"
+            )
+            alpha_b = diag["alpha_b"]
+        else:
+            alpha_b = float(next(csv.DictReader(io.StringIO(text)))["alpha_b"])
+        assert alpha_b == 0.11582110539630572
+
     def test_missing_kind_cost_is_validation_error(self):
         status, text = run_cli(self.BASE + ["--kind", "coin_toss"])
         assert status == EXIT_VALIDATION

@@ -881,14 +881,19 @@ class TestSharedFrontiers:
     def test_classify_computes_frontiers_once(self, monkeypatch):
         import votecost.pivot
 
-        calls = []
-        log_frontiers = votecost.pivot.log_frontiers
+        calls = {"ThresholdSet": [], "_group_means": []}
 
-        def counted(*args):
-            calls.append(args)
-            return log_frontiers(*args)
+        def counted(name):
+            fn = getattr(votecost.pivot, name)
 
-        monkeypatch.setattr(votecost.pivot, "log_frontiers", counted)
+            def wrapper(*args):
+                calls[name].append(args)
+                return fn(*args)
+
+            monkeypatch.setattr(votecost.pivot, name, wrapper)
+
+        counted("ThresholdSet")
+        counted("_group_means")
         params = ElectorateParams(n=REF.n, p=REF.p, p_a=REF.p_a)
         c = 0.5 * (REF_TS.ct_upper + REF_TS.ct_lower)
         classify(params, c)
@@ -903,4 +908,6 @@ class TestSharedFrontiers:
             enumerate_equilibria,
         ):
             solver(params, c)
-        assert calls == [(params.n, params.p, params.p_a)]
+        # one set of frontiers, from the means the instance computed once
+        assert len(calls["ThresholdSet"]) == 1
+        assert calls["_group_means"] == [(params.n, params.p, params.p_a)]

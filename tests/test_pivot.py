@@ -112,6 +112,15 @@ class TestStoredMeans:
             assert twin == params
             assert means_of(twin) == means_of(ElectorateParams(n=1000, p=0.2, p_a=0.6))
 
+    @pytest.mark.parametrize("n", [np.float32(500.0), np.int64(500), np.float64(500.0)])
+    def test_numpy_scalar_n_gives_the_means_of_its_float(self, n):
+        # thresholds reads the means, so its frontiers are those of float(n) too
+        params = ElectorateParams(n=n, p=0.2, p_a=0.6)
+        plain = ElectorateParams(n=float(n), p=0.2, p_a=0.6)
+        assert all(type(m) is float for m in means_of(params))
+        assert means_of(params) == means_of(plain)
+        assert thresholds(params) == thresholds(plain)
+
     def test_means_are_read_only(self):
         params = ElectorateParams(n=1000, p=0.2, p_a=0.6)
         for name in MEAN_NAMES:
@@ -258,7 +267,8 @@ class TestThresholds:
         ],
     )
     def test_log_frontiers_rejects_bad_electorate(self, n, p, p_a):
-        # a scalar n takes the float path, an array n the array path
+        # a scalar n and an array n both take the array path; the kernels
+        # log_g and log_h reject the bad means
         for form in (n, np.array([n])):
             with pytest.raises(DomainError):
                 log_frontiers(form, p, p_a)

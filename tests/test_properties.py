@@ -36,8 +36,8 @@ from votecost import (
     EquilibriumKind,
     classify,
     enumerate_equilibria,
-    log_frontiers,
     recommend_cost,
+    thresholds,
 )
 from votecost.pivot import turnout_means
 
@@ -83,7 +83,9 @@ def electorates(draw, far=False, log_n_max=7.0):
 def frontier_costs(draw, far=False, log_n_max=7.0):
     """An electorate and a cost on, near or around one of its frontiers."""
     params = draw(electorates(far, log_n_max))
-    log_f = float(log_frontiers(params.n, params.p, params.p_a)[draw(st.integers(0, 3))])
+    ts = thresholds(params)
+    log_fs = ts.log_ct_upper, ts.log_ct_lower, ts.log_pa_lower, ts.log_ps_lower
+    log_f = log_fs[draw(st.integers(0, 3))]
     offset = draw(
         st.one_of(
             st.sampled_from([0.0, 1e-13, -1e-13, 1e-9, -1e-9]),

@@ -530,12 +530,16 @@ class TestSweep:
         with pytest.raises(DomainError, match=message):
             SweepSpec(p=0.2, p_a=0.6, n_grid=(10.0, 20.0), quantities=quantities)
 
-    # (p, p_a, n grid): thresholds takes the float path of log_frontiers
-    # and sweep_bounds the array path; the two must agree bit for bit
+    # (p, p_a, n grid): thresholds computes on Python floats and
+    # sweep_bounds through log_frontiers on arrays; the two must agree bit
+    # for bit
     PATH_CASES = [
         (p, p_a, (50.0, 800.0, 3e4, 1e6, 1e7))
         for p, p_a in ((0.2, 0.6), (0.02, 0.51), (0.5, 0.9), (0.95, 0.75), (1e-6, 0.999999))
     ] + [
+        # far beyond the documented populations, where only the fuzz's
+        # ``far`` profile looks otherwise
+        (0.2, 0.6, (1e12, 1e100, 1e300)),
         # electorates where squaring with Python's ``d ** 2`` (libm pow)
         # instead of ``d * d`` moved the last bit of a log frontier
         (0.22812187406137427, 0.9635860863804447, (2325996.9843902644,)),
@@ -552,7 +556,8 @@ class TestSweep:
                 ts = thresholds(ElectorateParams(n=n, p=p, p_a=p_a))
                 for name, col in table.columns.items():
                     assert col[i] == getattr(ts, name), (n, p, p_a, name)
-                assert (log_frontiers(n, p, p_a) == logs[:, i]).all(), (n, p, p_a)
+                log_fs = [getattr(ts, "log_" + q) for q in THRESHOLD_NAMES]
+                assert log_fs == logs[:, i].tolist(), (n, p, p_a)
 
     def test_decrease_onset_matches_reference_loop(self):
         rng = np.random.default_rng(7)
