@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, finite_real
 from .pivot import (
     ElectorateParams,
     StrategyPair,
@@ -380,7 +380,7 @@ def _coin_toss(params: ElectorateParams, c: float, reading: _Reading) -> Equilib
 
 
 def find_h_peak(x_a: float) -> float:
-    """Maximizer of z -> h(x_a, z) on [0, inf).
+    """Maximizer of z -> h(x_a, z) on [0, inf), for a finite x_a > 0.
 
     Returns 0 when x_a <= sqrt(2) (the kernel is then decreasing
     throughout).  Otherwise the slope probe ``_i_sign_core`` is positive
@@ -394,8 +394,8 @@ def find_h_peak(x_a: float) -> float:
     cost on or above both absenteeism ends and not above
     ``_log_peak_bound``.
     """
-    if not (x_a > 0.0):
-        raise DomainError(f"find_h_peak requires x_a > 0, got {x_a!r}")
+    if not (finite_real(x_a) and x_a > 0.0):
+        raise DomainError(f"find_h_peak requires a finite x_a > 0, got {x_a!r}")
     if x_a <= SQRT2:
         return 0.0
 

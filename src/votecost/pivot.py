@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, finite_real
 from .special_fn import FLOAT_OPS, _h_parts, g, h, log_g, log_h
 
 __all__ = [
@@ -76,15 +76,7 @@ class ElectorateParams:
             ("p", self.p, 0.0, 1.0, "lie in (0, 1)"),
             ("p_a", self.p_a, 0.5, 1.0, "lie in (1/2, 1)"),
         ):
-            # a value that is not one real fails too (README, "Numerical
-            # notes"); math.isfinite needs one float, so it also keeps out an
-            # array of one element, which the comparisons pass, wherever
-            # numpy refuses to convert one
-            try:
-                bad = not (lo < value < hi and math.isfinite(value))
-            except (TypeError, ValueError, OverflowError):  # no float holds 10**400
-                bad = True
-            if bad:
+            if not (finite_real(value) and lo < value < hi):
                 raise DomainError(f"{name} must {rule}, got {value!r}")
         means = _group_means(float(self.n), self.p, self.p_a)
         for name, value in zip(_MEAN_NAMES, means):
@@ -121,11 +113,7 @@ class StrategyPair:
 
     def __post_init__(self):
         for name, value in (("alpha_a", self.alpha_a), ("alpha_b", self.alpha_b)):
-            try:
-                bad = not (0.0 <= value <= 1.0 and math.isfinite(value))
-            except (TypeError, ValueError):
-                bad = True
-            if bad:
+            if not (finite_real(value) and 0.0 <= value <= 1.0):
                 raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
 
 

@@ -47,7 +47,7 @@ from .equilibria import (
 )
 # not called here: kept only for bench/tracing.py, which wraps it in this module
 from .equilibria import enumerate_equilibria  # noqa: F401
-from .errors import DomainError
+from .errors import DomainError, finite_real
 from .pivot import ElectorateParams, ThresholdSet, log_frontiers, thresholds
 from .special_fn import SQRT2
 
@@ -233,7 +233,10 @@ class SweepSpec:
     def __post_init__(self):
         if len(self.n_grid) == 0:
             raise DomainError("n_grid must be nonempty")
-        if not all(b > a for a, b in zip(self.n_grid, self.n_grid[1:])):  # rejects NaN too
+        for n in self.n_grid:
+            if not finite_real(n):
+                raise DomainError(f"n_grid must hold finite reals, got {n!r}")
+        if not all(b > a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise DomainError("n_grid must be strictly increasing")
         if len(self.quantities) == 0:
             raise DomainError("quantities must be nonempty")

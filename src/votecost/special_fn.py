@@ -102,11 +102,11 @@ def h(x_a: float, z: float) -> float:
     """(F1(x_a z) + x_a F2(x_a z)) e^{-x_a-z} / 2, evaluated without overflow.
 
     Equals the expected tie-rule gain from one extra vote for a side whose
-    vote total is Poisson(x_a) against an opponent polling Poisson(z).
-    Underflows to 0.0 where ``log_h`` is below ~-745.
+    vote total is Poisson(x_a) against an opponent polling Poisson(z), at
+    finite x_a, z >= 0.  Underflows to 0.0 where ``log_h`` is below ~-745.
     """
-    if not (x_a >= 0.0) or not (z >= 0.0):
-        raise DomainError(f"h requires x_a >= 0 and z >= 0, got {x_a!r}, {z!r}")
+    if not (0.0 <= x_a < math.inf and 0.0 <= z < math.inf):
+        raise DomainError(f"h requires finite x_a >= 0 and z >= 0, got {x_a!r}, {z!r}")
     if z == 0.0:
         # F1(0) = F2(0) = 1
         return 0.5 * (1.0 + x_a) * math.exp(-x_a)

@@ -39,6 +39,10 @@ INVOCATIONS = [
     ("thresholds bad p csv", ["thresholds", "--n", "500", "--p", "1.5", "--pa", "0.6",
                               "--format", "csv"], None),
     ("thresholds bad n", ["thresholds", "--n", "-1", "--p", "0.2", "--pa", "0.6"], None),
+    # n that is not finite: errors.finite_real, ahead of the range test
+    ("thresholds n inf", ["thresholds", "--n", "inf", "--p", "0.2", "--pa", "0.6"], None),
+    ("thresholds n nan csv", ["thresholds", "--n", "nan", "--p", "0.2", "--pa", "0.6",
+                              "--format", "csv"], None),
     # ElectorateParams' message prints the four means: x_b underflows to
     # 0.0 (JSON), and x_a and x_b round to the same subnormal (CSV)
     ("thresholds means underflow", ["thresholds", "--n", "1", "--p", "5e-324",
@@ -88,6 +92,8 @@ INVOCATIONS = [
     ("sweep bad quantity", [*SWEEP, "--points", "5", "--quantities", "nope"], None),
     ("sweep bad quantity json", [*SWEEP, "--points", "5", "--quantities", "nope",
                                  "--format", "json"], None),
+    # "," names no quantity once the empty names are dropped
+    ("sweep empty quantities", [*SWEEP, "--points", "5", "--quantities", ","], None),
     ("sweep zero points", [*SWEEP, "--points", "0", "--format", "json"], None),
     ("sweep reversed range", ["sweep", "--p", "0.2", "--pa", "0.6", "--n-min", "1000",
                               "--n-max", "100", "--points", "5"], None),
@@ -102,6 +108,7 @@ INVOCATIONS = [
     ("verify tail-eps 1e-7 json", ["verify", "--tail-eps", "1e-7", "--format", "json"], None),
     ("verify bad tail-eps", ["verify", "--tail-eps", "0"], None),
     ("verify bad tail-eps json", ["verify", "--tail-eps", "0", "--format", "json"], None),
+    ("verify nan tail-eps", ["verify", "--tail-eps", "nan"], None),
     ("verify out", ["verify"], "v.csv"),
     ("simulate explicit", [*SIM, "--alpha-a", "0.3", "--alpha-b", "0.7"], None),
     ("simulate explicit csv", [*SIM, "--alpha-a", "0.3", "--alpha-b", "0.7",
@@ -118,6 +125,7 @@ INVOCATIONS = [
     ("simulate half pair", [*SIM, "--alpha-a", "0.3"], None),
     ("simulate no strategy", SIM, None),
     ("simulate bad alpha", [*SIM, "--alpha-a", "1.3", "--alpha-b", "0.5"], None),
+    ("simulate nan alpha", [*SIM, "--alpha-a", "nan", "--alpha-b", "0.5"], None),
     ("simulate zero trials", ["simulate", "--n", "200", "--p", "0.2", "--pa", "0.6",
                               "--trials", "0", "--alpha-a", "0.3", "--alpha-b", "0.7"], None),
     ("simulate negative seed", ["simulate", "--n", "200", "--p", "0.2", "--pa", "0.6",

@@ -214,6 +214,16 @@ class TestSweepVerb:
         else:
             assert text == f"error: DomainError: {message}\n"
 
+    def test_empty_quantity_list_is_validation_error(self):
+        # "," names no quantity once the empty names are dropped
+        status, text = run_cli(
+            ["sweep", "--p", "0.2", "--pa", "0.6", "--n-min", "100",
+             "--n-max", "1000", "--points", "3", "--quantities", ",", "--format", "json"]
+        )
+        assert status == EXIT_VALIDATION
+        doc = json.loads(text)
+        assert doc["error"] == {"type": "DomainError", "message": "quantities must be nonempty"}
+
     @pytest.mark.parametrize("n_min, n_max", [("nan", "100"), ("10", "inf"), ("100", "10")])
     def test_bad_population_range_is_validation_error(self, n_min, n_max):
         status, text = run_cli(
@@ -630,6 +640,19 @@ class TestOutputFile:
         message = json.loads(text)["error"]["message"]
         assert str(out) in message
         assert ".votecost-" not in text
+
+    def test_failed_replace_removes_the_temp_file(self, tmp_path):
+        # os.replace cannot put a file over a directory; that fails after
+        # the temp file beside it is written, which must then be removed
+        out = tmp_path / "taken"
+        out.mkdir()
+        argv = ["thresholds", "--n", "500", "--p", "0.2", "--pa", "0.6", "--out", str(out)]
+        status, text = run_cli(argv)
+        assert status == EXIT_VALIDATION
+        assert str(out) in json.loads(text)["error"]["message"]
+        assert ".votecost-" not in text
+        assert os.listdir(tmp_path) == ["taken"]
+        assert os.listdir(out) == []
 
     def test_seventeen_significant_digits(self):
         status, text = run_cli(

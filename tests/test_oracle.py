@@ -674,6 +674,12 @@ class TestPoissonEnvironmentPivot:
             brute = pivot_gain_bruteforce(2.0, 1.0, 1.0, 2.0, side)
             assert abs(est.value - brute.value) < 3.0 * est.se
 
+    def test_rejects_unknown_side(self):
+        params = ElectorateParams(n=50, p=0.2, p_a=0.6)
+        with pytest.raises(DomainError) as err:
+            poisson_environment_pivot(params, StrategyPair(0.3, 0.8), "C")
+        assert str(err.value) == "side must be one of ('A', 'B'), got 'C'"
+
     def test_side_b_past_the_int64_limit(self):
         # side A's x_a + y_a stays below 2**62 here; side B's reaches it
         params = ElectorateParams(n=2e19, p=0.01, p_a=0.55)

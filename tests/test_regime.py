@@ -508,6 +508,8 @@ class TestSweep:
             SweepSpec(p=0.2, p_a=0.6, n_grid=(10.0, 10.0))
         with pytest.raises(DomainError):
             SweepSpec(p=0.2, p_a=0.6, n_grid=(10.0, 20.0), quantities=("bogus",))
+        with pytest.raises(DomainError, match="^quantities must be nonempty$"):
+            SweepSpec(p=0.2, p_a=0.6, n_grid=(10.0, 20.0), quantities=())
         with pytest.raises(DomainError):
             SweepSpec(p=1.2, p_a=0.6, n_grid=(10.0, 20.0))
         for bad in ((10.0, math.nan, 30.0), (10.0, math.inf), (-1.0, 10.0)):

@@ -242,6 +242,14 @@ class TestH:
         with pytest.raises(DomainError):
             h(1.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "x_a, z", [(1.0, math.inf), (math.inf, 1.0), (math.inf, 0.0), (math.inf, math.inf)]
+    )
+    def test_rejects_infinite_argument(self, x_a, z):
+        # h is a probability; an infinite mean used to give NaN
+        with pytest.raises(DomainError, match="^h requires finite x_a >= 0 and z >= 0, got "):
+            h(x_a, z)
+
     def test_monotone_decreasing_below_sqrt2(self):
         for x_a in (0.5, 1.0, 1.4):
             zs = np.linspace(1e-4, 4.0 * x_a, 400)
