@@ -107,11 +107,16 @@ def _flat_fields(cls: type, prefix: str = "") -> list[tuple[str, str]]:
     return flat
 
 
-def _csv_schema(cls: type) -> tuple[list[str], Callable[[Any], tuple]]:
-    """The CSV header of ``cls`` and a getter of one instance's cells, in order."""
+@functools.cache
+def _csv_schema(cls: type) -> tuple[tuple[str, ...], Callable[[Any], tuple]]:
+    """The CSV header of ``cls`` and a getter of one instance's cells, in order.
+
+    Cached per class, as ``get_type_hints`` takes ~0.1 ms; the header is
+    a tuple, so no caller can change the cached copy.
+    """
     flat = _flat_fields(cls)
     # one attrgetter reads every cell; dataclasses.astuple would deep-copy
-    return [col for col, _ in flat], attrgetter(*(path for _, path in flat))
+    return tuple(col for col, _ in flat), attrgetter(*(path for _, path in flat))
 
 
 def _fmt_cell(x: Any) -> str:
@@ -160,12 +165,12 @@ def _csv_column(cells: tuple) -> list[str]:
     return [_csv_field(_fmt_cell(x)) for x in cells]
 
 
-def _csv_text(header: list[str], rows: list[list[Any]]) -> str:
+def _csv_text(header: tuple[str, ...], rows: list[list[Any]]) -> str:
     # cells joined by hand, column by column, with csv.writer's minimal
     # quoting; unlike csv.writer before Python 3.13, a bare \r is quoted
     # too (RFC 4180).  Every row has the header's length.
     columns = map(_csv_column, zip(*rows))
-    lines = [",".join(_csv_column(tuple(header))), *map(",".join, zip(*columns))]
+    lines = [",".join(_csv_column(header)), *map(",".join, zip(*columns))]
     if len(header) == 1:
         # one empty cell prints "", as csv.writer does, so it is not an empty row
         lines = [line or '""' for line in lines]
@@ -227,7 +232,7 @@ def standard_verify_rows(cfg: OracleConfig) -> list[VerifyRow]:
 
 
 # (exit status, results, diagnostics, CSV header, CSV rows)
-_Output = tuple[int, Any, dict, list[str], list[list]]
+_Output = tuple[int, Any, dict, tuple[str, ...], list[list]]
 
 
 def _run_thresholds(args: argparse.Namespace, params: ElectorateParams) -> _Output:
@@ -248,7 +253,7 @@ def _run_solve(args: argparse.Namespace, params: ElectorateParams) -> _Output:
 def _run_classify(args: argparse.Namespace, params: ElectorateParams) -> _Output:
     report = classify(params, args.c)
     eq_header, cells = _csv_schema(Equilibrium)
-    header = [*CLASSIFY_PREFIX, *eq_header]
+    header = (*CLASSIFY_PREFIX, *eq_header)
     prefix = [getattr(report, name) for name in CLASSIFY_PREFIX]
     rows = [[*prefix, *cells(eq)] for eq in report.equilibria]
     diag = {"cost": args.c, "case_description": CASE_DESCRIPTIONS[report.case_index]}
@@ -266,7 +271,7 @@ def _run_sweep(args: argparse.Namespace, params: None) -> _Output:
     quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
     spec = SweepSpec(p=args.p, p_a=args.pa, n_grid=grid, quantities=quantities)
     table = sweep_bounds(spec)
-    header = ["n", *quantities]
+    header = ("n", *quantities)
     rows = list(zip(table.n.tolist(), *(table.columns[q].tolist() for q in quantities)))
     results = {"n": table.n, "columns": table.columns, "onset": table.onset}
     diag = {"p": spec.p, "pa": spec.p_a, "points": len(table.n)}
@@ -340,7 +345,7 @@ def _run_simulate(args: argparse.Namespace, params: ElectorateParams) -> _Output
         alpha_b=s.alpha_b,
     )
     row = [values[name] for name in SIMULATE_COLUMNS]
-    return EXIT_OK, stats, diag, list(SIMULATE_COLUMNS), [row]
+    return EXIT_OK, stats, diag, SIMULATE_COLUMNS, [row]
 
 
 _RUNNERS = {

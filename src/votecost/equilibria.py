@@ -55,6 +55,7 @@ it lies in the coin-toss window.  README, "Numerical notes", has all three.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -96,6 +97,7 @@ Z_REL_TOL = 1e-12
 MAX_ITER = 200
 EPS_CMP = 1e-12
 LOG_2 = math.log(2.0)
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class EquilibriumKind(str, Enum):
@@ -154,7 +156,9 @@ def cost_sides(c: float, log_fs: Sequence[float]) -> tuple[float, list[int]]:
         log_c = None
     if log_c is None:
         raise DomainError(f"cost must be > 0, got {c!r}")
-    if log_c == math.inf:
+    # a double's log is at most LOG_FLOAT_MAX; at it, inf and an int that
+    # no double holds (math.log takes an int of any size) fail finite_real
+    if log_c >= LOG_FLOAT_MAX and not finite_real(c):
         raise DomainError(f"cost must be finite, got {c!r}")
     slack = -math.log1p(-EPS_CMP)
     sides = []

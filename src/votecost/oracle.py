@@ -35,10 +35,15 @@ Monte Carlo.  Randomness comes from numpy's ``Generator`` over the
 fixed seed and config reproduce results bit for bit (for a fixed numpy
 version; see README).  ``simulate_election`` realizes the election as
 described by the turnout model: partisan counts are Poisson, the
-non-partisan voter counts are Binomial over the rounded class sizes.
-``poisson_environment_pivot`` instead draws all four counts Poisson,
+non-partisan voter counts are Binomial over the rounded class sizes; it
+makes those four draws in that order and sums the margin in place.
+``poisson_environment_pivot`` instead takes all four counts Poisson,
 matching the environment a player conditions on, and is therefore a
-consistent estimator of the brute-force pivot gain.
+consistent estimator of the brute-force pivot gain.  A sum of independent
+Poisson counts is Poisson (Skellam 1946), so it draws each side's total
+once, at the summed mean x + y: A's total, then B's.  Its estimates for
+a seed differ from those of versions that drew the four counts apart;
+the estimator is the same.
 """
 
 from __future__ import annotations
@@ -382,11 +387,12 @@ def simulate_election(
     _check_count_limit("B", params.x_b + size_b)
     rng = _rng(cfg)
     trials = cfg.trials
-    part_a = rng.poisson(params.x_a, trials)
-    part_b = rng.poisson(params.x_b, trials)
-    vote_a = rng.binomial(size_a, s.alpha_a, trials)
-    vote_b = rng.binomial(size_b, s.alpha_b, trials)
-    margin = (part_a + vote_a) - (part_b + vote_b)
+    # the margin (part_a + vote_a) - (part_b + vote_b), built in place on
+    # the first draw; the draw order fixes the seeded bits
+    margin = rng.poisson(params.x_a, trials)
+    margin -= rng.poisson(params.x_b, trials)
+    margin += rng.binomial(size_a, s.alpha_a, trials)
+    margin -= rng.binomial(size_b, s.alpha_b, trials)
 
     n_a = int(np.count_nonzero(margin > 0))
     n_t = int(np.count_nonzero(margin == 0))
@@ -422,14 +428,19 @@ def _poisson_pivot(
 ) -> MonteCarloEstimate:
     if side not in _SIDES:
         raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
-    _check_count_limit("A", x_a + y_a)
-    _check_count_limit("B", x_b + y_b)
+    # a side's partisan and voter counts are independent Poissons, so its
+    # total is Poisson with the summed mean (Skellam 1946): one draw a side
+    mean_a, mean_b = x_a + y_a, x_b + y_b
+    _check_count_limit("A", mean_a)
+    _check_count_limit("B", mean_b)
     rng = _rng(cfg)
     trials = cfg.trials
-    t_a = rng.poisson(x_a, trials) + rng.poisson(y_a, trials)
-    t_b = rng.poisson(x_b, trials) + rng.poisson(y_b, trials)
-    diff = (t_b - t_a) if side == "A" else (t_a - t_b)
-    n_piv = int(np.count_nonzero((diff == 0) | (diff == 1)))
+    t_a = rng.poisson(mean_a, trials)
+    t_b = rng.poisson(mean_b, trials)
+    other, own = (t_b, t_a) if side == "A" else (t_a, t_b)
+    diff = np.subtract(other, own, out=other)
+    # other - own in {0, 1}: as uint64 a negative difference wraps far above 1
+    n_piv = int(np.count_nonzero(diff.view(np.uint64) <= 1))
     return MonteCarloEstimate(
         value=0.5 * (n_piv / trials),
         se=0.5 * _binomial_share_se(n_piv, trials),
@@ -447,8 +458,9 @@ def poisson_environment_pivot(
 
     This matches the environment a voter conditions on (every group's
     count is Poisson with its mean), so the estimate is consistent for
-    the brute-force pivot gain and for the closed forms.  A side whose
-    x + y reaches 2**62 raises ``DomainError``.
+    the brute-force pivot gain and for the closed forms.  Each side's
+    total is one Poisson(x + y) draw, A's first (see the module
+    docstring).  A side whose x + y reaches 2**62 raises ``DomainError``.
     """
     cfg = cfg or DEFAULT_ORACLE_CONFIG
     y_a = params.m_a * s.alpha_a

@@ -93,7 +93,11 @@ def _h_parts(x_a, z, ops):
 
 def g(z: float) -> float:
     """(I0(z) + I1(z)) e^{-z}: continuous, g(0) = 1, strictly decreasing to 0."""
-    if not (z >= 0.0):
+    try:
+        valid = z >= 0.0
+    except TypeError:  # a str or None does not compare with a float
+        valid = False
+    if not valid:
         raise DomainError(f"g requires z >= 0, got {z!r}")
     return i0e_float(z) + i1e_float(z)
 
@@ -105,7 +109,11 @@ def h(x_a: float, z: float) -> float:
     vote total is Poisson(x_a) against an opponent polling Poisson(z), at
     finite x_a, z >= 0.  Underflows to 0.0 where ``log_h`` is below ~-745.
     """
-    if not (0.0 <= x_a < math.inf and 0.0 <= z < math.inf):
+    try:
+        valid = 0.0 <= x_a < math.inf and 0.0 <= z < math.inf
+    except TypeError:  # a str or None does not compare with a float
+        valid = False
+    if not valid:
         raise DomainError(f"h requires finite x_a >= 0 and z >= 0, got {x_a!r}, {z!r}")
     if z == 0.0:
         # F1(0) = F2(0) = 1

@@ -29,6 +29,8 @@ from pathlib import Path
 
 ELECTORATE = ["--n", "500", "--p", "0.2", "--pa", "0.6"]
 SIM = ["simulate", "--n", "200", "--p", "0.2", "--pa", "0.6", "--trials", "4000", "--seed", "42"]
+# expected totals tie at alphas 0.5 and 0.875: 120000 + 240000 = 80000 + 280000
+SIM_1E6 = ["simulate", "--n", "1e6", *SIM[3:]]
 SWEEP = ["sweep", "--p", "0.2", "--pa", "0.6", "--n-min", "100", "--n-max", "1000"]
 
 # (label, argv, --out path relative to the working directory or None)
@@ -113,6 +115,10 @@ INVOCATIONS = [
     ("simulate explicit", [*SIM, "--alpha-a", "0.3", "--alpha-b", "0.7"], None),
     ("simulate explicit csv", [*SIM, "--alpha-a", "0.3", "--alpha-b", "0.7",
                                "--format", "csv"], None),
+    # the margin at both degenerate binomials, and at large means, where
+    # numpy samples the Poisson and binomial counts by rejection
+    ("simulate alpha 0 and 1", [*SIM, "--alpha-a", "0", "--alpha-b", "1"], None),
+    ("simulate n 1e6", [*SIM_1E6, "--alpha-a", "0.5", "--alpha-b", "0.875"], None),
     ("simulate default trials and seed", ["simulate", "--n", "50", "--p", "0.2", "--pa", "0.6",
                                           "--alpha-a", "0.5", "--alpha-b", "0.5"], None),
     ("simulate solved kind", [*SIM, "--kind", "coin_toss", "--c", "0.045"], None),

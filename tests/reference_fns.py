@@ -3,10 +3,12 @@
 Leading large-argument terms of the kernels, the damped slope probe of
 ``h`` with its domain checks, the tie rule of the brute-force sums, the
 expected vote margin that checks every winner, the brute-force utility
-of voting or abstaining with the Nash deviation gain read from it, and
-the count-range check of a regime table.  The slope probe wraps the
-package's ``_i_sign_core``, and the utility reads the oracle's
-``_total_pmfs``, so their tests exercise the code the package runs.
+of voting or abstaining with the Nash deviation gain read from it, the
+count-range check of a regime table, and two Monte Carlo samplers that
+do not count in place: the election margin from fresh arrays, and the
+Poisson-environment pivot gain from four draws.  The slope probe wraps the package's ``_i_sign_core``, and
+the utility reads the oracle's ``_total_pmfs``, so their tests exercise
+the code the package runs.
 """
 
 import math
@@ -14,7 +16,16 @@ import math
 import numpy as np
 
 from votecost.errors import DomainError
-from votecost.oracle import _SIDES, DEFAULT_ORACLE_CONFIG, OracleConfig, _total_pmfs
+from votecost.oracle import (
+    _SIDES,
+    DEFAULT_ORACLE_CONFIG,
+    MonteCarloEstimate,
+    OracleConfig,
+    _binomial_share_se,
+    _rng,
+    _total_pmfs,
+    class_sizes,
+)
 from votecost.pivot import ElectorateParams, StrategyPair, turnout_means
 from votecost.special_fn import _i_sign_core
 
@@ -143,3 +154,39 @@ def nash_deviation_gain(params, s, c: float, side: str) -> float:
     if alpha == 1.0:
         return max(-d, 0.0)  # only abstaining could profit
     return abs(d)  # mixing requires exact indifference
+
+
+def simulate_margin(params: ElectorateParams, s: StrategyPair, cfg: OracleConfig) -> np.ndarray:
+    """``simulate_election``'s A-minus-B margins, from a fresh array per draw.
+
+    The draws and their order are the simulator's: Poisson(x_a),
+    Poisson(x_b), Binomial(size_a, alpha_a), Binomial(size_b, alpha_b).
+    """
+    size_a, size_b = class_sizes(params)
+    rng = _rng(cfg)
+    part_a = rng.poisson(params.x_a, cfg.trials)
+    part_b = rng.poisson(params.x_b, cfg.trials)
+    vote_a = rng.binomial(size_a, s.alpha_a, cfg.trials)
+    vote_b = rng.binomial(size_b, s.alpha_b, cfg.trials)
+    return (part_a + vote_a) - (part_b + vote_b)
+
+
+def four_draw_pivot(
+    x_a: float, x_b: float, y_a: float, y_b: float, side: str, cfg: OracleConfig
+) -> MonteCarloEstimate:
+    """The Poisson-environment pivot gain with each of the four counts drawn.
+
+    Poisson(x_a) + Poisson(y_a) against Poisson(x_b) + Poisson(y_b), in
+    that order: the same estimator as ``oracle._poisson_pivot``, which
+    draws each side's total once, over a different stream.
+    """
+    rng = _rng(cfg)
+    t_a = rng.poisson(x_a, cfg.trials) + rng.poisson(y_a, cfg.trials)
+    t_b = rng.poisson(x_b, cfg.trials) + rng.poisson(y_b, cfg.trials)
+    diff = (t_b - t_a) if side == "A" else (t_a - t_b)
+    n_piv = int(np.count_nonzero((diff == 0) | (diff == 1)))
+    return MonteCarloEstimate(
+        value=0.5 * (n_piv / cfg.trials),
+        se=0.5 * _binomial_share_se(n_piv, cfg.trials),
+        trials=cfg.trials,
+    )

@@ -104,7 +104,7 @@ class TestSolveVerb:
     def test_empty_result_keeps_header(self):
         # every cost has an equilibrium, so no solve prints an empty list
         header, _ = _csv_schema(Equilibrium)
-        assert header == EQUILIBRIUM_HEADER
+        assert header == tuple(EQUILIBRIUM_HEADER)
         assert _csv_text(header, []) == ",".join(EQUILIBRIUM_HEADER) + "\n"
 
     def test_minority_swipe_row(self):

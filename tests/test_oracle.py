@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from reference_fns import tie_rule, utility_bruteforce
+from reference_fns import four_draw_pivot, simulate_margin, tie_rule, utility_bruteforce
 from scipy import stats
 
 from votecost import oracle
@@ -650,6 +650,27 @@ class TestSimulate:
         with pytest.raises(DomainError, match="^side A's expected vote count"):
             poisson_environment_pivot(params, StrategyPair(1.0, 1.0), "A", OracleConfig(trials=10))
 
+    @pytest.mark.parametrize(
+        "n, p, p_a, alpha_a, alpha_b",
+        [
+            (200, 0.2, 0.6, 0.3, 0.7),
+            (200, 0.2, 0.6, 0.0, 1.0),
+            (60, 0.3, 0.6, 1.0, 0.0),
+            (7.5, 0.9, 0.55, 0.0, 0.0),
+            (1e6, 0.2, 0.6, 0.5, 0.875),
+        ],
+    )
+    def test_counts_equal_the_fresh_array_margin(self, n, p, p_a, alpha_a, alpha_b):
+        # the margin built in place reads the same seeded draws in the same order
+        params, s = ElectorateParams(n=n, p=p, p_a=p_a), StrategyPair(alpha_a, alpha_b)
+        cfg = OracleConfig(trials=20_000, seed=8)
+        margin = simulate_margin(params, s, cfg)
+        w = simulate_election(params, s, cfg)
+        counts = [int(np.count_nonzero(hit)) for hit in (margin > 0, margin == 0, margin < 0)]
+        assert [w.n_a_wins, w.n_tie, w.n_b_wins] == counts
+        assert w.pivot_a == 0.5 * ((counts[1] + int(np.count_nonzero(margin == -1))) / cfg.trials)
+        assert w.pivot_b == 0.5 * ((counts[1] + int(np.count_nonzero(margin == 1))) / cfg.trials)
+
     def test_counts_below_the_int64_limit(self):
         params = ElectorateParams(n=1e18, p=0.5, p_a=0.9)
         w = simulate_election(params, StrategyPair(1.0, 1.0), OracleConfig(trials=10))
@@ -673,6 +694,51 @@ class TestPoissonEnvironmentPivot:
             est = poisson_environment_pivot(params, s, side, cfg)
             brute = pivot_gain_bruteforce(2.0, 1.0, 1.0, 2.0, side)
             assert abs(est.value - brute.value) < 3.0 * est.se
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize(
+        "n, p, p_a, alpha_a, alpha_b",
+        [
+            (12, 0.25, 2.0 / 3.0, 1.0 / 6.0, 2.0 / 3.0),
+            (200, 0.2, 0.6, 0.3, 0.7),
+            (1e6, 0.2, 0.6, 0.5, 0.875),
+        ],
+    )
+    def test_equals_the_two_draw_reference(self, n, p, p_a, alpha_a, alpha_b, side):
+        params, s = ElectorateParams(n=n, p=p, p_a=p_a), StrategyPair(alpha_a, alpha_b)
+        cfg = OracleConfig(trials=20_000, seed=77)
+        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        # A's total first, then B's, each one draw at its summed mean
+        t_a = rng.poisson(params.x_a + params.m_a * alpha_a, cfg.trials)
+        t_b = rng.poisson(params.x_b + params.m_b * alpha_b, cfg.trials)
+        diff = (t_b - t_a) if side == "A" else (t_a - t_b)
+        q = int(np.count_nonzero((diff == 0) | (diff == 1))) / cfg.trials
+        est = poisson_environment_pivot(params, s, side, cfg)
+        assert (est.value, est.se, est.trials) == (
+            0.5 * q, 0.5 * math.sqrt(q * (1.0 - q) / cfg.trials), cfg.trials
+        )
+
+    def test_agrees_with_the_four_draw_estimator(self):
+        # the same estimator over another stream: each electorate of the
+        # verify grid at its own strategy pair and side, independent seeds
+        points = itertools.product(VERIFY_GRID_N, VERIFY_GRID_P, VERIFY_GRID_PA)
+        for k, (n, p, p_a) in enumerate(points):
+            params = ElectorateParams(n=n, p=p, p_a=p_a)
+            s = StrategyPair(VERIFY_GRID_ALPHA[k % 5], VERIFY_GRID_ALPHA[(2 * k + 1) % 5])
+            side = "AB"[k % 2]
+            new = poisson_environment_pivot(params, s, side, OracleConfig(trials=20_000, seed=k))
+            y_a, y_b = params.m_a * s.alpha_a, params.m_b * s.alpha_b
+            old_cfg = OracleConfig(trials=20_000, seed=1000 + k)
+            old = four_draw_pivot(params.x_a, params.x_b, y_a, y_b, side, old_cfg)
+            assert abs(new.value - old.value) <= 5.0 * math.hypot(new.se, old.se), (k, new, old)
+        assert k == 35
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_far_apart_totals_read_zero(self, side):
+        # A's total is about 1000 above B's: other - own is near -1000 for
+        # side A, which wraps to a huge unsigned value, and near +1000 for B
+        est = _poisson_pivot(1000.0, 1.0, 0.0, 0.0, side, OracleConfig(trials=10_000, seed=4))
+        assert (est.value, est.se) == (0.0, 0.0)
 
     def test_rejects_unknown_side(self):
         params = ElectorateParams(n=50, p=0.2, p_a=0.6)

@@ -247,7 +247,7 @@ class TestThresholds:
         before = (repr(params), hash(params), json.dumps(params, default=_json_default))
         assert before[0] == "ElectorateParams(n=500, p=0.2, p_a=0.6)"
         assert before[2] == '{"n": 500, "p": 0.2, "p_a": 0.6}'
-        assert _csv_schema(ElectorateParams)[0] == ["n", "p", "pa"]
+        assert _csv_schema(ElectorateParams)[0] == ("n", "p", "pa")
         ts = thresholds(params)
         assert thresholds(params) is ts
         assert thresholds(fresh) == ts

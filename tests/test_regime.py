@@ -499,6 +499,22 @@ class TestRecommendCost:
             with pytest.raises(DomainError, match="cost must be finite"):
                 fn(REF, math.inf)
 
+    @pytest.mark.parametrize("c", [10**400, 2**1024], ids=["10**400", "2**1024"])
+    @pytest.mark.parametrize("fn", [classify, enumerate_equilibria, recommend_cost])
+    def test_rejects_an_int_that_no_double_holds(self, fn, c):
+        # math.log takes an int of any size: log(10**400) is finite, yet
+        # no double holds the cost
+        with pytest.raises(DomainError) as err:
+            fn(REF, c)
+        assert str(err.value) == f"cost must be finite, got {c!r}"
+
+    @pytest.mark.parametrize("c", [10**300, sys.float_info.max], ids=["10**300", "float_max"])
+    def test_accepts_the_largest_costs(self, c):
+        # the largest double's log is the bound of the finiteness check
+        assert classify(REF, c).case_index == classify(REF, 1e300).case_index
+        assert enumerate_equilibria(REF, c) == enumerate_equilibria(REF, 1e300)
+        assert recommend_cost(REF, c) == c
+
 
 class TestSweep:
     def test_sweep_spec_validation(self):

@@ -191,6 +191,13 @@ class TestG:
         assert len(grid) >= 1000
         assert np.all(diffs < 0.0)
 
+    @pytest.mark.parametrize("z", ["x", None])
+    def test_rejects_a_non_number(self, z):
+        # the comparison with 0.0 raises TypeError for these
+        with pytest.raises(DomainError) as err:
+            g(z)
+        assert str(err.value) == f"g requires z >= 0, got {z!r}"
+
     def test_leading_term(self):
         assert g_leading(1e4) == pytest.approx(7.9788e-3, rel=1e-4)
         with pytest.raises(DomainError):
@@ -249,6 +256,13 @@ class TestH:
         # h is a probability; an infinite mean used to give NaN
         with pytest.raises(DomainError, match="^h requires finite x_a >= 0 and z >= 0, got "):
             h(x_a, z)
+
+    @pytest.mark.parametrize("x_a, z", [("x", 1.0), (1.0, None)])
+    def test_rejects_a_non_number(self, x_a, z):
+        # the comparison with 0.0 raises TypeError for these
+        with pytest.raises(DomainError) as err:
+            h(x_a, z)
+        assert str(err.value) == f"h requires finite x_a >= 0 and z >= 0, got {x_a!r}, {z!r}"
 
     def test_monotone_decreasing_below_sqrt2(self):
         for x_a in (0.5, 1.0, 1.4):
