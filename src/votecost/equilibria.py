@@ -36,20 +36,13 @@ strategies:
 
 and the existence of each pure corner is a pair of inequalities.
 The absenteeism kernel z -> h(x_a, z) is strictly decreasing when
-x_a <= sqrt(2) and otherwise rises to a unique interior peak and falls,
-so the interval ends decide unless the cost is on or above both.  Then
-a cost above 1/sqrt(2 pi (x_a - 3/2)), which no peak reaches, has no
-root; only below that bound does ``find_h_peak`` locate the peak, from
-the single sign change of the slope probe ``_i_sign_core``, and each
-monotone branch is solved separately.
+x_a <= sqrt(2) and otherwise rises to a unique interior peak and falls;
+``find_h_peak`` splits it into two monotone branches.
 
-``enumerate_equilibria`` reads the cost once, against the four
-frontiers and, in case 0, the two strategy bounds; every solver and
-corner decides from those sides, and no root search starts where they
-rule a root out; ``classify`` shares that reading.  One root finder,
-``_rtsafe``, serves all four roots; ``cost_side`` decides whether a
-cost is below, on or above a kernel value, and ``_in_window`` whether
-it lies in the coin-toss window.  README, "Numerical notes", has all three.
+README, "Numerical notes", holds the rules shared here: the one cost
+reading that every solver, corner and ``classify`` decide from, the
+peak bound, the root finder ``_rtsafe``, ``cost_side`` and the
+coin-toss window ``_in_window``.
 """
 
 from __future__ import annotations
@@ -78,8 +71,6 @@ __all__ = [
     "EquilibriumKind",
     "Winner",
     "Equilibrium",
-    "cost_side",
-    "cost_sides",
     "solve_coin_toss",
     "find_h_peak",
     "solve_partial_absenteeism",
@@ -186,16 +177,14 @@ def _rtsafe(
 
     ``fn(z)`` returns (f(z), step), the Newton step -f(z)/f'(z).  An end
     whose sign is known but whose value was not computed may pass +-inf.
-    Safeguarded Newton (rtsafe: Press et al., Numerical Recipes, 3rd ed.,
-    section 9.4) from ``start`` (the midpoint if ``start`` is not inside
-    the bracket): each evaluation narrows the bracket to the sign change,
-    and a Newton step that is not finite, leaves the bracket, or is more
-    than half the step before last becomes bisection, so every
-    evaluation lies inside the bracket.  A step below
-    delta = Z_REL_TOL/2 * max(1, |z|) is lengthened to delta, which
-    closes the bracket across a root that Newton has located.  Stops when
-    the bracket is narrower than 2 delta, or when no float is left
-    inside it, and returns the end with the smaller |f|.
+    Newton starts from ``start`` (the midpoint if ``start`` is not inside
+    the bracket).  A step below delta = Z_REL_TOL/2 * max(1, |z|) is
+    lengthened to delta, which closes the bracket across a root that
+    Newton has located; the search also stops when no float is left
+    inside the bracket.  Returns the end with the smaller |f|.  Raises
+    ``ConvergenceError`` if the ends do not bracket a root, or after
+    MAX_ITER evaluations.  The safeguards and the stop: README,
+    "Numerical notes".
     """
     if f_lo == 0.0:
         return lo

@@ -2,6 +2,8 @@
 
 import math
 
+__all__ = ["VoteCostError", "DomainError", "ConvergenceError", "TruncationLimitError"]
+
 
 class VoteCostError(Exception):
     """Base class for all package-specific errors."""

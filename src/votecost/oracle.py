@@ -16,24 +16,15 @@ is truncated at the smallest K whose upper tail mass is at most
 bound 4 * tail_eps is conservative.  The sum itself is evaluated by
 regrouping over the vote totals a+r and b+s (a discrete convolution of
 the truncated probability vectors); this is an exact reorganization of
-the same finitely many terms, not a distributional identity.  K comes
-from the inverse Poisson cdf ``pdtrik`` and the pmfs from ``gammaln``
-(``scipy.special``), by the same formulas as ``scipy.stats.poisson``'s
-``ppf`` and ``pmf``.  One call takes one electorate or a grid of them,
-so ``verify`` makes one call for its whole grid.  It evaluates every
-distinct mean's truncation index in one ``pdtrik``/``pdtr`` pass and
-every pmf vector in one ``xlogy - gammaln - mean`` pass over each mean's
-own range 0..K, builds each side total once and copies it once into one
-zero-padded block.  Each own-side total then takes its gains against its
-electorate's other-side rows, at shifts 0 and 1, in one stacked
-(1, n) @ (n, 1) matmul, which keeps ``np.dot``'s bits.  An index that
-is not finite (``pdtrik`` past means of ~1e11) raises
-``TruncationLimitError``.  Nothing is kept from one call to the next.
+the same finitely many terms, not a distributional identity.  One call
+takes one electorate or a grid of them, so ``verify`` makes one call for
+its whole grid.  README, "Numerical notes", says how K, the pmfs and the
+sums are evaluated, with ``scipy.special`` alone and in ``np.dot``'s
+bits, and when a call raises ``TruncationLimitError``.
 
-Monte Carlo.  Randomness comes from numpy's ``Generator`` over the
-``PCG64`` bit generator seeded directly with the configured seed, so a
-fixed seed and config reproduce results bit for bit (for a fixed numpy
-version; see README).  ``simulate_election`` realizes the election as
+Monte Carlo.  Draws come from numpy's ``Generator`` over ``PCG64``,
+seeded with the configured seed; README, "Reproducibility", says which
+results repeat bit for bit.  ``simulate_election`` realizes the election as
 described by the turnout model: partisan counts are Poisson, the
 non-partisan voter counts are Binomial over the rounded class sizes; it
 makes those four draws in that order and sums the margin in place.
@@ -41,9 +32,7 @@ makes those four draws in that order and sums the margin in place.
 matching the environment a player conditions on, and is therefore a
 consistent estimator of the brute-force pivot gain.  A sum of independent
 Poisson counts is Poisson (Skellam 1946), so it draws each side's total
-once, at the summed mean x + y: A's total, then B's.  Its estimates for
-a seed differ from those of versions that drew the four counts apart;
-the estimator is the same.
+once, at the summed mean x + y: A's total, then B's.
 """
 
 from __future__ import annotations
@@ -67,7 +56,6 @@ __all__ = [
     "pivot_gain_bruteforce",
     "simulate_election",
     "poisson_environment_pivot",
-    "class_sizes",
 ]
 
 

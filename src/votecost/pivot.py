@@ -40,7 +40,6 @@ __all__ = [
     "ElectorateParams",
     "StrategyPair",
     "ThresholdSet",
-    "turnout_means",
     "r1_closed",
     "r2_closed",
     "thresholds",

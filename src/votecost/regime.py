@@ -59,7 +59,6 @@ __all__ = [
     "coin_toss_interval",
     "recommend_cost",
     "sweep_bounds",
-    "THRESHOLD_NAMES",
 ]
 
 THRESHOLD_NAMES = ("ct_upper", "ct_lower", "pa_lower", "ps_lower")

@@ -23,12 +23,10 @@ Every kernel is therefore evaluated in the factorized form
 
     e^{-x-z} I_k(t) = e^{-(sqrt(x)-sqrt(z))^2} [e^{-t} I_k(t)],
 
-whose exponent is never positive; the scaled factors e^{-t} I_k(t) are
-scipy's Cephes ``i0e``/``i1e``: the same routines as numpy ufuncs on
-arrays and through ``scipy.special.cython_special`` on floats, compared
-bit for bit by a test.  The exponent is d * d with
-d = (x - z) / (sqrt(x) + sqrt(z)), which does not cancel when x ~ z;
-``_h_parts`` squares d once for every entry point of ``h`` or its log.
+whose exponent is never positive.  It is d * d with
+d = (x - z) / (sqrt(x) + sqrt(z)), which does not cancel when x ~ z.
+README, "Numerical notes", says which routines give e^{-t} I_k(t) and
+why floats and arrays get the same bits.
 
 The formula has three kinds of entry point:
 
