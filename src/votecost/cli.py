@@ -1,16 +1,9 @@
 """Command-line front end emitting JSON or CSV.
 
-Verbs: thresholds, solve, classify, sweep, verify, simulate.  Results go
-to stdout unless --out is given, in which case the file is written
-atomically (temp file + rename); logs go to stderr.  Exit codes:
-0 success, 2 validation error, 3 solver non-convergence or truncation
-budget breach, 4 verification tolerance breach.
-
-Each verb's runner reads its flags, ``--format`` and ``--out`` straight
-from the parsed argparse namespace and checks the ones only it takes;
-``run`` builds the electorate and turns every validation error into an
-error payload in one place.  Oracle flags take their defaults from
-``DEFAULT_ORACLE_CONFIG``.
+Verbs: thresholds, solve, classify, sweep, verify, simulate.  Flags,
+output, exit codes and the CSV rules: README, "Command line" and
+"Numerical notes".  Each verb's runner returns its CSV cells column by
+column; ``run`` turns every validation error into an error payload.
 """
 
 from __future__ import annotations
@@ -24,7 +17,6 @@ import sys
 import tempfile
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
-from itertools import product
 from operator import attrgetter
 from typing import Any, Callable, get_type_hints
 
@@ -40,7 +32,9 @@ from .oracle import (
     pivot_gain_bruteforce,
     simulate_election,
 )
-from .pivot import ElectorateParams, StrategyPair, ThresholdSet, r1_closed, r2_closed, thresholds
+from .pivot import ElectorateParams, StrategyPair, ThresholdSet, _group_means, _h_list, thresholds
+# not called here: kept only for bench/tracing.py, which wraps them in this module
+from .pivot import r1_closed, r2_closed  # noqa: F401
 from .regime import THRESHOLD_NAMES, CASE_DESCRIPTIONS, SweepSpec, classify, sweep_bounds
 
 EXIT_OK = 0
@@ -141,7 +135,7 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _csv_column(cells: tuple) -> list[str]:
+def _csv_column(cells) -> list[str]:
     """The CSV text of one column's cells, by the per-cell rule.
 
     A column of plain floats is formatted in one ``%`` with ``"%.17g\n"``
@@ -149,6 +143,7 @@ def _csv_column(cells: tuple) -> list[str]:
     does alone.  When at most half its cells are distinct, only the
     distinct non-zero values are formatted and the rest looked up.
     """
+    cells = tuple(cells)
     kinds = set(map(type, cells))
     if kinds == {float}:
         distinct = set(cells)
@@ -161,16 +156,17 @@ def _csv_column(cells: tuple) -> list[str]:
         memo = dict(zip(keys, (("%.17g\n" * len(keys)) % tuple(keys)).split("\n")))
         return [memo[x] if x else _fmt_cell(x) for x in cells]
     if kinds == {str}:
-        return list(map(_csv_field, cells))
+        # verify's side column: each distinct text quoted once
+        memo = {x: _csv_field(x) for x in set(cells)}
+        return list(map(memo.__getitem__, cells))
     return [_csv_field(_fmt_cell(x)) for x in cells]
 
 
-def _csv_text(header: tuple[str, ...], rows: list[list[Any]]) -> str:
-    # cells joined by hand, column by column, with csv.writer's minimal
-    # quoting; unlike csv.writer before Python 3.13, a bare \r is quoted
-    # too (RFC 4180).  Every row has the header's length.
-    columns = map(_csv_column, zip(*rows))
-    lines = [",".join(_csv_column(header)), *map(",".join, zip(*columns))]
+def _csv_text(header: tuple[str, ...], columns: list) -> str:
+    # one sequence of cells per header name, or none for no rows; cells
+    # joined by hand, column by column, with csv.writer's minimal quoting;
+    # unlike csv.writer before Python 3.13, a bare \r is quoted too (RFC 4180)
+    lines = [",".join(_csv_column(header)), *map(",".join, zip(*map(_csv_column, columns)))]
     if len(header) == 1:
         # one empty cell prints "", as csv.writer does, so it is not an empty row
         lines = [line or '""' for line in lines]
@@ -187,9 +183,9 @@ def _json_text(verb: str, params: ElectorateParams | None, **body: Any) -> str:
 class VerifyRow:
     """One closed-form vs brute-force comparison of the `verify` grid."""
 
-    # not frozen: building the 1,800 rows of a verify run costs ~5.8 ms
-    # frozen and ~1.0 ms plain (2-vCPU Xeon, Python 3.11), against ~19 ms
-    # for the whole run
+    # built from _verify_columns only for JSON output and
+    # standard_verify_rows; not frozen: 1,800 frozen rows cost ~5.8 ms, plain
+    # ~1.0 ms (2-vCPU Xeon, Python 3.11)
     n: float
     p: float
     pa: float
@@ -202,52 +198,64 @@ class VerifyRow:
     error_bound: float
 
 
-def standard_verify_rows(cfg: OracleConfig) -> list[VerifyRow]:
-    """Closed-form vs brute-force residuals over the standard grid."""
-    alphas = list(product(VERIFY_GRID_ALPHA, repeat=2))
-    pairs = [StrategyPair(alpha_a, alpha_b) for alpha_a, alpha_b in alphas]
-    points = list(product(VERIFY_GRID_N, VERIFY_GRID_P, VERIFY_GRID_PA))
+def _verify_columns(cfg: OracleConfig) -> list:
+    """The ten ``VerifyRow`` columns over the standard grid, in field order."""
     sides = ("A", "B")
-    grid = [ElectorateParams(n=n, p=p, p_a=p_a) for n, p, p_a in points]
-    # one brute-force call over every electorate, and one closed-form call
-    # per strategy pair and side; the brute-force gains come as one flat list
-    # in the order of product(points, pairs, sides)
+    # axes (n, p, p_a, alpha_a, alpha_b, side): the rows in product order
+    keys = np.meshgrid(
+        VERIFY_GRID_N, VERIFY_GRID_P, VERIFY_GRID_PA, VERIFY_GRID_ALPHA, VERIFY_GRID_ALPHA,
+        sides, indexing="ij",
+    )
+    n, p, p_a, alpha_a, alpha_b, side = keys
+    # the means and turnout means of ElectorateParams and turnout_means, bit for bit
+    x_a, x_b, m_a, m_b = _group_means(n, p, p_a)[:4]
+    y_a, y_b = m_a * alpha_a, m_b * alpha_b
+    u, v = x_a + y_a, x_b + y_b
+    # one brute-force call over the 36 electorates, with each one's five
+    # y_a and y_b; its gains come as one flat list in row order
     brute = pivot_gain_bruteforce(
-        [params.x_a for params in grid],
-        [params.x_b for params in grid],
-        [[params.m_a * alpha_a for alpha_a in VERIFY_GRID_ALPHA] for params in grid],
-        [[params.m_b * alpha_b for alpha_b in VERIFY_GRID_ALPHA] for params in grid],
+        x_a[..., 0, 0, 0].ravel().tolist(),
+        x_b[..., 0, 0, 0].ravel().tolist(),
+        y_a[..., 0, 0].reshape(-1, len(VERIFY_GRID_ALPHA)).tolist(),
+        y_b[..., 0, :, 0].reshape(-1, len(VERIFY_GRID_ALPHA)).tolist(),
         sides,
         cfg,
     )
-    closed = [
-        r for params in grid for s in pairs for r in (r1_closed(params, s), r2_closed(params, s))
-    ]
-    keys = product(points, [(*alpha, side) for alpha in alphas for side in sides])
-    bound = brute.error_bound
+    # r1 = h(v, u) on side A rows and r2 = h(u, v) on side B rows, in one pass
+    on_a = side == "A"
+    closed = _h_list(np.where(on_a, v, u).ravel(), np.where(on_a, u, v).ravel())
+    errors = [abs(c - g) for c, g in zip(closed, brute.value)]
     return [
-        VerifyRow(n, p, p_a, alpha_a, alpha_b, side, c, g, abs(c - g), bound)
-        for ((n, p, p_a), (alpha_a, alpha_b, side)), c, g in zip(keys, closed, brute.value)
+        *(key.ravel().tolist() for key in keys),
+        closed,
+        brute.value,
+        errors,
+        (brute.error_bound,) * len(errors),
     ]
 
 
-# (exit status, results, diagnostics, CSV header, CSV rows)
-_Output = tuple[int, Any, dict, tuple[str, ...], list[list]]
+def standard_verify_rows(cfg: OracleConfig) -> list[VerifyRow]:
+    """Closed-form vs brute-force residuals over the standard grid."""
+    return list(map(VerifyRow, *_verify_columns(cfg)))
+
+
+# (exit status, results, diagnostics, CSV header, CSV columns)
+_Output = tuple[int, Any, dict, tuple[str, ...], list]
 
 
 def _run_thresholds(args: argparse.Namespace, params: ElectorateParams) -> _Output:
     ts = thresholds(params)
     params_header, params_cells = _csv_schema(ElectorateParams)
     ts_header, ts_cells = _csv_schema(ThresholdSet)
-    row = [*params_cells(params), *ts_cells(ts)]
-    return EXIT_OK, ts, {}, params_header + ts_header, [row]
+    columns = list(zip((*params_cells(params), *ts_cells(ts))))
+    return EXIT_OK, ts, {}, params_header + ts_header, columns
 
 
 def _run_solve(args: argparse.Namespace, params: ElectorateParams) -> _Output:
     eqs = enumerate_equilibria(params, args.c)
     header, cells = _csv_schema(Equilibrium)
-    rows = [cells(eq) for eq in eqs]
-    return EXIT_OK, eqs, {"cost": args.c, "count": len(eqs)}, header, rows
+    columns = list(zip(*map(cells, eqs)))
+    return EXIT_OK, eqs, {"cost": args.c, "count": len(eqs)}, header, columns
 
 
 def _run_classify(args: argparse.Namespace, params: ElectorateParams) -> _Output:
@@ -255,9 +263,9 @@ def _run_classify(args: argparse.Namespace, params: ElectorateParams) -> _Output
     eq_header, cells = _csv_schema(Equilibrium)
     header = (*CLASSIFY_PREFIX, *eq_header)
     prefix = [getattr(report, name) for name in CLASSIFY_PREFIX]
-    rows = [[*prefix, *cells(eq)] for eq in report.equilibria]
+    columns = list(zip(*[(*prefix, *cells(eq)) for eq in report.equilibria]))
     diag = {"cost": args.c, "case_description": CASE_DESCRIPTIONS[report.case_index]}
-    return EXIT_OK, report, diag, header, rows
+    return EXIT_OK, report, diag, header, columns
 
 
 def _run_sweep(args: argparse.Namespace, params: None) -> _Output:
@@ -272,29 +280,25 @@ def _run_sweep(args: argparse.Namespace, params: None) -> _Output:
     spec = SweepSpec(p=args.p, p_a=args.pa, n_grid=grid, quantities=quantities)
     table = sweep_bounds(spec)
     header = ("n", *quantities)
-    rows = list(zip(table.n.tolist(), *(table.columns[q].tolist() for q in quantities)))
+    columns = [table.n.tolist(), *(table.columns[q].tolist() for q in quantities)]
     results = {"n": table.n, "columns": table.columns, "onset": table.onset}
     diag = {"p": spec.p, "pa": spec.p_a, "points": len(table.n)}
-    return EXIT_OK, results, diag, header, rows
+    return EXIT_OK, results, diag, header, columns
 
 
 def _run_verify(args: argparse.Namespace, params: None) -> _Output:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise DomainError(f"--tol must be finite and > 0, got {args.tol!r}")
-    rows = standard_verify_rows(OracleConfig(tail_eps=args.tail_eps))
-    max_err = max(r.abs_error for r in rows)
+    columns = _verify_columns(OracleConfig(tail_eps=args.tail_eps))
+    errors = columns[8]  # abs_error
+    max_err = max(errors)
     ok = max_err < args.tol
-    header, cells = _csv_schema(VerifyRow)
-    csv_rows = [cells(r) for r in rows]
-    results = {
-        "max_abs_error": max_err,
-        "tolerance": args.tol,
-        "points": len(rows),
-        "pass": ok,
-        "rows": rows,
-    }
+    results = {"max_abs_error": max_err, "tolerance": args.tol, "points": len(errors), "pass": ok}
+    if args.format == "json":
+        # the CSV reads the columns; only JSON prints rows
+        results["rows"] = list(map(VerifyRow, *columns))
     diag = {"tail_eps": args.tail_eps}
-    return (EXIT_OK if ok else EXIT_TOLERANCE), results, diag, header, csv_rows
+    return (EXIT_OK if ok else EXIT_TOLERANCE), results, diag, _repr_fields(VerifyRow), columns
 
 
 def _strategy_for_simulate(
@@ -344,8 +348,8 @@ def _run_simulate(args: argparse.Namespace, params: ElectorateParams) -> _Output
         alpha_a=s.alpha_a,
         alpha_b=s.alpha_b,
     )
-    row = [values[name] for name in SIMULATE_COLUMNS]
-    return EXIT_OK, stats, diag, SIMULATE_COLUMNS, [row]
+    columns = [(values[name],) for name in SIMULATE_COLUMNS]
+    return EXIT_OK, stats, diag, SIMULATE_COLUMNS, columns
 
 
 _RUNNERS = {
@@ -388,13 +392,13 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
     try:
         if hasattr(args, "n"):
             params = ElectorateParams(n=args.n, p=args.p, p_a=args.pa)
-        status, results, diag, header, rows = _RUNNERS[args.verb](args, params)
+        status, results, diag, header, columns = _RUNNERS[args.verb](args, params)
     except (DomainError, ValueError) as exc:
         return _error_output(args, params, exc, EXIT_VALIDATION)
     except (ConvergenceError, TruncationLimitError) as exc:
         return _error_output(args, params, exc, EXIT_NO_CONVERGENCE)
     if args.format == "csv":
-        text = _csv_text(header, rows)
+        text = _csv_text(header, columns)
     else:
         text = _json_text(args.verb, params, results=results, diagnostics=diag)
     if args.out:

@@ -18,12 +18,9 @@ equilibrium landscape for a given electorate:
     pa_lower = h(x_a, x_b)               absenteeism / no-queue floor
     ps_lower = h(n (1 - p_a), n p_a)     saturation floor (all-swipe ceiling)
 
-``thresholds`` computes them in log form on Python floats, and
-``log_frontiers`` on arrays of populations for sweeps, with the same
-bits.  The linear values are their exponentials: pa_lower and ps_lower
-decay exponentially in n and underflow to 0.0 from n ~ 1e6, while their
-logs stay finite.  What an ``ElectorateParams`` computes, when, and
-keeps: README, "Numerical notes".
+How ``thresholds`` (floats) and ``log_frontiers`` (arrays) compute
+them in log form with the same bits, and what an ``ElectorateParams``
+computes and keeps: README, "Numerical notes".
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, finite_real
-from .special_fn import FLOAT_OPS, _h_parts, g, h, log_g, log_h
+from .special_fn import FLOAT_OPS, _array_h_parts, _h_parts, g, h, log_g, log_h
 
 __all__ = [
     "ElectorateParams",
@@ -57,9 +54,6 @@ class ElectorateParams:
     ``p_a`` in (1/2, 1) so that A is the ex-ante majority side.  The
     four partisan and non-partisan means must come out positive, and
     x_a above x_b, in floating point; shares near 0 can underflow them.
-    The six means of ``_group_means`` are plain attributes, and
-    ``thresholds`` keeps the frontiers on the instance; README,
-    "Numerical notes", says when each is computed.
     """
 
     n: float
@@ -133,6 +127,17 @@ def r2_closed(params: ElectorateParams, s: StrategyPair) -> float:
     return h(u, v)
 
 
+def _h_list(x_a, z) -> list[float]:
+    """``h`` at each pair of x_a >= 0 and z > 0, as Python floats with its bits.
+
+    One array pass of ``h``'s formula, finished with ``h``'s
+    ``math.exp`` per element (README, "Numerical notes").
+    """
+    scaled, dd = _array_h_parts(x_a, z, "_h_list")
+    exp = math.exp
+    return [part * exp(-sq) for part, sq in zip(scaled.tolist(), dd.tolist())]
+
+
 @dataclass(frozen=True)
 class ThresholdSet:
     """The four cost frontiers for a fixed electorate.
@@ -144,10 +149,8 @@ class ThresholdSet:
     ct_upper >= ct_lower >= pa_lower >= ps_lower; the ordering is a
     large-population property, checked per parameter point, not assumed.
 
-    The ``log_*`` fields are the natural logs of the four frontiers,
-    finite where pa_lower and ps_lower underflow to 0.0; classification
-    compares costs against them.  They are left out of repr and of the
-    CLI output, which show the linear values only.
+    The ``log_*`` fields, the frontiers' natural logs, are what
+    classification compares costs against (README, "Numerical notes").
     """
 
     ct_upper: float

@@ -1,31 +1,15 @@
 """Designer-facing layer: cost-regime classification and threshold sweeps.
 
-For a large electorate with x_a > sqrt(2) and x_a <= n (1 - p_a), the
-four frontiers of :func:`votecost.pivot.thresholds` are strictly ordered
-and partition the cost axis into five regimes:
-
-    case 1   c >  ct_upper            0-2 absenteeism equilibria + no-queue
-    case 2   ct_lower <= c <= ct_upper  coin toss + absenteeism + no-queue
-    case 3   pa_lower <= c < ct_lower   absenteeism + saturation + no-queue
-    case 4   ps_lower <= c < pa_lower   exactly one saturation equilibrium
-    case 5   c <  ps_lower             only the all-swipe equilibrium
-
-Only case 2 admits the coin toss, in which the majority side is no
-longer guaranteed to win; a cost designer must keep c out of that
-window (``coin_toss_interval`` / ``recommend_cost``).
-
-The frontiers and the cost are compared in log space, so the cases stay
-distinct where pa_lower and ps_lower underflow to 0.0 (n >~ 1e6).
-Boundary conventions: whether a cost is below, on or above a frontier
-is decided by ``equilibria.cost_side``, the rule the solvers use: "<="
-in the table includes a cost on the frontier and "<" excludes it, so
-the coin-toss window is closed.  A cost on frontier k (k = 1 for
-ct_upper through 4 for ps_lower) is flagged in the notes, and the
-solvers' list must fit the prediction of case k or of case k + 1 on
-its own (``_PREDICTIONS``).  When the frontiers are not strictly
-ordered at the given parameters (small populations, or x_a above the
-admissibility bound), the classifier reports case 0 with the realized
-equilibrium list and no case prediction.
+Where x_a > sqrt(2), x_a <= n (1 - p_a) and the four frontiers of
+:func:`votecost.pivot.thresholds` are strictly ordered, they split the
+cost axis into the five cases of README, "The cost regimes"; elsewhere
+``classify`` reports case 0.  Only case 2 admits the coin toss, in
+which the majority side is no longer guaranteed to win, so a cost
+designer must keep c out of that window (``coin_toss_interval`` /
+``recommend_cost``).  A cost on frontier k (k = 1 for ct_upper through
+4 for ps_lower) must fit the prediction of case k or k + 1
+(``_PREDICTIONS``); README, "Numerical notes", gives the rule
+``cost_side`` that reads each side.
 """
 
 from __future__ import annotations

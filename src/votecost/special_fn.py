@@ -33,9 +33,9 @@ The formula has three kinds of entry point:
 * ``g`` and ``h`` take and return Python floats: ``g`` for one
   electorate's frontiers, ``h`` for the closed-form pivot gains
   (``pivot.r1_closed`` and ``r2_closed``, hence the printed
-  ``residual`` and the ``verify`` CSV).  Their values underflow to 0.0
-  once the exponent passes ~745, at populations of ~1e6 for the
-  exponentially small frontiers.
+  ``residual``; ``pivot._h_list`` gives ``verify`` the same bits on
+  arrays).  Their values underflow to 0.0 once the exponent passes
+  ~745, at populations of ~1e6 for the exponentially small frontiers.
 * ``_log_g_slope`` and ``_log_h_slope`` serve the solvers: every kernel
   value they do not take from the frontiers (a case-0 interval end, the
   peak, each step of ``equilibria._rtsafe``) is read from them.  Each
@@ -118,8 +118,8 @@ def h(x_a: float, z: float) -> float:
         return 0.5 * (1.0 + x_a) * math.exp(-x_a)
     scaled, dd, _, _ = _h_parts(x_a, z, FLOAT_OPS)
     # math.exp, not numpy's exp (which differs from it in the last bit at a
-    # few percent of arguments), keeps the last bit of h, residuals and the
-    # verify CSV
+    # few percent of arguments), keeps the last bit of h and the residuals;
+    # pivot._h_list finishes its array pass with it too
     return scaled * math.exp(-dd)
 
 
@@ -170,9 +170,14 @@ def log_h(x_a, z) -> np.ndarray:
     Requires x_a >= 0 and z > 0 (the cost frontiers always have positive
     arguments, so z = 0 is not special-cased as it is in ``h``).
     """
+    scaled, dd = _array_h_parts(x_a, z, "log_h")
+    return np.log(scaled) - dd
+
+
+def _array_h_parts(x_a, z, name: str) -> tuple[np.ndarray, np.ndarray]:
+    # (scaled, dd) of ``_h_parts`` on arrays, for every x_a >= 0 and z > 0
     x_a = np.asarray(x_a, dtype=float)
     z = np.asarray(z, dtype=float)
     if not (x_a.min(initial=math.inf) >= 0.0 and z.min(initial=math.inf) > 0.0):
-        raise DomainError("log_h requires every x_a >= 0 and z > 0")
-    scaled, dd, _, _ = _h_parts(x_a, z, ARRAY_OPS)
-    return np.log(scaled) - dd
+        raise DomainError(f"{name} requires every x_a >= 0 and z > 0")
+    return _h_parts(x_a, z, ARRAY_OPS)[:2]

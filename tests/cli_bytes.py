@@ -105,6 +105,8 @@ INVOCATIONS = [
     ("verify csv", ["verify"], None),
     ("verify json", ["verify", "--format", "json"], None),
     ("verify tolerance breach", ["verify", "--tol", "1e-30", "--format", "json"], None),
+    # exit 4 with the whole table printed: CSV goes to stdout, not stderr
+    ("verify tolerance breach csv", ["verify", "--tol", "1e-30"], None),
     # the longest totals (CSV) and the shortest, past the tolerance (exit 4)
     ("verify tail-eps 2e-16", ["verify", "--tail-eps", "2e-16"], None),
     ("verify tail-eps 1e-7 json", ["verify", "--tail-eps", "1e-7", "--format", "json"], None),

@@ -47,6 +47,11 @@ def run_cli(argv):
     return status, text
 
 
+def by_column(rows):
+    # _csv_text takes the cells column by column
+    return list(zip(*rows))
+
+
 class TestThresholdsVerb:
     def test_json_roundtrip(self):
         status, text = run_cli(["thresholds", "--n", "500", "--p", "0.2", "--pa", "0.6"])
@@ -525,7 +530,8 @@ class TestCsvText:
         return text
 
     def test_matches_per_cell_rule(self):
-        assert _csv_text(self.HEADER, self.ROWS) == self.per_cell(self.HEADER, self.ROWS)
+        want = self.per_cell(self.HEADER, self.ROWS)
+        assert _csv_text(self.HEADER, by_column(self.ROWS)) == want
 
     @staticmethod
     def long_floats():
@@ -542,7 +548,7 @@ class TestCsvText:
 
     def test_typed_columns_match_per_cell_rule(self):
         want = self.per_cell(self.TYPED_HEADER, self.TYPED_ROWS)
-        assert _csv_text(self.TYPED_HEADER, self.TYPED_ROWS) == want
+        assert _csv_text(self.TYPED_HEADER, by_column(self.TYPED_ROWS)) == want
         columns = list(zip(*csv.reader(io.StringIO(want))))
         assert columns[0][1:4] == ("0", "-0", "nan")
         assert columns[1][4] == "cr\rhere"
@@ -551,7 +557,7 @@ class TestCsvText:
         assert len(cells) >= 2000 and len(set(cells)) < len(cells) / 2
         rows = [[x, k] for k, x in enumerate(cells)]
         want = self.per_cell(["float", "index"], rows)
-        assert _csv_text(["float", "index"], rows) == want
+        assert _csv_text(["float", "index"], by_column(rows)) == want
         column = [line.split(",")[0] for line in want.splitlines()[1:]]
         assert column[:10] == ["0", "-0", "nan", "nan", "inf", "-inf",
                                "4.9406564584124654e-324", "-4.9406564584124654e-324",
@@ -592,7 +598,7 @@ class TestCsvText:
         assert _csv_text([""], [["x"]]) == buf.getvalue() == '""\nx\n'
 
     def test_cells(self):
-        header, *rows = csv.reader(io.StringIO(_csv_text(self.HEADER, self.ROWS)))
+        header, *rows = csv.reader(io.StringIO(_csv_text(self.HEADER, by_column(self.ROWS))))
         assert header == self.HEADER
         columns = list(zip(*rows))
         assert columns[0] == ("0", "-0", "0", "-0", "0", "-0")

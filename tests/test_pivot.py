@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -16,13 +17,14 @@ from votecost.oracle import pivot_gain_bruteforce
 from votecost.pivot import (
     ElectorateParams,
     StrategyPair,
+    _h_list,
     log_frontiers,
     r1_closed,
     r2_closed,
     thresholds,
     turnout_means,
 )
-from votecost.special_fn import h
+from votecost.special_fn import h, log_h
 
 
 class TestElectorateParams:
@@ -198,6 +200,42 @@ class TestClosedForms:
             assert 0.0 < r1_closed(params, s) <= 1.0
             assert 0.0 < r2_closed(params, s) <= 1.0
         assert checked >= 1000
+
+
+class TestHList:
+    """``_h_list``, the array pass behind ``verify``'s closed forms, has ``h``'s bits."""
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(20261022)
+        x = 10.0 ** rng.uniform(-3.0, 7.0, size=3000)
+        z = 10.0 ** rng.uniform(-3.0, 7.0, size=3000)
+        # x ~ z: equal, one ulp apart and within a few parts in 1e9
+        near = x[:600] * (1.0 + rng.uniform(-1e-9, 1e-9, size=600))
+        # (sqrt(x) - sqrt(z))^2 near 708-760: subnormal gains and gains of 0.0
+        far_x = 10.0 ** rng.uniform(3.0, 6.0, size=600)
+        far_z = (np.sqrt(far_x) + np.sqrt(rng.uniform(700.0, 760.0, size=600))) ** 2
+        xs = np.concatenate([x, x[:300], x[:300], x[:600], far_x, far_z])
+        zs = np.concatenate([z, x[:300], np.nextafter(x[:300], np.inf), near, far_z, far_x])
+        return xs, zs
+
+    def test_equals_h_bit_for_bit(self):
+        xs, zs = self.pairs()
+        got = _h_list(xs, zs)
+        want = [h(x, z) for x, z in zip(xs.tolist(), zs.tolist())]
+        assert got == want
+        assert {type(v) for v in got} == {float}
+        assert got.count(0.0) > 50
+        assert sum(0.0 < v < sys.float_info.min for v in got) > 50
+
+    @pytest.mark.parametrize(
+        "x, z", [(1.0, 0.0), (1.0, -1.0), (-1.0, 1.0), (math.nan, 1.0), (1.0, math.nan)]
+    )
+    def test_rejects_what_log_h_rejects(self, x, z):
+        # h's z = 0 branch is not in the array formula, so z = 0 is an error
+        for fn in (_h_list, log_h):
+            with pytest.raises(DomainError, match="requires every x_a >= 0 and z > 0"):
+                fn([2.0, x], [3.0, z])
 
 
 class TestMargin:
